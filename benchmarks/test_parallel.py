@@ -1,6 +1,6 @@
-"""Benchmark tier for the process-parallel execution paths.
+"""Benchmark tier for cell-parallel sweeps.
 
-Three cells pin the sharding story on the trajectory:
+Two cells pin the cell-sharding story on the trajectory:
 
 * a reduced resilience chaos sweep through the serial cell loop — the
   baseline the parallel runner must beat;
@@ -10,10 +10,7 @@ Three cells pin the sharding story on the trajectory:
   it measures the runner's core count as much as the code, and on a
   single-core machine (CI fallback, this container) the two medians
   legitimately coincide.  The compare step's machine stamp flags such
-  runs;
-* one multi-group collective through the group-sharded driver at
-  jobs=2, against its per-rank reference — the group-sharding overhead
-  floor (worker fork + spec pickling + stats merge).
+  runs.
 
 Functional results are asserted so a silent fallback to the serial
 path fails loudly rather than just slowly.
@@ -23,12 +20,7 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=BENCH_FULL.json
 """
 
-from repro.core import MCIOConfig, MemoryConsciousCollectiveIO
-from repro.core.request import AccessPattern
 from repro.experiments import resilience
-from repro.parallel import run_sharded_collective
-
-KIB = 1024
 
 #: Reduced chaos sweep: 3 rates x 3 strategies = 9 cells, ~2s serial.
 CHAOS = dict(fault_rates=(0.0, 0.5, 1.0), n_ranks=8, n_nodes=2,
@@ -69,29 +61,3 @@ def test_chaos_sweep_jobs4(benchmark):
 
     assert flat(result) == flat(serial)
 
-
-def test_group_sharded_collective_jobs2(benchmark):
-    """One 4-group collective through the sharded driver (fork + merge
-    overhead floor; the per-rank reference for the same plan is the
-    golden-matrix differential suite's job, not a timing cell)."""
-    n_ranks, tile = 8, 64 * KIB
-    patterns = [
-        AccessPattern.contiguous(r * tile, tile) for r in range(n_ranks)
-    ]
-    config = MCIOConfig(
-        msg_group=2 * tile, msg_ind=tile // 2, mem_min=0, nah=1,
-        cb_buffer_size=16 * KIB, min_buffer=1,
-    )
-
-    def run():
-        from tests.helpers import make_stack
-
-        stack = make_stack(n_ranks=n_ranks, n_nodes=4, cores=2,
-                           with_data=False)
-        engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, config)
-        stats = run_sharded_collective(engine, patterns, "write", jobs=2)
-        assert stats.execution_mode == "sharded"
-        assert stats.sharding_refusals == 0
-        return stats.total_bytes
-
-    assert benchmark(run) == n_ranks * tile

@@ -44,7 +44,7 @@ __all__ = [
 
 ShuffleGranularity = Literal["round", "batched", "domain"]
 PlacementPolicy = Literal["remerge", "borrow", "hybrid"]
-ExecutionMode = Literal["per-rank", "vectorized", "auto", "sharded"]
+ExecutionMode = Literal["per-rank", "vectorized"]
 
 
 def _check_common(cb_buffer_size: int, shuffle_granularity: str) -> None:
@@ -205,25 +205,17 @@ class MCIOConfig:
         * ``"per-rank"`` — every rank is a DES coroutine; the reference
           fidelity level and the default (bit-identical to prior
           releases);
-        * ``"vectorized"`` / ``"auto"`` — co-located ranks are folded
-          into one node-level process carrying numpy-backed per-rank
-          accounting.  The planner still *refuses* vectorization per
-          collective whenever faults, borrow leases, failed hosts, or a
-          live data plane demand per-rank behaviour, falling back to
-          per-rank coroutines and counting the refusal in
+        * ``"vectorized"`` — co-located ranks are folded into one
+          node-level process carrying numpy-backed per-rank accounting.
+          The driver still *refuses* vectorization per collective
+          whenever faults, borrow leases, failed hosts, or a live data
+          plane demand per-rank behaviour, falling back to per-rank
+          coroutines and counting the refusal in
           :attr:`~repro.core.metrics.CollectiveStats.vectorized_refusals`.
-          Both spellings behave identically today; ``"auto"`` documents
-          intent ("vectorize when safe") for callers that never want a
-          hard requirement.
-        * ``"sharded"`` — independent aggregation groups are partitioned
-          across worker *processes* (DESIGN.md §12), each running the
-          per-rank reference on a sub-Environment, with deterministic
-          stats/timeline merging.  Refuses per collective (counting the
-          refusal in
-          :attr:`~repro.core.metrics.CollectiveStats.sharding_refusals`)
-          whenever the plan yields fewer than two groups, a node hosts
-          domains from several groups, or faults/leases/data-plane
-          demand a single per-rank simulation.
+
+        Process parallelism lives one level up, across independent
+        sweep cells (``--jobs``, DESIGN.md §12), never inside a
+        collective.
     """
 
     msg_group: int = 256 * MIB
@@ -275,7 +267,5 @@ class MCIOConfig:
             raise ValueError("lease_backoff_cap must be >= lease_backoff_base")
         if self.lend_headroom < 0:
             raise ValueError("lend_headroom must be >= 0")
-        if self.execution_mode not in (
-            "per-rank", "vectorized", "auto", "sharded"
-        ):
+        if self.execution_mode not in ("per-rank", "vectorized"):
             raise ValueError(f"bad execution_mode {self.execution_mode!r}")

@@ -172,31 +172,6 @@ class ExecutionPlan:
         """Distinct aggregator ranks, sorted."""
         return tuple(sorted({d.aggregator_rank for d in self.domains}))
 
-    def partition_groups(self, n_parts: int) -> tuple[tuple[int, ...], ...]:
-        """Group-aligned domain-index partitions for sharded execution.
-
-        Whole aggregation groups are dealt round-robin (in ascending
-        ``group_id`` order) onto ``min(n_parts, n_groups)`` partitions;
-        inside a partition, domain indices stay in ascending plan order,
-        so each shard replays its domains in the same relative sequence
-        the unsharded run would.  The split depends only on the plan and
-        `n_parts` — never on worker identity or scheduling — which is
-        what makes sharded results order- and worker-count-independent.
-        """
-        if n_parts < 1:
-            raise ValueError("n_parts must be >= 1")
-        by_group: dict[int, list[int]] = {}
-        for did, domain in enumerate(self.domains):
-            by_group.setdefault(domain.group_id, []).append(did)
-        groups = [by_group[gid] for gid in sorted(by_group)]
-        n = min(n_parts, len(groups))
-        if n == 0:
-            return ()
-        parts: list[list[int]] = [[] for _ in range(n)]
-        for i, dids in enumerate(groups):
-            parts[i % n].extend(dids)
-        return tuple(tuple(sorted(p)) for p in parts)
-
     @property
     def ntimes(self) -> int:
         """Global round count (max over domains), ROMIO's ``ntimes``."""

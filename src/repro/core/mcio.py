@@ -134,10 +134,6 @@ class MemoryConsciousCollectiveIO:
         #: set by the vectorized driver right before it falls back to the
         #: per-rank path, so the fallback's stats carry the refusal.
         self._pending_vec_refusal: Optional[str] = None
-        #: Same one-shot contract for the sharded driver: set right
-        #: before its per-rank fallback so the fallback's stats carry
-        #: the sharding-refusal reason.
-        self._pending_shard_refusal: Optional[str] = None
         self._plans: dict = {}
         self._stats: dict[int, StatsCollector] = {}
         #: Per-operation shared lease state (None for lease-free plans).
@@ -349,10 +345,6 @@ class MemoryConsciousCollectiveIO:
         if pending is not None:
             self._pending_vec_refusal = None
             collector.record_vectorized_refusal(pending)
-        pending_shard = self._pending_shard_refusal
-        if pending_shard is not None:
-            self._pending_shard_refusal = None
-            collector.record_sharding_refusal(pending_shard)
         return collector
 
     def _plan_or_reuse(self, patterns, memory_available, failed_nodes):

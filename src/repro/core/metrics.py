@@ -16,7 +16,7 @@ quantities the paper argues about:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -92,11 +92,6 @@ class CollectiveStats:
     #: (faults/borrow/failover demanded per-rank behaviour); the refusal
     #: reason lands in ``extra["vectorized_refusal"]``.
     vectorized_refusals: int = 0
-    #: Times group-sharded execution was requested but refused for this
-    #: collective (single group, shared aggregator hosts, faults, leases,
-    #: a live data plane — see DESIGN.md §12); the refusal reason lands
-    #: in ``extra["sharding_refusal"]``.
-    sharding_refusals: int = 0
 
     @property
     def bandwidth(self) -> float:
@@ -235,7 +230,6 @@ class CollectiveStats:
             "ina_fallbacks": self.ina_fallbacks,
             "execution_mode": self.execution_mode,
             "vectorized_refusals": self.vectorized_refusals,
-            "sharding_refusals": self.sharding_refusals,
         }
 
     @classmethod
@@ -243,7 +237,8 @@ class CollectiveStats:
         """Rebuild from :meth:`to_json` output.
 
         Fields missing from `d` (older files) fall back to the dataclass
-        defaults, so documents written before a field existed still load.
+        defaults, so documents written before a field existed still load;
+        keys of retired fields are ignored.
         """
         return cls(
             strategy=d["strategy"],
@@ -284,142 +279,6 @@ class CollectiveStats:
             ina_fallbacks=d.get("ina_fallbacks", 0),
             execution_mode=d.get("execution_mode", "per-rank"),
             vectorized_refusals=d.get("vectorized_refusals", 0),
-            sharding_refusals=d.get("sharding_refusals", 0),
-        )
-
-    # ------------------------------------------------------------------
-    # sharded-execution merge
-    # ------------------------------------------------------------------
-    #: Per-operation counters that sum across shards: each shard ran a
-    #: disjoint subset of the plan's domains, so its counts are disjoint
-    #: contributions to the whole collective's totals.
-    _MERGE_SUM_FIELDS = (
-        "total_bytes",
-        "paged_aggregators",
-        "rounds_total",
-        "shuffle_intra_node_bytes",
-        "shuffle_inter_node_bytes",
-        "shuffle_inter_group_bytes",
-        "n_groups",
-        "io_retries",
-        "io_abandons",
-        "failovers",
-        "leases_granted",
-        "leases_renewed",
-        "leases_revoked",
-        "leases_expired",
-        "borrow_bytes",
-        "borrow_fallbacks",
-        "ina_fallbacks",
-        "vectorized_refusals",
-        "sharding_refusals",
-    )
-    #: Fields every shard must agree on for a merge to be meaningful.
-    _MERGE_AGREE_FIELDS = ("strategy", "op", "n_ranks", "degraded_tier")
-    #: Cumulative engine-level counters (monotone across an engine's
-    #: history): the merged view is the furthest any shard saw.
-    _MERGE_MAX_FIELDS = (
-        "plan_cache_hits",
-        "plan_cache_misses",
-        "plan_cache_invalidations",
-        "planning_tree_queries",
-    )
-
-    @classmethod
-    def merge(cls, shards: "Sequence[CollectiveStats]") -> "CollectiveStats":
-        """Fold per-shard stats of one collective into a single summary.
-
-        Registry-aware by field class, mirroring how a single
-        :class:`StatsCollector` would have accumulated the same run:
-
-        * **counters** (bytes, rounds, shuffle split, lease/fault
-          events, ``n_groups``) sum — shards execute disjoint domain
-          subsets, so their counts are disjoint contributions;
-        * **gauges** (``agg_buffer_bytes``, ``agg_overcommit_bytes``)
-          max-merge per rank label, exactly the registry's ``set_max``
-          semantics — an aggregator serving domains in two shards keeps
-          its peak, not the sum;
-        * **sim-time** (``elapsed``) maxes: shards run concurrently on
-          one simulated machine, so the collective takes as long as its
-          slowest shard;
-        * cumulative engine counters (``plan_cache_*``,
-          ``planning_tree_queries``) max-merge (monotone views);
-        * ``execution_mode`` is kept when uniform, else ``"mixed"``.
-
-        Raises ``ValueError`` on an empty shard list or when shards
-        disagree on identity fields (strategy, op, rank count, tier).
-        """
-        shards = list(shards)
-        if not shards:
-            raise ValueError("cannot merge an empty shard list")
-        first = shards[0]
-        for other in shards[1:]:
-            for name in cls._MERGE_AGREE_FIELDS:
-                a, b = getattr(first, name), getattr(other, name)
-                if a != b:
-                    raise ValueError(
-                        f"shards disagree on {name}: {a!r} != {b!r}"
-                    )
-        agg_buffer: dict[int, int] = {}
-        agg_overcommit: dict[int, int] = {}
-        for s in shards:
-            for rank, v in s.agg_buffer_bytes.items():
-                agg_buffer[rank] = max(agg_buffer.get(rank, 0), v)
-            for rank, v in s.agg_overcommit_bytes.items():
-                agg_overcommit[rank] = max(agg_overcommit.get(rank, 0), v)
-        sums = {
-            name: sum(getattr(s, name) for s in shards)
-            for name in cls._MERGE_SUM_FIELDS
-        }
-        maxes = {
-            name: max(getattr(s, name) for s in shards)
-            for name in cls._MERGE_MAX_FIELDS
-        }
-        # a single-shard merge must be the identity, so n_groups only
-        # sums when the groups are actually split across shards
-        if len(shards) == 1:
-            sums["n_groups"] = first.n_groups
-            sums["paged_aggregators"] = first.paged_aggregators
-        modes = {s.execution_mode for s in shards}
-        extra: dict = {}
-        for s in shards:
-            extra.update(s.extra)
-        return cls(
-            strategy=first.strategy,
-            op=first.op,
-            total_bytes=sums["total_bytes"],
-            elapsed=max(s.elapsed for s in shards),
-            n_ranks=first.n_ranks,
-            n_aggregators=len(agg_buffer),
-            aggregator_ranks=tuple(sorted(agg_buffer)),
-            agg_buffer_bytes=agg_buffer,
-            agg_overcommit_bytes=agg_overcommit,
-            paged_aggregators=sums["paged_aggregators"],
-            rounds_total=sums["rounds_total"],
-            shuffle_intra_node_bytes=sums["shuffle_intra_node_bytes"],
-            shuffle_inter_node_bytes=sums["shuffle_inter_node_bytes"],
-            shuffle_inter_group_bytes=sums["shuffle_inter_group_bytes"],
-            n_groups=sums["n_groups"],
-            extra=extra,
-            degraded_tier=first.degraded_tier,
-            io_retries=sums["io_retries"],
-            io_abandons=sums["io_abandons"],
-            failovers=sums["failovers"],
-            plan_cached=any(s.plan_cached for s in shards),
-            plan_cache_hits=maxes["plan_cache_hits"],
-            plan_cache_misses=maxes["plan_cache_misses"],
-            plan_cache_invalidations=maxes["plan_cache_invalidations"],
-            planning_tree_queries=maxes["planning_tree_queries"],
-            leases_granted=sums["leases_granted"],
-            leases_renewed=sums["leases_renewed"],
-            leases_revoked=sums["leases_revoked"],
-            leases_expired=sums["leases_expired"],
-            borrow_bytes=sums["borrow_bytes"],
-            borrow_fallbacks=sums["borrow_fallbacks"],
-            ina_fallbacks=sums["ina_fallbacks"],
-            execution_mode=modes.pop() if len(modes) == 1 else "mixed",
-            vectorized_refusals=sums["vectorized_refusals"],
-            sharding_refusals=sums["sharding_refusals"],
         )
 
 
@@ -506,10 +365,6 @@ class StatsCollector:
         self._c_vec_refusals = self.registry.counter(
             "vectorized_refusals_total",
             "collectives that refused vectorization and ran per-rank",
-        )
-        self._c_shard_refusals = self.registry.counter(
-            "sharding_refusals_total",
-            "collectives that refused group sharding and ran per-rank",
         )
         #: Execution path that served this collective (DESIGN.md §11).
         self.execution_mode = "per-rank"
@@ -617,10 +472,6 @@ class StatsCollector:
     def vectorized_refusals(self) -> int:
         return self._c_vec_refusals.value()
 
-    @property
-    def sharding_refusals(self) -> int:
-        return self._c_shard_refusals.value()
-
     # ------------------------------------------------------------------
     def mark_start(self, now: float) -> None:
         """Record the earliest entry time across ranks."""
@@ -702,11 +553,6 @@ class StatsCollector:
         """Count a refused vectorization and keep the why in ``extra``."""
         self._c_vec_refusals.inc(1)
         self.extra["vectorized_refusal"] = reason
-
-    def record_sharding_refusal(self, reason: str) -> None:
-        """Count a refused group sharding and keep the why in ``extra``."""
-        self._c_shard_refusals.inc(1)
-        self.extra["sharding_refusal"] = reason
 
     def record_attempts(self, n: int) -> None:
         """Bulk form of :meth:`record_attempt` for node-level execution.
@@ -816,7 +662,6 @@ class StatsCollector:
             ina_fallbacks=self.ina_fallbacks,
             execution_mode=self.execution_mode,
             vectorized_refusals=self.vectorized_refusals,
-            sharding_refusals=self.sharding_refusals,
         )
         if self.auditor is not None:
             self.auditor.on_finalize(self, final)

@@ -40,9 +40,9 @@ carries it to completion — it only forces the re-plan afterwards.
 Refusal seams
 -------------
 The replay runs per-rank coroutines, so engines configured for the
-vectorized or sharded drivers record an ``execution-mode`` refusal
-(reason ``"persistent-collective"``) on each epoch's stats, mirroring
-those drivers' own refusal contract.  Epochs that cannot be replayed
+vectorized driver record a vectorization refusal (reason
+``"persistent-collective"``) on each epoch's stats, mirroring that
+driver's own refusal contract.  Epochs that cannot be replayed
 safely are *delegated* whole to the engine's blocking entry point with
 the reason recorded on the handle: plans carrying borrow leases
 (``"borrow-lease"`` — lease acquisition is a per-operation protocol) and
@@ -269,11 +269,8 @@ class PersistentCollective:
                 yield from self._delegate(ctx, ep, pattern, payload, "borrow-lease")
             )
         if ep.stats is None:
-            mode = engine.config.execution_mode
-            if mode in ("vectorized", "auto"):
+            if engine.config.execution_mode == "vectorized":
                 engine._pending_vec_refusal = "persistent-collective"
-            elif mode == "sharded":
-                engine._pending_shard_refusal = "persistent-collective"
             stats = engine._make_collector(
                 self.op, plan, self._tier, self._reason,
                 cached=self._cached if ep.replan else True,

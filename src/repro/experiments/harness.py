@@ -92,13 +92,11 @@ def run_collective(
 ) -> list[CollectiveStats]:
     """Run `ops` back to back on `platform` and return their stats.
 
-    MCIO engines configured with ``execution_mode`` ``"vectorized"`` or
-    ``"auto"`` dispatch to the node-level driver
-    (:func:`~repro.core.vectorized.run_vectorized_collective`);
-    ``"sharded"`` dispatches to the group-sharded process-parallel
-    driver (:func:`~repro.parallel.run_sharded_collective`).  Both fall
-    back to the per-rank path on their own whenever faults, leases or
-    the data plane demand per-rank coroutines.
+    MCIO engines configured with ``execution_mode="vectorized"``
+    dispatch to the node-level driver
+    (:func:`~repro.core.vectorized.run_vectorized_collective`), which
+    falls back to the per-rank path on its own whenever faults, leases
+    or the data plane demand per-rank coroutines.
     """
     if len(patterns) != platform.comm.size:
         raise ValueError(
@@ -107,22 +105,12 @@ def run_collective(
 
     if (
         isinstance(engine, MemoryConsciousCollectiveIO)
-        and engine.config.execution_mode in ("vectorized", "auto")
+        and engine.config.execution_mode == "vectorized"
     ):
         from repro.core.vectorized import run_vectorized_collective
 
         for op in ops:
             run_vectorized_collective(engine, patterns, op)
-        return list(engine.history[-len(ops):])
-
-    if (
-        isinstance(engine, MemoryConsciousCollectiveIO)
-        and engine.config.execution_mode == "sharded"
-    ):
-        from repro.parallel import run_sharded_collective
-
-        for op in ops:
-            run_sharded_collective(engine, patterns, op)
         return list(engine.history[-len(ops):])
 
     def main(ctx):
@@ -154,19 +142,19 @@ class SweepPoint:
         return self.stats.bandwidth_mib
 
 
-def _memory_sweep_cell(cell) -> list[SweepPoint]:
+def _memory_sweep_cell(cell, tracer: Optional[Tracer] = None) -> list[SweepPoint]:
     """One (buffer, strategy) cell of :func:`run_memory_sweep`.
 
     Module-level so the cell-sharding runner can ship it to worker
-    processes; `cell` is a plain picklable tuple.  The body is exactly
-    the serial loop's — same platform seed, same availability draw —
-    so a sweep's points are identical at any ``jobs`` count.
+    processes; `cell` is a plain picklable tuple.  The serial path runs
+    the same body in-process (optionally traced), so a sweep's points
+    are identical at any ``jobs`` count.
     """
     (
         spec, patterns, buffer, strategy, sigma_bytes, seed,
         mcio_template, tp_template, ops, granularity,
     ) = cell
-    platform = Platform.build(spec, len(patterns), seed=seed)
+    platform = Platform.build(spec, len(patterns), seed=seed, tracer=tracer)
     platform.cluster.sample_memory_availability(
         mean_bytes=float(buffer), sigma_bytes=float(sigma_bytes)
     )
@@ -255,7 +243,6 @@ def run_memory_sweep(
     list of SweepPoint
         One per (buffer, strategy, op); order independent of `jobs`.
     """
-    n_ranks = len(patterns)
     mcio_template = mcio_config if mcio_config is not None else MCIOConfig()
     tp_template = (
         twophase_config if twophase_config is not None else TwoPhaseConfig()
@@ -268,48 +255,9 @@ def run_memory_sweep(
         for buffer in buffer_sizes
         for strategy in strategies
     ]
-    points: list[SweepPoint] = []
     if tracer is None and resolve_jobs(jobs) > 1:
         with ParallelRunner(jobs=jobs) as runner:
-            for cell_points in runner.map(_memory_sweep_cell, cells):
-                points.extend(cell_points)
-        return points
-    for buffer in buffer_sizes:
-        for strategy in strategies:
-            platform = Platform.build(spec, n_ranks, seed=seed, tracer=tracer)
-            platform.cluster.sample_memory_availability(
-                mean_bytes=float(buffer), sigma_bytes=float(sigma_bytes)
-            )
-            if strategy == "two-phase":
-                engine = TwoPhaseCollectiveIO(
-                    platform.comm,
-                    platform.pfs,
-                    replace(
-                        tp_template,
-                        cb_buffer_size=int(buffer),
-                        shuffle_granularity=granularity,
-                    ),
-                )
-            elif strategy == "mcio":
-                engine = MemoryConsciousCollectiveIO(
-                    platform.comm,
-                    platform.pfs,
-                    replace(
-                        mcio_template,
-                        cb_buffer_size=int(buffer),
-                        shuffle_granularity=granularity,
-                    ),
-                )
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
-            all_stats = run_collective(platform, engine, patterns, ops=ops)
-            for op, stats in zip(ops, all_stats):
-                points.append(
-                    SweepPoint(
-                        buffer_bytes=int(buffer),
-                        strategy=strategy,
-                        op=op,
-                        stats=stats,
-                    )
-                )
-    return points
+            per_cell = runner.map(_memory_sweep_cell, cells)
+    else:
+        per_cell = [_memory_sweep_cell(cell, tracer=tracer) for cell in cells]
+    return [point for cell_points in per_cell for point in cell_points]

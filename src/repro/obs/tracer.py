@@ -39,7 +39,7 @@ rank (fault apply/revert, memory shocks) use :data:`TID_NODE`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional
 
 __all__ = [
     "TraceEvent",
@@ -254,35 +254,6 @@ class Tracer:
         if not self.enabled:
             return
         self._record("i", cat, name, pid, tid, self.now(), None, args or None)
-
-    def absorb(self, events: Sequence[dict], offset: float = 0.0) -> None:
-        """Append events recorded by *another* tracer, shifted by `offset`.
-
-        `events` are :meth:`TraceEvent.to_dict` dicts — the picklable
-        form a sharded worker process ships its timeline home in (a live
-        tracer holds an environment clock closure and cannot cross a
-        process boundary).  Each event is re-stamped with this tracer's
-        own sequence numbers; ``offset`` (typically :meth:`max_ts`) lays
-        the foreign timeline after everything recorded so far, the same
-        concatenation contract as :meth:`install`'s offset.
-        """
-        if not self.enabled:
-            return
-        for d in events:
-            self._seq += 1
-            self._push(
-                TraceEvent(
-                    d["ph"],
-                    d["cat"],
-                    d["name"],
-                    d["pid"],
-                    d["tid"],
-                    d["ts"] + offset,
-                    d.get("dur"),
-                    d.get("args"),
-                    self._seq,
-                )
-            )
 
     # ------------------------------------------------------------------
     # reading

@@ -1,4 +1,4 @@
-"""Process-pool plumbing shared by sharded collectives and sweep cells.
+"""Process-pool plumbing for cell-parallel sweeps.
 
 Two primitives live here:
 

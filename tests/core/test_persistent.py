@@ -8,8 +8,8 @@
 * overlap-on replay keeps the same planned quantities and bytes while
   never being slower than blocking in the concentrated-aggregator regime;
 * the plan really is frozen — exactly one planning pass across N epochs;
-* seams that cannot compose record their reason: the vectorized/sharded
-  drivers refuse ("persistent-collective"), borrow-lease plans and
+* seams that cannot compose record their reason: the vectorized
+  driver refuses ("persistent-collective"), borrow-lease plans and
   hook-less engines delegate whole epochs to the blocking path.
 """
 
@@ -181,14 +181,7 @@ def test_overlap_on_same_plan_same_bytes_not_slower():
 # ---------------------------------------------------------------------------
 # refusal and delegation seams
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "mode,key",
-    [
-        ("vectorized", "vectorized_refusal"),
-        ("auto", "vectorized_refusal"),
-        ("sharded", "sharding_refusal"),
-    ],
-)
+@pytest.mark.parametrize("mode,key", [("vectorized", "vectorized_refusal")])
 def test_execution_mode_refusal_recorded(mode, key):
     stack, engine, fh = make_file(small_config(execution_mode=mode))
     run_write_loop(stack, fh, "persistent")

@@ -209,8 +209,8 @@ class TestFallbackFidelity:
 
 
 class TestModeSelection:
-    def test_auto_mode_dispatches_through_harness(self):
-        """execution_mode="auto" routes run_collective to the driver."""
+    def test_vectorized_mode_dispatches_through_harness(self):
+        """execution_mode="vectorized" routes run_collective to the driver."""
         from repro.cluster import ClusterSpec, NodeSpec, StorageSpec
         from repro.experiments.harness import Platform, run_collective
 
@@ -233,10 +233,16 @@ class TestModeSelection:
         )
         platform = Platform.build(spec, N_RANKS, with_data=False)
         engine = MemoryConsciousCollectiveIO(
-            platform.comm, platform.pfs, vec_config(execution_mode="auto")
+            platform.comm, platform.pfs, vec_config()
         )
         stats = run_collective(platform, engine, patterns(), ops=("write",))
         assert stats[0].execution_mode == "vectorized"
+
+    @pytest.mark.parametrize("mode", ['auto', 'sharded'])
+    def test_retired_modes_rejected(self, mode):
+        """Only "per-rank" and "vectorized" remain valid spellings."""
+        with pytest.raises(ValueError, match="execution_mode"):
+            MCIOConfig(**BASE, execution_mode=mode)
 
     def test_per_rank_mode_ignores_driver(self):
         """The default mode runs SPMD exactly as before this feature."""

@@ -36,6 +36,15 @@ def test_stats_roundtrip():
     assert restored == original
 
 
+def test_retired_stats_keys_still_load():
+    """Documents from older releases may carry counters of removed
+    execution modes; loading ignores them instead of failing."""
+    original = make_stats()
+    d = stats_to_dict(original)
+    d["retired_mode_refusals"] = 1
+    assert stats_from_dict(d) == original
+
+
 def test_stats_dict_is_json_serializable():
     json.dumps(stats_to_dict(make_stats()))
 

@@ -138,33 +138,25 @@ def run_differential(
     memory_bytes: int = 10**9,
     audit: bool = True,
     memory_availability=None,
-    candidate_mode: str = "vectorized",
-    jobs=None,
-    runner=None,
     **stack_kwargs,
 ):
-    """Run one workload per-rank and as `candidate_mode` on twin stacks.
+    """Run one workload per-rank and vectorized on twin stacks.
 
     Returns ``(reference_stats, candidate_stats, ref_auditor, cand_auditor)``.
-    Both stacks are built identically (metadata-only: both alternate
-    drivers refuse a data plane); the reference runs the classic SPMD
-    path, the candidate either the node-level vectorized driver or the
-    group-sharded process-parallel driver (``candidate_mode="sharded"``,
-    with `jobs` workers or a shared `runner`).  `memory_availability`
-    (a per-node byte tuple) pins each node's available memory before
-    planning, like the golden cases do.
+    Both stacks are built identically (metadata-only: the vectorized
+    driver refuses a data plane); the reference runs the classic SPMD
+    path, the candidate the node-level vectorized driver.
+    `memory_availability` (a per-node byte tuple) pins each node's
+    available memory before planning, like the golden cases do.
     """
     from dataclasses import replace
 
     from repro.core import MemoryConsciousCollectiveIO
     from repro.core.audit import ConservationAuditor
     from repro.core.vectorized import run_vectorized_collective
-    from repro.parallel import run_sharded_collective
 
-    if candidate_mode not in ("vectorized", "sharded"):
-        raise ValueError(f"bad candidate_mode {candidate_mode!r}")
     results = []
-    for mode in ("per-rank", candidate_mode):
+    for mode in ("per-rank", "vectorized"):
         stack = make_stack(
             n_ranks=n_ranks,
             n_nodes=n_nodes,
@@ -185,8 +177,6 @@ def run_differential(
             auditor.attach(engine)
         if mode == "vectorized":
             run_vectorized_collective(engine, patterns, op)
-        elif mode == "sharded":
-            run_sharded_collective(engine, patterns, op, jobs=jobs, runner=runner)
         else:
             def main(ctx):
                 fn = engine.write if op == "write" else engine.read

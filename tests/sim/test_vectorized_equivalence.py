@@ -24,6 +24,7 @@ import pathlib
 import pytest
 
 from repro.core import MCIOConfig
+from repro.core.request import AccessPattern, StridedSegment
 
 from tests.goldens.cases import (
     CLUSTER_CASES,
@@ -34,6 +35,7 @@ from tests.goldens.cases import (
 from tests.helpers import assert_stats_equivalent, run_differential
 
 GOLDENS = pathlib.Path(__file__).parent.parent / "goldens" / "goldens.json"
+KIB = 1024
 
 CASES = {c.name: c for c in CLUSTER_CASES}
 
@@ -163,6 +165,68 @@ def test_data_plane_fallback_is_bit_identical_to_goldens(case_name, op):
     assert got == want
     assert got_extra.pop("vectorized_refusal") == "data-plane"
     assert got_extra == want_extra
+
+
+#: Multi-group platform: 8 ranks on 4 nodes of 2 cores.
+MULTI_GROUP_SHAPE = dict(n_ranks=8, n_nodes=4, cores=2)
+
+
+def multi_group_setup():
+    """One 4 KiB serial tile per rank, group size = two tiles, one
+    aggregator per node: four independent aggregation groups on four
+    hosts."""
+    tile = 4 * KIB
+    patterns = [AccessPattern.contiguous(r * tile, tile) for r in range(8)]
+    config = MCIOConfig(
+        msg_group=2 * tile, msg_ind=tile // 2, mem_min=0, nah=1,
+        cb_buffer_size=1024, min_buffer=1,
+    )
+    return patterns, config
+
+
+def interleaved_multi_group_setup():
+    """Every rank strides across the whole file in 1 KiB chunks, so every
+    group receives data from every node (inter-node shuffle);
+    msg_ind == msg_group puts one aggregator on each group, on distinct
+    hosts (nah=1)."""
+    patterns = [
+        AccessPattern((StridedSegment(r * KIB, KIB, 8 * KIB, 4),))
+        for r in range(8)
+    ]
+    config = MCIOConfig(
+        msg_group=8 * KIB, msg_ind=8 * KIB, mem_min=0, nah=1,
+        cb_buffer_size=2 * KIB, min_buffer=1,
+    )
+    return patterns, config
+
+
+#: name -> (setup, op, whether the shuffle must cross nodes)
+MULTI_GROUP_WORKLOADS = {
+    "tiles-write": (multi_group_setup, "write", False),
+    "tiles-read": (multi_group_setup, "read", False),
+    "interleaved-write": (interleaved_multi_group_setup, "write", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_GROUP_WORKLOADS))
+def test_multi_group_workloads_equivalent(name):
+    """Several independent aggregation groups vectorize without refusal
+    and match the per-rank reference field for field and extent for
+    extent."""
+    setup, op, inter_node = MULTI_GROUP_WORKLOADS[name]
+    patterns, config = setup()
+    ref, vec, ref_aud, vec_aud = run_differential(
+        patterns, config, op=op, **MULTI_GROUP_SHAPE
+    )
+    assert vec.execution_mode == "vectorized"
+    assert vec.vectorized_refusals == 0
+    assert vec.n_groups >= 2
+    assert_stats_equivalent(ref, vec)
+    ref_rec = ref_aud.verify(patterns)
+    vec_rec = vec_aud.verify(patterns)
+    assert ref_rec.extents == vec_rec.extents
+    assert ref_rec.final_attempt_shuffle == vec_rec.final_attempt_shuffle
+    assert (vec.shuffle_inter_node_bytes > 0) == inter_node
 
 
 def test_per_rank_mode_never_invokes_driver():
