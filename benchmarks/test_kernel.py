@@ -9,9 +9,8 @@ Three groups, matching the three optimised layers:
   older trees, so running this same file on an earlier commit measures
   the end-to-end win of the fast path;
 * **shuffle round** — one lockstep exchange round (every member sends
-  to every aggregator), per simulated message versus pooled into one
-  wire transfer per (source node, aggregator node) with a counting
-  receive on the aggregator side;
+  to every aggregator), one simulated message per pair, as the per-rank
+  engine exchanges it;
 * **remerge-heavy planning** — MCIO planning under memory pressure,
   where aggregator placement restarts repeatedly remerge the partition
   tree and re-query subtree extents.
@@ -100,7 +99,7 @@ def test_event_loop_chain_traced(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# shuffle round: per-message vs batched granularity
+# shuffle round: one message per (member, aggregator) pair
 # ---------------------------------------------------------------------------
 N_RANKS, N_NODES, CORES = 48, 12, 4
 
@@ -136,16 +135,14 @@ MSG_BYTES = 1024
 class _ShuffleRoundBench:
     """One lockstep shuffle round: every member sends to every aggregator.
 
-    This isolates the exchange machinery the fast path targets (the
-    O(members x aggregators) message pattern of two-phase I/O) from
-    planning, request algebra, and the PFS — those have their own
-    benchmarks.  The timed unit is one full round: sends or pooled
-    batches, the aggregators' receives, and the closing barrier.
+    This isolates the exchange machinery (the O(members x aggregators)
+    message pattern of two-phase I/O) from planning, request algebra,
+    and the PFS — those have their own benchmarks.  The timed unit is
+    one full round: the sends, the aggregators' receives, and the
+    closing barrier.
     """
 
-    def __init__(self, mode):
-        assert mode in ("per-message", "batched", "intra-node")
-        self.mode = mode
+    def __init__(self):
         self.env, self.comm, _ = _shuffle_stack()
         #: One aggregator per node: its first rank.
         self.aggs = [self.comm.ranks_on_node(nid)[0] for nid in range(N_NODES)]
@@ -154,46 +151,16 @@ class _ShuffleRoundBench:
     def run_round(self):
         comm, aggs = self.comm, self.aggs
         agg_set = frozenset(aggs)
-        t = self.round_no
+        tag = ("sh", self.round_no)
         self.round_no += 1
-        batched = self.mode == "batched"
-        tag = ("sh", t)
         n_senders = comm.size - len(aggs)
         received = [0]
 
-        if self.mode == "intra-node":
-            return self._run_intra_node_round(t)
-
         def main(ctx):
-            rank = ctx.rank
-            if rank in agg_set:
-                if batched:
-                    msgs = yield from comm.recv_many(ctx, n_senders, tag=tag)
-                    received[0] += len(msgs)
-                else:
-                    for _ in range(n_senders):
-                        yield from comm.recv(ctx, tag=tag)
-                        received[0] += 1
-            elif batched:
-                my_node = comm.node_id_of_rank(rank)
-                # same-node aggregators keep the shared-memory path ...
-                for agg in aggs:
-                    if comm.node_id_of_rank(agg) == my_node:
-                        yield from comm.send(ctx, agg, MSG_BYTES, tag=tag)
-                # ... and this rank's whole remote fan-out is one deposit:
-                # the node's senders pool one staged transfer per
-                # destination node
-                n_local = sum(
-                    1 for r in comm.ranks_on_node(my_node) if r not in agg_set
-                )
-                remote = [
-                    (rank, agg, MSG_BYTES, tag, None)
-                    for agg in aggs
-                    if comm.node_id_of_rank(agg) != my_node
-                ]
-                yield from comm.staged_batched_send(
-                    ctx, ("sh", t, my_node), n_local, remote
-                )
+            if ctx.rank in agg_set:
+                for _ in range(n_senders):
+                    yield from comm.recv(ctx, tag=tag)
+                    received[0] += 1
             else:
                 for agg in aggs:
                     yield from comm.send(ctx, agg, MSG_BYTES, tag=tag)
@@ -202,79 +169,11 @@ class _ShuffleRoundBench:
         comm.run_spmd(main)
         return received[0]
 
-    def _run_intra_node_round(self, t):
-        """Leader-coalesced variant: one wire message per sender *node*.
-
-        Each node's lowest-ranked sender collects its peers' slices over
-        the local fabric and ships a single bundle to every remote
-        aggregator; same-node slices still take the shared-memory path.
-        The returned count is the number of *represented* per-rank
-        messages, so all three modes assert the same logical total.
-        """
-        comm, aggs = self.comm, self.aggs
-        agg_set = frozenset(aggs)
-        tag = ("sh", t)
-        received = [0]
-
-        def main(ctx):
-            rank = ctx.rank
-            my_node = comm.node_id_of_rank(rank)
-            local = [r for r in comm.ranks_on_node(my_node) if r not in agg_set]
-            if rank in agg_set:
-                # local slices arrive individually, remote ones as one
-                # bundle per sender node
-                msgs = yield from comm.recv_many(
-                    ctx, len(local) + N_NODES - 1, tag=tag
-                )
-                received[0] += sum(m.payload or 1 for m in msgs)
-                yield from comm.barrier(ctx)
-                return
-            leader = local[0]
-            same_agg = next(
-                a for a in aggs if comm.node_id_of_rank(a) == my_node
-            )
-            yield from comm.send(ctx, same_agg, MSG_BYTES, tag=tag)
-            if rank != leader:
-                # hand the whole remote fan-out to this node's leader
-                yield from comm.send(
-                    ctx, leader, MSG_BYTES * (N_NODES - 1), tag=("lead", t)
-                )
-            else:
-                for _ in range(len(local) - 1):
-                    yield from comm.recv(ctx, tag=("lead", t))
-                for agg in aggs:
-                    if comm.node_id_of_rank(agg) != my_node:
-                        yield from comm.send(
-                            ctx, agg, MSG_BYTES * len(local), tag=tag,
-                            payload=len(local),
-                        )
-            yield from comm.barrier(ctx)
-
-        comm.run_spmd(main)
-        return received[0]
-
 
 def test_shuffle_round_per_message(benchmark):
-    """Reference path: one simulated message per (member, aggregator) pair."""
-    bench = _ShuffleRoundBench("per-message")
+    """One simulated message per (member, aggregator) pair."""
+    bench = _ShuffleRoundBench()
     assert benchmark(bench.run_round) == (N_RANKS - N_NODES) * N_NODES
-
-
-def test_shuffle_round_batched(benchmark):
-    """Fast path: pooled wire transfers + counting receives."""
-    bench = _ShuffleRoundBench("batched")
-    assert benchmark(bench.run_round) == (N_RANKS - N_NODES) * N_NODES
-
-
-def test_shuffle_round_intra_node(benchmark):
-    """Leader-coalesced round: O(nodes) wire messages instead of O(ranks)."""
-    bench = _ShuffleRoundBench("intra-node")
-    before = bench.comm.cluster.network.inter_node_messages
-    assert benchmark(bench.run_round) == (N_RANKS - N_NODES) * N_NODES
-    # per round: each node's leader ships one bundle per remote aggregator
-    per_round = N_NODES * (N_NODES - 1)
-    total = bench.comm.cluster.network.inter_node_messages - before
-    assert total % per_round == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,15 @@ Two engines, two configs:
 
 * ``"round"`` sends one shuffle message per (rank, aggregator, round)
   like the real protocol — the reference fidelity level;
-* ``"batched"`` keeps the lockstep round structure and every byte of
-  traffic, but aggregates each round's shuffle into one wire transfer
-  per (source node, aggregator) pair with a closed-form serialization
-  model (``latency x n_messages`` up front, then the summed bytes) —
-  same data delivered, far fewer simulation events.  When fault
-  machinery is engaged (mid-run failover enabled, or hosts already
-  failed) execution silently falls back to the per-message ``"round"``
-  path so degraded-mode behaviour stays exact;
 * ``"domain"`` batches a rank's traffic to an aggregator into one
   message per file domain and charges the extra per-round latency
   analytically — required to simulate 1000+ rank runs in reasonable
   time, at the cost of under-charging synchronisation stalls.
+
+Per-rank runs always send one shuffle message per sending rank.
+Node-level aggregation of shuffle traffic (one wire transfer per
+source node and aggregator) lives only in the vectorized driver
+(``MCIOConfig.execution_mode="vectorized"``, DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ __all__ = [
     "ShuffleGranularity",
 ]
 
-ShuffleGranularity = Literal["round", "batched", "domain"]
+ShuffleGranularity = Literal["round", "domain"]
 PlacementPolicy = Literal["remerge", "borrow", "hybrid"]
 ExecutionMode = Literal["per-rank", "vectorized"]
 
@@ -50,7 +47,7 @@ ExecutionMode = Literal["per-rank", "vectorized"]
 def _check_common(cb_buffer_size: int, shuffle_granularity: str) -> None:
     if cb_buffer_size < 1:
         raise ValueError("cb_buffer_size must be >= 1")
-    if shuffle_granularity not in ("round", "batched", "domain"):
+    if shuffle_granularity not in ("round", "domain"):
         raise ValueError(f"bad shuffle_granularity {shuffle_granularity!r}")
 
 
@@ -71,22 +68,12 @@ class TwoPhaseConfig:
         two aggregators splitting one stripe (lock contention in Lustre).
     shuffle_granularity:
         See module docstring.
-    intra_node_aggregation:
-        Opt-in leader-coalesced shuffle: one leader rank per (node, file
-        domain, window) collects its co-located ranks' window slices
-        over the memory bus and ships them to the aggregator as a single
-        wire message, cutting per-round inter-node messages from
-        O(ranks touching the window) to O(nodes touching the window).
-        Ignored at ``"domain"`` granularity, and execution falls back to
-        the exact per-message path whenever fault machinery is engaged
-        (same rule as ``"batched"``).
     """
 
     cb_buffer_size: int = 16 * MIB
     cb_nodes: Optional[int] = None
     stripe_align: bool = True
     shuffle_granularity: ShuffleGranularity = "round"
-    intra_node_aggregation: bool = False
 
     def __post_init__(self) -> None:
         _check_common(self.cb_buffer_size, self.shuffle_granularity)
@@ -162,17 +149,6 @@ class MCIOConfig:
         counters surface in :class:`~repro.core.metrics.CollectiveStats`.
         Reuse never changes simulated time — planning costs host CPU
         only — so fault-free traces stay bit-identical.
-    intra_node_aggregation:
-        Opt-in leader-coalesced shuffle: one leader rank per (node, file
-        domain, window) collects its co-located ranks' window slices
-        over the memory bus (leader staging memory is charged against
-        the node's available memory) and ships them to the aggregator
-        as a single wire message per (node, domain, window) — per-round
-        inter-node messages drop from O(ranks touching the window) to
-        O(nodes touching the window).  Ignored at ``"domain"``
-        granularity; falls back to the exact per-message path whenever
-        fault machinery is engaged (same rule as ``"batched"``), which
-        includes ``failover=True``.
     placement_policy:
         What to do when a leaf's candidate hosts cannot supply the
         nominal buffer (the point where the paper remerges):
@@ -232,7 +208,6 @@ class MCIOConfig:
     failover: bool = True
     fallback_chain: bool = True
     plan_cache: bool = False
-    intra_node_aggregation: bool = False
     placement_policy: PlacementPolicy = "remerge"
     lease_term: float = 1.0
     lease_retry_limit: int = 4

@@ -28,6 +28,11 @@ traffic into one message and lets aggregators stream their rounds
 without global synchronisation — far fewer simulation events, at the
 cost of under-charging synchronisation stalls; use it for 1000+ rank
 runs.
+
+Every rank exchanges its own shuffle messages here: one protocol, one
+message per (sender, aggregator, window).  Coalescing a node's traffic
+into one wire transfer is a simulation-cost device, and it lives only in
+the node-level driver (:mod:`repro.core.vectorized`).
 """
 
 from __future__ import annotations
@@ -75,7 +80,6 @@ class ExecutionPlan:
         # per-(domain, window) sender memo, shared by every rank running
         # this plan (the instance is shared across the whole collective)
         object.__setattr__(self, "_window_senders", {})
-        object.__setattr__(self, "_window_node_groups", {})
 
     def window_senders(
         self, did: int, lo: int, hi: int, patterns: Sequence[AccessPattern]
@@ -114,30 +118,6 @@ class ExecutionPlan:
             self.window_senders(did, lo, hi, patterns)
             cached = self._window_senders[key]
         return rank in cached[1]
-
-    def window_node_groups(
-        self,
-        did: int,
-        lo: int,
-        hi: int,
-        patterns: Sequence[AccessPattern],
-        placement: Sequence[int],
-    ) -> dict[int, list[int]]:
-        """Window senders grouped by hosting node, memoized.
-
-        ``{node_id: [ranks]}`` with ranks ascending inside each node —
-        the first rank of a group is that node's shuffle leader under
-        intra-node aggregation.  Shared across ranks; treat as
-        immutable.
-        """
-        key = (did, lo, hi)
-        cached = self._window_node_groups.get(key)
-        if cached is None:
-            groups: dict[int, list[int]] = {}
-            for r in self.window_senders(did, lo, hi, patterns):
-                groups.setdefault(placement[r], []).append(r)
-            self._window_node_groups[key] = cached = groups
-        return cached
 
     @classmethod
     def build(
@@ -180,18 +160,6 @@ class ExecutionPlan:
         return max(
             rounds_for(d.extent.length, d.buffer_bytes) for d in self.domains
         )
-
-
-@dataclass(frozen=True)
-class _IntraNodeBundle:
-    """Leader-coalesced shuffle payload: one wire message, many slices.
-
-    ``parts`` is a rank-ascending tuple of ``(rank, nbytes, data)`` — the
-    per-rank window slices a node leader pooled (write: toward an
-    aggregator; read: from an aggregator toward a node's members).
-    """
-
-    parts: tuple
 
 
 def _round_extent(domain: FileDomain, t: int) -> Optional[Extent]:
@@ -294,7 +262,6 @@ def execute_collective(
     payload: Optional[np.ndarray] = None,
     granularity: str = "round",
     failover_config=None,
-    intra_node_aggregation: bool = False,
     borrow=None,
     pipelined: bool = False,
 ):
@@ -320,33 +287,22 @@ def execute_collective(
         This rank's data buffer (write: source, read: destination), or
         None for metadata-only runs.
     granularity:
-        ``"round"`` (lockstep, like ROMIO), ``"batched"`` (lockstep with
-        node-aggregated shuffle transfers; falls back to ``"round"``
-        whenever fault machinery is engaged so degraded-mode behaviour
-        stays exact) or ``"domain"`` (streaming, for very large runs) —
-        see module docstring.
+        ``"round"`` (lockstep, like ROMIO) or ``"domain"`` (streaming,
+        for very large runs) — see module docstring.
     failover_config:
         An :class:`~repro.core.config.MCIOConfig` to enable mid-run
         aggregator failover (between lockstep rounds, ``"round"``
         granularity only), or None for fault-oblivious execution.  With
         no failed hosts the check adds no simulation events, so
         fault-free timing is unchanged.
-    intra_node_aggregation:
-        Leader-coalesced shuffle: one rank per (node, domain, window)
-        pools its co-located ranks' slices and exchanges a single wire
-        message per aggregator node, cutting per-round inter-node
-        messages from O(ranks touching the window) to O(nodes touching
-        the window).  Ignored at ``"domain"`` granularity and whenever
-        fault machinery is engaged (same fallback rule as
-        ``"batched"``).
     borrow:
         A :class:`~repro.core.borrow.BorrowSession` when the plan
         contains lender-backed domains, else None.  Forces ``"round"``
-        granularity (the lease protocol needs round boundaries) and
-        disables intra-node aggregation.  Lease acquisition runs before
-        round 0; an acquisition failure or a mid-run unsound lease
-        raises :class:`~repro.core.borrow.BorrowDegraded` on every rank
-        after local teardown — the caller re-plans without borrowing.
+        granularity (the lease protocol needs round boundaries).  Lease
+        acquisition runs before round 0; an acquisition failure or a
+        mid-run unsound lease raises
+        :class:`~repro.core.borrow.BorrowDegraded` on every rank after
+        local teardown — the caller re-plans without borrowing.
     pipelined:
         Overlap the shuffle stage of window t with the PFS-service
         stage of window t-1 (write: window t-1 drains to the OSTs
@@ -368,23 +324,11 @@ def execute_collective(
     """
     if op not in ("write", "read"):
         raise ValueError(f"op must be 'write' or 'read', got {op!r}")
-    if granularity not in ("round", "batched", "domain"):
+    if granularity not in ("round", "domain"):
         raise ValueError(f"bad granularity {granularity!r}")
-    faulty = failover_config is not None or any(
-        node.failed for node in comm.cluster.nodes
-    )
-    if granularity == "batched" and faulty:
-        # the aggregated fast path has no per-message hooks for mid-run
-        # failover or degraded hosts; keep fault runs on the exact path
-        granularity = "round"
-    intra_node = (
-        intra_node_aggregation and granularity != "domain" and not faulty
-    )
     if borrow is not None:
-        # lease checks live at lockstep round boundaries, and a borrowed
-        # buffer needs the per-message control points
+        # lease checks live at lockstep round boundaries
         granularity = "round"
-        intra_node = False
     if pipelined:
         # the overlapped path needs healthy hosts and local buffers to
         # start; it handles failures *arising* mid-run itself (drain,
@@ -397,13 +341,12 @@ def execute_collective(
             stats.extra["pipeline_fallback"] = "failed-nodes"
         else:
             granularity = "round"
-            intra_node = False
     env = ctx.env
     stats.mark_start(env.now)
     stats.record_attempt()
     run = _RunContext(ctx, comm, pfs, plan, patterns, stats, op, op_seq, payload)
     run.borrow = borrow
-    if granularity == "round" and not intra_node and not pipelined:
+    if granularity == "round" and not pipelined:
         run.failover_config = failover_config
 
     tracer = env.tracer
@@ -439,12 +382,8 @@ def execute_collective(
                 check_acquisition(run, borrow)
             if pipelined:
                 yield from _run_pipelined(run, failover_config)
-            elif intra_node:
-                yield from _run_intra_node(run)
             elif granularity == "round":
                 yield from _run_lockstep(run)
-            elif granularity == "batched":
-                yield from _run_batched(run)
             else:
                 yield from _run_streaming(run)
             if borrow is not None:
@@ -514,7 +453,7 @@ def _run_lockstep(run: _RunContext):
                 ):
                     procs.append(
                         ctx.spawn(
-                            _member_window(run, did, window, t),
+                            _member_exchange(run, did, window, t),
                             name=f"rank{ctx.rank}.m{did}.r{t}",
                         )
                     )
@@ -689,7 +628,7 @@ def _run_pipelined(run: _RunContext, failover_config):
                 ):
                     procs.append(
                         ctx.spawn(
-                            _member_window(run, did, window, t),
+                            _member_exchange(run, did, window, t),
                             name=f"rank{ctx.rank}.m{did}.r{t}",
                         )
                     )
@@ -720,25 +659,13 @@ def _pipeline_collect(
     service: dict, degraded: bool,
 ):
     """Shuffle stage of one write window; the drain runs in background."""
-    ctx, comm = run.ctx, run.comm
+    ctx = run.ctx
     # double buffering: window t reuses the slot window t-2 drained from
     prev = service.pop((did, t - 2), None)
     if prev is not None:
         yield prev
     expected = _expected_senders(run, did, window)
-    buffer: Optional[np.ndarray] = None
-    received = 0
-    for _ in range(len(expected)):
-        msg = yield from comm.recv(ctx, tag=(run.op_seq, did, t))
-        received += msg.nbytes
-        if msg.payload is None:
-            continue
-        if buffer is None:
-            buffer = np.zeros(window.length, dtype=np.uint8)
-        q = run.patterns[msg.source].clip(window.offset, window.end)
-        for off, ln, qbuf in q.iter_mapped_extents():
-            rel = off - window.offset
-            buffer[rel : rel + ln] = msg.payload[qbuf : qbuf + ln]
+    buffer, received = yield from _gather_window(run, did, window, t, expected)
     if received == 0:
         return
     # both half-slots live inside the planned (primary) buffer
@@ -786,7 +713,7 @@ def _pipeline_scatter(
     service: dict, degraded: bool,
 ):
     """Shuffle-out stage of one read window; prefetches run in background."""
-    ctx, comm, env = run.ctx, run.comm, run.ctx.env
+    ctx = run.ctx
     domain = run.domains[did]
     pf = service.pop((did, t), None)
     if pf is None:
@@ -813,23 +740,7 @@ def _pipeline_scatter(
     paged = run.paged_flags.get(did, False)
     yield from run.node.memcopy(total_read, paged=paged)
     expected = _expected_senders(run, did, window)
-    sends = []
-    for r in expected:
-        q = run.patterns[r].clip(window.offset, window.end)
-        data = None
-        if buffer is not None:
-            data = np.empty(q.nbytes, dtype=np.uint8)
-            for off, ln, qbuf in q.iter_mapped_extents():
-                rel = off - window.offset
-                data[qbuf : qbuf + ln] = buffer[rel : rel + ln]
-        sends.append(
-            comm.isend(
-                ctx, r, q.nbytes, tag=(run.op_seq, did, t),
-                payload=data, paged_dst=paged,
-            )
-        )
-    if sends:
-        yield env.all_of(sends)
+    yield from _scatter_window(run, did, window, t, expected, buffer, paged)
 
 
 def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
@@ -866,465 +777,6 @@ def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
 
 
 # ---------------------------------------------------------------------------
-# batched execution (lockstep rounds, node-aggregated wire transfers)
-# ---------------------------------------------------------------------------
-def _run_batched(run: _RunContext):
-    """Lockstep rounds with node-aggregated shuffle transfers.
-
-    Same round structure, barrier discipline, and bytes delivered as
-    :func:`_run_lockstep`, but each round's inter-node shuffle crosses
-    the wire as one batched transfer per (source node, aggregator) pair:
-    write contributors stage their bytes to a per-node leader over the
-    intra-node path and the leader issues one closed-form
-    :meth:`~repro.mpi.comm.SimComm.batched_send`; read aggregators
-    scatter with one batched send per destination node.  Co-located
-    members keep the per-rank shared-memory path either way.
-    """
-    ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
-    ntimes = plan.ntimes
-    tracer = ctx.env.tracer
-    pid = comm.placement[ctx.rank]
-    for t in range(ntimes):
-        if tracer.enabled:
-            tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
-        try:
-            procs = []
-            for did, domain in enumerate(run.domains):
-                window = _round_extent(domain, t)
-                if window is None:
-                    continue
-                if domain.aggregator_rank == ctx.rank:
-                    procs.append(
-                        ctx.spawn(
-                            _aggregator_window_batched(
-                                run, did, window, t, run.paged_flags[did]
-                            ),
-                            name=f"rank{ctx.rank}.agg{did}.r{t}",
-                        )
-                    )
-                if plan.is_window_sender(
-                    ctx.rank, did, window.offset, window.end, patterns
-                ):
-                    procs.append(
-                        ctx.spawn(
-                            _member_window_batched(run, did, window, t),
-                            name=f"rank{ctx.rank}.m{did}.r{t}",
-                        )
-                    )
-            if procs:
-                yield ctx.env.all_of(procs)
-            yield from comm.barrier(ctx)
-        finally:
-            if tracer.enabled:
-                tracer.end(pid, ctx.rank, round=t)
-
-
-def _aggregator_window_batched(
-    run: _RunContext, did: int, window: Extent, t: int, paged: bool
-):
-    if run.op == "write":
-        yield from _collect_and_write(
-            run, did, window, t, paged, io_rounds=None, batched=True
-        )
-    else:
-        yield from _read_and_scatter(
-            run, did, window, t, paged, io_rounds=None, batched=True
-        )
-
-
-def _member_window_batched(run: _RunContext, did: int, window: Extent, t: int):
-    """Member role for one batched round: pooled node-level write shuffle.
-
-    Reads are unchanged on the member side — the aggregator's batched
-    scatter still delivers one logical message per member, so the plain
-    recv/unpack path applies.
-    """
-    if run.op == "read":
-        yield from _member_exchange(run, did, window, t)
-        return
-    ctx, comm = run.ctx, run.comm
-    domain = run.domains[did]
-    my_pattern = run.patterns[ctx.rank]
-    agg = domain.aggregator_rank
-    my_node = comm.node_id_of_rank(ctx.rank)
-    same_node = comm.node_id_of_rank(agg) == my_node
-    q = my_pattern.clip(window.offset, window.end)
-    if q.empty:
-        return
-    tag = (run.op_seq, did, t)
-    data = (
-        _pack_payload(my_pattern, run.payload, q)
-        if run.payload is not None
-        else None
-    )
-    run.stats.record_shuffle(q.nbytes, same_node=same_node)
-    agg_node = comm.node_of_rank(agg)
-    paged_wire = domain.paged or agg_node.memory.overcommitted
-    if same_node:
-        # co-located contributions keep the per-rank shared-memory path
-        yield from comm.send(
-            ctx, agg, q.nbytes, tag=tag, payload=data, paged_dst=paged_wire
-        )
-        return
-    # remote contributors on one node pool their round contribution into
-    # a single wire transfer (intra-node staging hops + one batch)
-    n_local = 0
-    for r in _expected_senders(run, did, window):
-        if comm.node_id_of_rank(r) == my_node:
-            n_local += 1
-    yield from comm.staged_batched_send(
-        ctx,
-        ("stg", run.op_seq, did, t, my_node),
-        n_local,
-        (ctx.rank, agg, q.nbytes, tag, data),
-        paged_dst=paged_wire,
-    )
-
-
-# ---------------------------------------------------------------------------
-# intra-node aggregation (lockstep rounds, leader-coalesced shuffle)
-# ---------------------------------------------------------------------------
-def _run_intra_node(run: _RunContext):
-    """Lockstep rounds with per-node leader-coalesced shuffle.
-
-    Same round structure, barrier discipline, and bytes delivered as
-    :func:`_run_lockstep`, but for every (node, domain, window) with the
-    aggregator on a *different* node, the node's lowest-ranked window
-    sender acts as leader: on writes the co-located senders hand their
-    slices to the leader over the shared-memory path and the leader
-    ships one :class:`_IntraNodeBundle` per aggregator; on reads the
-    aggregator sends the leader one bundle and the leader fans the
-    slices out locally.  Co-located members keep the per-rank path.
-    Leader staging memory is committed against the node's available
-    memory for the life of the pooled transfer, so the memory-conscious
-    accounting still sees the coalesced buffers.
-    """
-    ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
-    ntimes = plan.ntimes
-    tracer = ctx.env.tracer
-    pid = comm.placement[ctx.rank]
-    for t in range(ntimes):
-        if tracer.enabled:
-            tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
-        try:
-            procs = []
-            member = False
-            for did, domain in enumerate(run.domains):
-                window = _round_extent(domain, t)
-                if window is None:
-                    continue
-                if domain.aggregator_rank == ctx.rank:
-                    procs.append(
-                        ctx.spawn(
-                            _aggregator_window_ina(
-                                run, did, window, t, run.paged_flags[did]
-                            ),
-                            name=f"rank{ctx.rank}.agg{did}.r{t}",
-                        )
-                    )
-                if plan.is_window_sender(
-                    ctx.rank, did, window.offset, window.end, patterns
-                ):
-                    member = True
-            if member:
-                procs.append(
-                    ctx.spawn(
-                        _member_round_ina(run, t),
-                        name=f"rank{ctx.rank}.ina.r{t}",
-                    )
-                )
-            if procs:
-                yield ctx.env.all_of(procs)
-            yield from comm.barrier(ctx)
-        finally:
-            if tracer.enabled:
-                tracer.end(pid, ctx.rank, round=t)
-
-
-def _ina_groups(run: _RunContext, did: int, window: Extent) -> dict[int, list[int]]:
-    return run.plan.window_node_groups(
-        did, window.offset, window.end, run.patterns, run.comm.placement
-    )
-
-
-def _ina_message_count(
-    run: _RunContext, did: int, window: Extent, failed_nodes: frozenset = frozenset()
-) -> int:
-    """Messages the aggregator drains for `window`: locals + one per node.
-
-    Nodes in `failed_nodes` ship per-rank (leader bundling is degraded
-    there — see :func:`_member_round_ina_write`), so they count like the
-    aggregator's own node: one message per member.
-    """
-    agg_node = run.comm.node_id_of_rank(run.domains[did].aggregator_rank)
-    n = 0
-    for nid, ranks in _ina_groups(run, did, window).items():
-        n += len(ranks) if (nid == agg_node or nid in failed_nodes) else 1
-    return n
-
-
-def _ina_leader_count(run: _RunContext, t: int, node_id: int) -> int:
-    """Distinct leader ranks `node_id` fields in round `t` (write side)."""
-    comm = run.comm
-    leaders = set()
-    for did, domain in enumerate(run.domains):
-        window = _round_extent(domain, t)
-        if window is None:
-            continue
-        if comm.node_id_of_rank(domain.aggregator_rank) == node_id:
-            continue
-        local = _ina_groups(run, did, window).get(node_id)
-        if local:
-            leaders.add(local[0])
-    return len(leaders)
-
-
-def _aggregator_window_ina(
-    run: _RunContext, did: int, window: Extent, t: int, paged: bool
-):
-    snap = run.stats.failed_nodes_snapshot((run.op_seq, t), run.comm.cluster)
-    if run.op == "write":
-        yield from _collect_and_write(
-            run, did, window, t, paged, io_rounds=None, batched=True,
-            n_msgs=_ina_message_count(run, did, window, snap),
-        )
-    else:
-        yield from _read_and_scatter(
-            run, did, window, t, paged, io_rounds=None, intra_node=True,
-            failed_nodes=snap,
-        )
-
-
-def _member_round_ina(run: _RunContext, t: int):
-    if run.op == "write":
-        yield from _member_round_ina_write(run, t)
-    else:
-        yield from _member_round_ina_read(run, t)
-
-
-def _member_round_ina_write(run: _RunContext, t: int):
-    """One rank's whole write-shuffle round under intra-node aggregation.
-
-    Slices bound for a co-located aggregator go straight to it; slices
-    bound for remote aggregators go to this node's per-domain leader
-    (lowest sender rank) over the shared-memory path, and each leader
-    deposits its pooled bundles into one node-wide
-    :meth:`~repro.mpi.comm.SimComm.staged_batched_send` rendezvous, so
-    the node's entire round leaves the NIC as one shipment with one
-    wire message per (domain, window).
-
-    If this rank's *own node* failed (between leader election and ship),
-    funnelling the round through a crippled leader would serialize every
-    co-located sender behind the failure slowdown — so the node's ranks
-    degrade to per-rank direct sends for the round, and the would-be
-    leader counts the degradation.
-    """
-    ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
-    my_pattern = patterns[ctx.rank]
-    my_node = comm.node_id_of_rank(ctx.rank)
-    env = ctx.env
-    snap = run.stats.failed_nodes_snapshot((run.op_seq, t), comm.cluster)
-    sends = []
-    duties = []  # (did, local senders, my slice, packed data, wire paged flag)
-    for did, domain in enumerate(run.domains):
-        window = _round_extent(domain, t)
-        if window is None:
-            continue
-        if not plan.is_window_sender(
-            ctx.rank, did, window.offset, window.end, patterns
-        ):
-            continue
-        q = my_pattern.clip(window.offset, window.end)
-        agg = domain.aggregator_rank
-        same_node = comm.node_id_of_rank(agg) == my_node
-        data = (
-            _pack_payload(my_pattern, run.payload, q)
-            if run.payload is not None
-            else None
-        )
-        run.stats.record_shuffle(q.nbytes, same_node=same_node)
-        paged_wire = domain.paged or comm.node_of_rank(agg).memory.overcommitted
-        if same_node:
-            sends.append(
-                comm.isend(
-                    ctx, agg, q.nbytes, tag=(run.op_seq, did, t),
-                    payload=data, paged_dst=paged_wire,
-                )
-            )
-            continue
-        local = _ina_groups(run, did, window)[my_node]
-        if my_node in snap:
-            sends.append(
-                comm.isend(
-                    ctx, agg, q.nbytes, tag=(run.op_seq, did, t),
-                    payload=data, paged_dst=paged_wire,
-                )
-            )
-            if ctx.rank == local[0]:
-                run.stats.record_ina_fallback()
-                tracer = env.tracer
-                if tracer.enabled:
-                    tracer.instant(
-                        "shuffle", "shuffle.ina.leader_fallback",
-                        my_node, ctx.rank, domain=did, round=t,
-                    )
-            continue
-        if ctx.rank != local[0]:
-            # hand the slice to this node's leader (shared-memory hop)
-            sends.append(
-                comm.isend(
-                    ctx, local[0], q.nbytes,
-                    tag=("ina", run.op_seq, did, t), payload=data,
-                )
-            )
-        else:
-            duties.append((did, local, q, data, paged_wire))
-    if duties:
-        tracer = env.tracer
-        lead_t0 = tracer.now() if tracer.enabled else 0.0
-        n_leaders = _ina_leader_count(run, t, my_node)
-        items = []
-        staging = []
-        paged_map: dict[int, bool] = {}
-        for did, local, q, data, paged_wire in duties:
-            agg = run.domains[did].aggregator_rank
-            parts = [(ctx.rank, q.nbytes, data)]
-            if len(local) > 1:
-                msgs = yield from comm.recv_many(
-                    ctx, len(local) - 1, tag=("ina", run.op_seq, did, t)
-                )
-                parts.extend((m.source, m.nbytes, m.payload) for m in msgs)
-            parts.sort(key=lambda p: p[0])
-            total = sum(p[1] for p in parts)
-            # the pooled slices occupy leader memory until shipped —
-            # charged against the node's available memory
-            staging.append(
-                ctx.node.memory.alloc(
-                    total, label=f"ina.{run.op_seq}.{did}.{t}"
-                )
-            )
-            agg_node = comm.node_id_of_rank(agg)
-            paged_map[agg_node] = paged_map.get(agg_node, False) or paged_wire
-            items.append(
-                (ctx.rank, agg, total, (run.op_seq, did, t),
-                 _IntraNodeBundle(tuple(parts)))
-            )
-        yield from comm.staged_batched_send(
-            ctx, ("ina", run.op_seq, t, my_node), n_leaders, items,
-            paged_dst=paged_map,
-        )
-        for alloc in staging:
-            ctx.node.memory.free(alloc)
-        if tracer.enabled:
-            tracer.complete(
-                "shuffle", "shuffle.ina.lead", my_node, ctx.rank,
-                lead_t0, tracer.now() - lead_t0,
-                round=t, domains=len(duties),
-                bytes=sum(it[2] for it in items),
-            )
-    if sends:
-        yield env.all_of(sends)
-
-
-def _member_round_ina_read(run: _RunContext, t: int):
-    """One rank's whole read-shuffle round under intra-node aggregation.
-
-    Slices from a co-located aggregator arrive per-rank as usual; each
-    remote aggregator sends this node's leader one bundle, which the
-    leader unpacks (its own slice) and fans out to the co-located
-    members over the shared-memory path.  Blocking waits only ever
-    chain toward lower-ranked leaders on the same node, so the
-    per-domain recv order cannot deadlock.
-
-    A failed node receives per-rank instead (mirroring the write-side
-    degradation): the aggregator skipped the bundle for it, so each
-    member posts a plain receive and the would-be leader counts the
-    degradation.
-    """
-    ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
-    my_pattern = patterns[ctx.rank]
-    my_node = comm.node_id_of_rank(ctx.rank)
-    env = ctx.env
-    snap = run.stats.failed_nodes_snapshot((run.op_seq, t), comm.cluster)
-    forwards = []
-    staging = []
-    for did, domain in enumerate(run.domains):
-        window = _round_extent(domain, t)
-        if window is None:
-            continue
-        if not plan.is_window_sender(
-            ctx.rank, did, window.offset, window.end, patterns
-        ):
-            continue
-        agg = domain.aggregator_rank
-        same_node = comm.node_id_of_rank(agg) == my_node
-        q = my_pattern.clip(window.offset, window.end)
-        tag = (run.op_seq, did, t)
-        if same_node:
-            msg = yield from comm.recv(ctx, source=agg, tag=tag)
-            run.stats.record_shuffle(msg.nbytes, same_node=True)
-            if run.payload is not None and msg.payload is not None:
-                _unpack_payload(my_pattern, run.payload, q, msg.payload)
-            continue
-        local = _ina_groups(run, did, window)[my_node]
-        if my_node in snap:
-            msg = yield from comm.recv(ctx, source=agg, tag=tag)
-            run.stats.record_shuffle(msg.nbytes, same_node=False)
-            if run.payload is not None and msg.payload is not None:
-                _unpack_payload(my_pattern, run.payload, q, msg.payload)
-            if ctx.rank == local[0]:
-                run.stats.record_ina_fallback()
-                tracer = env.tracer
-                if tracer.enabled:
-                    tracer.instant(
-                        "shuffle", "shuffle.ina.leader_fallback",
-                        my_node, ctx.rank, domain=did, round=t,
-                    )
-            continue
-        if ctx.rank == local[0]:
-            msg = yield from comm.recv(ctx, source=agg, tag=tag)
-            parts = (
-                msg.payload.parts
-                if isinstance(msg.payload, _IntraNodeBundle)
-                else ((ctx.rank, msg.nbytes, msg.payload),)
-            )
-            remote_total = sum(nb for r, nb, _ in parts if r != ctx.rank)
-            if remote_total:
-                staging.append(
-                    ctx.node.memory.alloc(
-                        remote_total, label=f"ina.{run.op_seq}.{did}.{t}"
-                    )
-                )
-            for r, nb, data in parts:
-                if r == ctx.rank:
-                    run.stats.record_shuffle(nb, same_node=False)
-                    if run.payload is not None and data is not None:
-                        _unpack_payload(my_pattern, run.payload, q, data)
-                else:
-                    forwards.append(
-                        comm.isend(
-                            ctx, r, nb,
-                            tag=("inaf", run.op_seq, did, t), payload=data,
-                        )
-                    )
-        else:
-            msg = yield from comm.recv(
-                ctx, source=local[0], tag=("inaf", run.op_seq, did, t)
-            )
-            run.stats.record_shuffle(msg.nbytes, same_node=False)
-            if run.payload is not None and msg.payload is not None:
-                _unpack_payload(my_pattern, run.payload, q, msg.payload)
-    if forwards:
-        yield env.all_of(forwards)
-    for alloc in staging:
-        ctx.node.memory.free(alloc)
-
-
-# ---------------------------------------------------------------------------
 # streaming execution (one message per pair, aggregators free-run)
 # ---------------------------------------------------------------------------
 def _run_streaming(run: _RunContext):
@@ -1342,7 +794,7 @@ def _run_streaming(run: _RunContext):
         if my_pattern.bytes_in(domain.extent.offset, domain.extent.end) > 0:
             procs.append(
                 ctx.spawn(
-                    _member_streaming(run, did),
+                    _member_exchange(run, did, domain.extent, 0),
                     name=f"rank{ctx.rank}.m{did}",
                 )
             )
@@ -1383,15 +835,6 @@ def _member_exchange(run: _RunContext, did: int, window: Extent, tag_round: int)
         run.stats.record_shuffle(msg.nbytes, same_node=same_node)
         if run.payload is not None and msg.payload is not None:
             _unpack_payload(my_pattern, run.payload, q, msg.payload)
-
-
-def _member_window(run: _RunContext, did: int, window: Extent, t: int):
-    yield from _member_exchange(run, did, window, t)
-
-
-def _member_streaming(run: _RunContext, did: int):
-    domain = run.domains[did]
-    yield from _member_exchange(run, did, domain.extent, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1456,49 +899,59 @@ def _aggregator_streaming(run: _RunContext, did: int, paged: bool):
         yield from _read_and_scatter(run, did, domain.extent, 0, paged, io_rounds)
 
 
-def _collect_and_write(
-    run, did, window, t, paged, io_rounds, batched=False, n_msgs=None
-):
-    """Receive all contributions for `window`, assemble, write to the PFS.
+def _gather_window(run: _RunContext, did: int, window: Extent, t: int, expected):
+    """Receive each expected sender's slice of `window`.
 
-    With `batched`, the contributions are drained with one counting
-    :meth:`~repro.mpi.comm.SimComm.recv_many` instead of one posted
-    receive per message (same arrival order, same completion time —
-    unpacking costs no simulated time — but one resume per round).
-    `n_msgs` overrides the expected message count when senders coalesce
-    (intra-node aggregation: one :class:`_IntraNodeBundle` per remote
-    node instead of one message per remote rank).
+    Returns ``(buffer, received)``: the assembled window (None when no
+    payload bytes travel) and the total bytes received.
     """
-    ctx, comm, pfs, env = run.ctx, run.comm, run.pfs, run.ctx.env
-    expected = _expected_senders(run, did, window)
-    count = len(expected) if n_msgs is None else n_msgs
-    if batched:
-        msgs = yield from comm.recv_many(
-            ctx, count, tag=(run.op_seq, did, t)
-        )
-    else:
-        msgs = []
-        for _ in range(count):
-            msg = yield from comm.recv(ctx, tag=(run.op_seq, did, t))
-            msgs.append(msg)
+    ctx, comm = run.ctx, run.comm
     buffer: Optional[np.ndarray] = None
     received = 0
-    for msg in msgs:
+    for _ in range(len(expected)):
+        msg = yield from comm.recv(ctx, tag=(run.op_seq, did, t))
         received += msg.nbytes
-        parts = (
-            msg.payload.parts
-            if isinstance(msg.payload, _IntraNodeBundle)
-            else ((msg.source, msg.nbytes, msg.payload),)
-        )
-        for src_rank, _nb, data in parts:
-            if data is None:
-                continue
-            if buffer is None:
-                buffer = np.zeros(window.length, dtype=np.uint8)
-            q = run.patterns[src_rank].clip(window.offset, window.end)
+        if msg.payload is None:
+            continue
+        if buffer is None:
+            buffer = np.zeros(window.length, dtype=np.uint8)
+        q = run.patterns[msg.source].clip(window.offset, window.end)
+        for off, ln, qbuf in q.iter_mapped_extents():
+            rel = off - window.offset
+            buffer[rel : rel + ln] = msg.payload[qbuf : qbuf + ln]
+    return buffer, received
+
+
+def _scatter_window(
+    run: _RunContext, did: int, window: Extent, t: int, expected,
+    buffer: Optional[np.ndarray], paged: bool,
+):
+    """Send each expected rank its slice of `window`, one message apiece."""
+    ctx, comm = run.ctx, run.comm
+    sends = []
+    for r in expected:
+        q = run.patterns[r].clip(window.offset, window.end)
+        data = None
+        if buffer is not None:
+            data = np.empty(q.nbytes, dtype=np.uint8)
             for off, ln, qbuf in q.iter_mapped_extents():
                 rel = off - window.offset
-                buffer[rel : rel + ln] = data[qbuf : qbuf + ln]
+                data[qbuf : qbuf + ln] = buffer[rel : rel + ln]
+        sends.append(
+            comm.isend(
+                ctx, r, q.nbytes, tag=(run.op_seq, did, t),
+                payload=data, paged_dst=paged,
+            )
+        )
+    if sends:
+        yield ctx.env.all_of(sends)
+
+
+def _collect_and_write(run, did, window, t, paged, io_rounds):
+    """Receive all contributions for `window`, assemble, write to the PFS."""
+    pfs, env = run.pfs, run.ctx.env
+    expected = _expected_senders(run, did, window)
+    buffer, received = yield from _gather_window(run, did, window, t, expected)
     if received == 0:
         return
     lease = run.borrow.lease_for(did) if run.borrow is not None else None
@@ -1532,22 +985,9 @@ def _collect_and_write(
             run.stats.record_io_extent(piece.offset, piece.length)
 
 
-def _read_and_scatter(
-    run, did, window, t, paged, io_rounds, batched=False, intra_node=False,
-    failed_nodes=frozenset(),
-):
-    """Read `window`'s requested extents, then send each rank its bytes.
-
-    With `batched`, remote members' messages are grouped by destination
-    node and leave the aggregator as one
-    :meth:`~repro.mpi.comm.SimComm.batched_send` per node.  With
-    `intra_node`, each remote node instead gets a single
-    :class:`_IntraNodeBundle` addressed to its leader (lowest member
-    rank), who fans the slices out locally — one wire message per node.
-    Nodes in `failed_nodes` are never bundled: their would-be leader is
-    crippled, so their members get plain per-rank sends instead.
-    """
-    ctx, comm, pfs, env = run.ctx, run.comm, run.pfs, run.ctx.env
+def _read_and_scatter(run, did, window, t, paged, io_rounds):
+    """Read `window`'s requested extents, then send each rank its bytes."""
+    pfs, env = run.pfs, run.ctx.env
     expected = _expected_senders(run, did, window)
     if not expected:
         return
@@ -1579,51 +1019,4 @@ def _read_and_scatter(
     else:
         # stage the buffer through the memory system before scattering
         yield from run.node.memcopy(total_read, paged=paged)
-
-    sends = []
-    by_node: dict[int, list] = {}
-    my_node = comm.node_id_of_rank(ctx.rank)
-    for r in expected:
-        q = run.patterns[r].clip(window.offset, window.end)
-        data = None
-        if buffer is not None:
-            data = np.empty(q.nbytes, dtype=np.uint8)
-            for off, ln, qbuf in q.iter_mapped_extents():
-                rel = off - window.offset
-                data[qbuf : qbuf + ln] = buffer[rel : rel + ln]
-        tag = (run.op_seq, did, t)
-        dest_node = comm.node_id_of_rank(r)
-        if intra_node and dest_node != my_node and dest_node not in failed_nodes:
-            by_node.setdefault(dest_node, []).append((r, q.nbytes, data))
-            continue
-        if batched and dest_node != my_node:
-            by_node.setdefault(dest_node, []).append(
-                (ctx.rank, r, q.nbytes, tag, data)
-            )
-            continue
-        sends.append(
-            comm.isend(
-                ctx, r, q.nbytes, tag=tag, payload=data, paged_dst=paged
-            )
-        )
-    for dest_node in sorted(by_node):
-        if intra_node:
-            # one bundle to the node's leader; expected is rank-ordered,
-            # so parts[0] is the lowest member rank on that node
-            parts = by_node[dest_node]
-            sends.append(
-                comm.isend(
-                    ctx, parts[0][0], sum(p[1] for p in parts),
-                    tag=(run.op_seq, did, t),
-                    payload=_IntraNodeBundle(tuple(parts)), paged_dst=paged,
-                )
-            )
-            continue
-        sends.append(
-            ctx.spawn(
-                comm.batched_send(ctx, by_node[dest_node], paged_dst=paged),
-                name=f"rank{ctx.rank}.bscat{did}.n{dest_node}",
-            )
-        )
-    if sends:
-        yield env.all_of(sends)
+    yield from _scatter_window(run, did, window, t, expected, buffer, paged)

@@ -282,7 +282,6 @@ class MemoryConsciousCollectiveIO:
                     ctx, self.comm, self.pfs, plan, patterns, stats, op, seq,
                     payload=payload, granularity=self.config.shuffle_granularity,
                     failover_config=self.config if self.config.failover else None,
-                    intra_node_aggregation=self.config.intra_node_aggregation,
                     borrow=borrow,
                 )
             except BorrowDegraded:
@@ -445,7 +444,6 @@ class MemoryConsciousCollectiveIO:
                 ("bfb", seq),
                 payload=payload, granularity="round",
                 failover_config=remerge_cfg if self.config.failover else None,
-                intra_node_aggregation=False,
             )
         )
 

@@ -82,9 +82,6 @@ class CollectiveStats:
     borrow_bytes: int = 0
     #: Mid-collective borrow aborts that degraded the run back to remerge.
     borrow_fallbacks: int = 0
-    #: Intra-node leader bundles degraded to per-rank sends because the
-    #: leader's node failed between election and ship.
-    ina_fallbacks: int = 0
     #: How this collective was simulated: ``"per-rank"`` coroutines (the
     #: reference) or the node-level ``"vectorized"`` path (DESIGN.md §11).
     execution_mode: str = "per-rank"
@@ -227,7 +224,6 @@ class CollectiveStats:
             "leases_expired": self.leases_expired,
             "borrow_bytes": self.borrow_bytes,
             "borrow_fallbacks": self.borrow_fallbacks,
-            "ina_fallbacks": self.ina_fallbacks,
             "execution_mode": self.execution_mode,
             "vectorized_refusals": self.vectorized_refusals,
         }
@@ -276,7 +272,6 @@ class CollectiveStats:
             leases_expired=d.get("leases_expired", 0),
             borrow_bytes=d.get("borrow_bytes", 0),
             borrow_fallbacks=d.get("borrow_fallbacks", 0),
-            ina_fallbacks=d.get("ina_fallbacks", 0),
             execution_mode=d.get("execution_mode", "per-rank"),
             vectorized_refusals=d.get("vectorized_refusals", 0),
         )
@@ -358,10 +353,6 @@ class StatsCollector:
             "borrow_fallbacks_total",
             "mid-collective borrow aborts degraded back to remerge",
         )
-        self._c_ina_fallbacks = self.registry.counter(
-            "ina_fallbacks_total",
-            "intra-node leader bundles degraded to per-rank sends",
-        )
         self._c_vec_refusals = self.registry.counter(
             "vectorized_refusals_total",
             "collectives that refused vectorization and ran per-rank",
@@ -381,11 +372,6 @@ class StatsCollector:
         self._pfs = None
         self._pfs_retries0 = 0
         self._pfs_abandons0 = 0
-        #: Per-(op_seq, round) frozen failed-node sets: the first rank to
-        #: reach a round pins the snapshot all ranks of that round use,
-        #: keeping per-rank degradation decisions consistent even when a
-        #: node fails "between" two ranks' turns at the same sim instant.
-        self._round_failed: dict = {}
         #: Optional :class:`~repro.core.audit.ConservationAuditor`; when
         #: set, engines report attempts and I/O extents through it.
         self.auditor = None
@@ -465,10 +451,6 @@ class StatsCollector:
         return self._c_borrow_fallbacks.value()
 
     @property
-    def ina_fallbacks(self) -> int:
-        return self._c_ina_fallbacks.value()
-
-    @property
     def vectorized_refusals(self) -> int:
         return self._c_vec_refusals.value()
 
@@ -541,10 +523,6 @@ class StatsCollector:
         """Count one mid-collective borrow abort (degrade to remerge)."""
         self._c_borrow_fallbacks.inc(1)
 
-    def record_ina_fallback(self) -> None:
-        """Count one leader bundle degraded to per-rank sends."""
-        self._c_ina_fallbacks.inc(1)
-
     def record_execution_mode(self, mode: str) -> None:
         """Record which execution path served this collective."""
         self.execution_mode = mode
@@ -580,21 +558,6 @@ class StatsCollector:
         self._h_shuffle_msg.observe(nbytes, path=path)
         if not same_group:
             self._c_shuffle.inc(nbytes, path="inter_group")
-
-    def failed_nodes_snapshot(self, key, cluster) -> frozenset:
-        """Failed-node set pinned by the first caller for `key`.
-
-        All ranks of one (op, round) share the snapshot the earliest
-        arriver took, so the degradation decision is identical across
-        ranks even if the fault injector flips a node between two ranks'
-        turns at the same sim instant.
-        """
-        snap = self._round_failed.get(key)
-        if snap is None:
-            snap = self._round_failed[key] = frozenset(
-                node.node_id for node in cluster.nodes if node.failed
-            )
-        return snap
 
     def record_attempt(self) -> None:
         """Notify the auditor a rank entered an execution attempt."""
@@ -659,7 +622,6 @@ class StatsCollector:
             leases_expired=self.leases_expired,
             borrow_bytes=self.borrow_bytes,
             borrow_fallbacks=self.borrow_fallbacks,
-            ina_fallbacks=self.ina_fallbacks,
             execution_mode=self.execution_mode,
             vectorized_refusals=self.vectorized_refusals,
         )

@@ -296,7 +296,6 @@ class PersistentCollective:
                 payload=payload,
                 granularity=engine.config.shuffle_granularity,
                 failover_config=engine.config if engine.config.failover else None,
-                intra_node_aggregation=engine.config.intra_node_aggregation,
                 pipelined=self.overlap,
             )
         )

@@ -123,7 +123,6 @@ class TwoPhaseCollectiveIO:
         result = yield from execute_collective(
             ctx, self.comm, self.pfs, plan, patterns, stats, op, seq,
             payload=payload, granularity=self.config.shuffle_granularity,
-            intra_node_aggregation=self.config.intra_node_aggregation,
         )
         self._finish(seq, ctx)
         return result

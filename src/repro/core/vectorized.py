@@ -3,10 +3,11 @@
 The per-rank engine simulates every rank as its own coroutine; at
 10^5–10^6 ranks the event count alone makes a sweep intractable.  This
 driver runs one whole collective from a *single* simulation process,
-carrying per-rank accounting in numpy arrays and charging node-to-node
-traffic through the same :class:`~repro.cluster.network.Network`
-batched-transfer arithmetic the per-rank path uses for aggregated
-shuffles.
+carrying per-rank accounting in numpy arrays and charging each
+window's traffic as one
+:meth:`~repro.cluster.network.Network.batched_transfer` per (source
+node, aggregator) pair.  It is the only place shuffle traffic is
+aggregated by node: the per-rank engine sends one message per rank.
 
 Equivalence contract
 --------------------

@@ -146,9 +146,6 @@ class _CollectiveState:
     event: Event
     values: dict[int, Any] = field(default_factory=dict)
     nbytes_max: int = 0
-    #: Per-destination-node paged flags deposited by
-    #: :meth:`SimComm.staged_batched_send` callers (or-merged).
-    paged_map: dict[int, bool] = field(default_factory=dict)
 
 
 class SimComm:
@@ -187,12 +184,8 @@ class SimComm:
         self._recv_posts: Mapping[int, deque[tuple[Event, Any, Any]]] = (
             _LazyDequeMap()
         )
-        #: Counting receives posted by :meth:`recv_many`, per rank.
-        self._drain_posts: Mapping[int, deque[list]] = _LazyDequeMap()
         self._coll_state: dict[tuple[str, int, int], _CollectiveState] = {}
         self._coll_seq: dict[tuple[int, str, int], int] = {}
-        #: In-flight :meth:`staged_batched_send` rendezvous, by caller key.
-        self._stage_state: dict[Any, _CollectiveState] = {}
 
     # ------------------------------------------------------------------
     # topology
@@ -287,136 +280,6 @@ class SimComm:
             name=f"rank{ctx.rank}.isend->{dest}",
         )
 
-    def batched_send(
-        self,
-        ctx: RankContext,
-        items: Sequence[tuple[int, int, int, Any, Any]],
-        paged_dst: bool = False,
-    ):
-        """Process generator: several messages as one aggregated transfer.
-
-        `items` is a sequence of ``(source, dest, nbytes, tag, payload)``
-        tuples.  All destinations must live on one node; the physical
-        transfer leaves the *calling* rank's node as a single
-        :meth:`~repro.cluster.network.Network.batched_transfer` (the
-        closed-form serialization model), after which every message is
-        delivered individually with its own logical source and tag, in
-        item order.  Matching semantics at each receiver are identical to
-        `len(items)` back-to-back :meth:`send` calls; only the number of
-        simulated wire events differs.
-        """
-        if not items:
-            return
-        dst_nodes = {self.node_id_of_rank(dest) for _, dest, _, _, _ in items}
-        if len(dst_nodes) != 1:
-            raise ValueError(
-                f"batched_send requires a single destination node, got {dst_nodes}"
-            )
-        src_node = self.node_of_rank(ctx.rank)
-        dst_nid = dst_nodes.pop()
-        dst_node = self.cluster.nodes[dst_nid]
-        tracer = self.env.tracer
-        t0 = tracer.now() if tracer.enabled else 0.0
-        yield from self.cluster.network.batched_transfer(
-            src_node, dst_node, [nbytes for _, _, nbytes, _, _ in items],
-            paged_dst=paged_dst,
-        )
-        for source, dest, nbytes, tag, payload in items:
-            self._deliver(dest, Message(source, tag, nbytes, payload))
-        if tracer.enabled:
-            tracer.complete(
-                "comm", "comm.batched_send",
-                self.placement[ctx.rank], ctx.rank,
-                t0, tracer.now() - t0,
-                dst_node=dst_nid, messages=len(items),
-                bytes=sum(nbytes for _, _, nbytes, _, _ in items),
-            )
-
-    def staged_batched_send(
-        self,
-        ctx: RankContext,
-        key: Any,
-        n_expected: int,
-        items: Any,
-        paged_dst: bool = False,
-    ):
-        """Process generator: co-located senders pool one wire transfer.
-
-        All `n_expected` participants must live on the calling rank's
-        node and deposit — under the same `key`, unique per logical
-        exchange — either one ``(source, dest, nbytes, tag, payload)``
-        item or a sequence of them (one deposit per rank either way,
-        so a sender's whole round fan-out costs a single rendezvous).
-        The last depositor charges the node's staging cost — every
-        other rank's bytes hop the intra-node path once, as a single
-        closed-form intra-node
-        :meth:`~repro.cluster.network.Network.batched_transfer` — and
-        then ships the pooled items with one :meth:`batched_send` per
-        destination node (ascending node id, items in source-rank
-        order).  Every participant resumes when the last wire transfer
-        completes, mirroring the blocking-send semantics of the
-        per-message path.
-
-        `paged_dst` may be a bool (applied to every destination node) or
-        a ``{node_id: bool}`` mapping; mapping entries from all
-        depositors are or-merged per destination node, letting one
-        rendezvous carry transfers toward a mix of healthy and
-        overcommitted aggregator hosts.
-        """
-        state = self._stage_state.get(key)
-        if state is None:
-            state = _CollectiveState(event=self.env.event())
-            self._stage_state[key] = state
-        if isinstance(paged_dst, Mapping):
-            for nid, flag in paged_dst.items():
-                state.paged_map[nid] = state.paged_map.get(nid, False) or bool(flag)
-            paged_dst = False
-        if items and isinstance(items[0], int):
-            items = (items,)  # a single bare item tuple
-        state.values[ctx.rank] = items
-        if len(state.values) == n_expected:
-            del self._stage_state[key]
-            all_items = []
-            for r in sorted(state.values):
-                all_items.extend(state.values[r])
-            src_node = self.node_of_rank(ctx.rank)
-            stage_sizes = [
-                nbytes
-                for source, _, nbytes, _, _ in all_items
-                if source != ctx.rank
-            ]
-            by_dst: dict[int, list] = {}
-            for it in all_items:
-                by_dst.setdefault(self.node_id_of_rank(it[1]), []).append(it)
-
-            def _ship(event):
-                tracer = self.env.tracer
-                t0 = tracer.now() if tracer.enabled else 0.0
-                if stage_sizes:
-                    yield from self.cluster.network.batched_transfer(
-                        src_node, src_node, stage_sizes
-                    )
-                for nid in sorted(by_dst):
-                    yield from self.batched_send(
-                        ctx,
-                        by_dst[nid],
-                        paged_dst=state.paged_map.get(nid, paged_dst),
-                    )
-                event.succeed()
-                if tracer.enabled:
-                    tracer.complete(
-                        "comm", "comm.stage.ship",
-                        self.placement[ctx.rank], ctx.rank,
-                        t0, tracer.now() - t0,
-                        messages=len(all_items),
-                        bytes=sum(it[2] for it in all_items),
-                        staged_bytes=sum(stage_sizes),
-                        dst_nodes=len(by_dst),
-                    )
-
-            self.env.process(_ship(state.event), name=f"stage.{key}")
-        yield state.event
-
     def recv(self, ctx: RankContext, source: Any = ANY_SOURCE, tag: Any = ANY_TAG):
         """Process generator: blocking receive; returns a :class:`Message`."""
         mail = self._mail[ctx.rank]
@@ -438,52 +301,6 @@ class SimComm:
             )
         return msg
 
-    def recv_many(
-        self,
-        ctx: RankContext,
-        count: int,
-        source: Any = ANY_SOURCE,
-        tag: Any = ANY_TAG,
-    ):
-        """Process generator: blocking receive of `count` matching messages.
-
-        Semantically equivalent to `count` back-to-back :meth:`recv`
-        calls with the same `source`/`tag` (messages are returned in
-        arrival order and matched with the same rules), but the waiter
-        posts a single counting receive instead of re-posting one event
-        per message — the aggregator-side drain of a batched shuffle
-        round.  Returns the list of :class:`Message` objects.
-        """
-        if count <= 0:
-            return []
-        got: list[Message] = []
-        mail = self._mail[ctx.rank]
-        if mail:
-            i = 0
-            while i < len(mail) and len(got) < count:
-                if self._matches(mail[i], source, tag):
-                    got.append(mail[i])
-                    del mail[i]
-                else:
-                    i += 1
-        if len(got) == count:
-            return got
-        ev = self.env.event()
-        # [event, source, tag, remaining, collected]: _deliver fills
-        # `collected` in place and fires the event on the last message
-        self._drain_posts[ctx.rank].append([ev, source, tag, count - len(got), got])
-        tracer = self.env.tracer
-        t0 = tracer.now() if tracer.enabled else 0.0
-        yield ev
-        if tracer.enabled:
-            tracer.complete(
-                "comm", "comm.recv_many.wait",
-                self.placement[ctx.rank], ctx.rank,
-                t0, tracer.now() - t0,
-                messages=count, bytes=sum(m.nbytes for m in got),
-            )
-        return got
-
     def _deliver(self, dest: int, msg: Message) -> None:
         posts = self._recv_posts[dest]
         for i, (ev, source, tag) in enumerate(posts):
@@ -491,16 +308,6 @@ class SimComm:
                 del posts[i]
                 ev.succeed(msg)
                 return
-        drains = self._drain_posts[dest]
-        if drains:
-            for i, entry in enumerate(drains):
-                if self._matches(msg, entry[1], entry[2]):
-                    entry[4].append(msg)
-                    entry[3] -= 1
-                    if entry[3] == 0:
-                        del drains[i]
-                        entry[0].succeed(entry[4])
-                    return
         self._mail[dest].append(msg)
 
     @staticmethod

@@ -148,3 +148,17 @@ def test_strategies_same_bytes_written_metric():
 
         stack.run_spmd(main)
         assert engine.history[0].total_bytes == 4 * 300, engine.name
+
+
+def test_bad_granularity_rejected():
+    """The only shuffle granularities are "round" and "domain"."""
+    for granularity in ("bogus", "batched"):
+        with pytest.raises(ValueError, match="shuffle_granularity"):
+            TwoPhaseConfig(shuffle_granularity=granularity)
+        with pytest.raises(ValueError, match="shuffle_granularity"):
+            MCIOConfig(shuffle_granularity=granularity)
+    # node-level shuffle aggregation is not a per-rank engine option
+    with pytest.raises(TypeError):
+        TwoPhaseConfig(intra_node_aggregation=True)
+    with pytest.raises(TypeError):
+        MCIOConfig(intra_node_aggregation=True)

@@ -114,7 +114,6 @@ EQUIVALENT_FIELDS = (
     "leases_expired",
     "borrow_bytes",
     "borrow_fallbacks",
-    "ina_fallbacks",
 )
 
 

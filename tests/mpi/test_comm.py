@@ -289,135 +289,3 @@ def test_determinism_same_seed_same_times():
 
     assert run() == run()
 
-
-# ---------------------------------------------------------------------------
-# counting receives (recv_many)
-# ---------------------------------------------------------------------------
-def test_recv_many_matches_sequential_recvs():
-    """Same messages, same order, same completion time as a recv loop."""
-
-    def run(use_many):
-        env, cluster, comm = make_comm(n_ranks=6, n_nodes=3, cores=2)
-
-        def main(ctx):
-            if ctx.rank == 0:
-                if use_many:
-                    msgs = yield from comm.recv_many(ctx, 5, tag=7)
-                else:
-                    msgs = []
-                    for _ in range(5):
-                        msg = yield from comm.recv(ctx, tag=7)
-                        msgs.append(msg)
-                return (env.now, [(m.source, m.nbytes) for m in msgs])
-            yield from comm.send(ctx, 0, 100 * ctx.rank, tag=7)
-            return None
-
-        return comm.run_spmd(main)[0]
-
-    assert run(True) == run(False)
-
-
-def test_recv_many_from_mailbox_and_posted():
-    """Messages already in the mailbox count toward the drain."""
-    env, cluster, comm = make_comm()
-
-    def main(ctx):
-        if ctx.rank == 1:
-            # let both senders complete first, then drain from mailbox
-            yield from comm.barrier(ctx)
-            msgs = yield from comm.recv_many(ctx, 2, tag=3)
-            return sorted(m.source for m in msgs)
-        if ctx.rank in (0, 2):
-            yield from comm.send(ctx, 1, 10, tag=3)
-        yield from comm.barrier(ctx)
-        return None
-
-    assert comm.run_spmd(main)[1] == [0, 2]
-
-
-def test_recv_many_filters_tags():
-    """Non-matching messages stay queued for later receives."""
-    env, cluster, comm = make_comm()
-
-    def main(ctx):
-        if ctx.rank == 0:
-            yield from comm.send(ctx, 1, 10, tag=1)
-            yield from comm.send(ctx, 1, 20, tag=2)
-            yield from comm.send(ctx, 1, 30, tag=1)
-            return None
-        if ctx.rank == 1:
-            wanted = yield from comm.recv_many(ctx, 2, tag=1)
-            other = yield from comm.recv(ctx, tag=2)
-            return ([m.nbytes for m in wanted], other.nbytes)
-        return None
-        yield  # pragma: no cover
-
-    results = comm.run_spmd(main)
-    assert results[1] == ([10, 30], 20)
-
-
-def test_recv_many_zero_count():
-    env, cluster, comm = make_comm()
-
-    def main(ctx):
-        msgs = yield from comm.recv_many(ctx, 0)
-        return msgs
-
-    assert comm.run_spmd(main) == [[]] * 4
-
-
-# ---------------------------------------------------------------------------
-# multi-item / multi-destination staged batched sends
-# ---------------------------------------------------------------------------
-def test_staged_batched_send_multi_destination():
-    """One deposit per rank fans out to several destination nodes."""
-    env, cluster, comm = make_comm(n_ranks=6, n_nodes=3, cores=2)
-    # node 0 holds ranks 0,1 (senders); nodes 1,2 hold the receivers
-
-    def main(ctx):
-        if ctx.rank in (0, 1):
-            items = [
-                (ctx.rank, dest, 64, ("m", dest), f"p{ctx.rank}->{dest}")
-                for dest in (2, 3, 4, 5)
-            ]
-            yield from comm.staged_batched_send(ctx, "stage", 2, items)
-            return env.now
-        msgs = []
-        for _ in range(2):
-            msg = yield from comm.recv(ctx, tag=("m", ctx.rank))
-            msgs.append((msg.source, msg.payload))
-        return sorted(msgs)
-
-    results = comm.run_spmd(main)
-    # both depositors resume together, when the last wire transfer lands
-    assert results[0] == results[1]
-    for dest in (2, 3, 4, 5):
-        assert results[dest] == [
-            (0, f"p0->{dest}"),
-            (1, f"p1->{dest}"),
-        ]
-    # accounting: every logical message crossed the NIC exactly once
-    assert cluster.network.inter_node_messages == 8
-    assert cluster.network.inter_node_bytes == 8 * 64
-    # the non-performing rank's items hopped shared memory once while
-    # staging (4 items x 64 bytes, whichever rank performed the ship)
-    assert cluster.network.intra_node_bytes == 4 * 64
-
-
-def test_staged_batched_send_single_item_still_works():
-    """The original one-item-per-deposit form is unchanged."""
-    env, cluster, comm = make_comm(n_ranks=4, n_nodes=2, cores=2)
-
-    def main(ctx):
-        if ctx.rank in (0, 1):
-            yield from comm.staged_batched_send(
-                ctx, "k", 2, (ctx.rank, 2, 32, 9, None)
-            )
-            return None
-        if ctx.rank == 2:
-            msgs = yield from comm.recv_many(ctx, 2, tag=9)
-            return [m.source for m in msgs]
-        return None
-        yield  # pragma: no cover
-
-    assert comm.run_spmd(main)[2] == [0, 1]

@@ -3,10 +3,10 @@
 Satellite of the differential harness: instead of the pinned golden
 matrix, hypothesis draws whole configurations — workload shape, rank
 and node counts, memory regime, placement policy, shuffle granularity,
-intra-node aggregation, op — and every drawn cell must satisfy the
-equivalence contract: identical I/O extents and offsets, identical
-shuffle byte split, a balanced lease ledger, and the same
-``degraded_tier`` decision on both paths.
+op — and every drawn cell must satisfy the equivalence contract:
+identical I/O extents and offsets, identical shuffle byte split, a
+balanced lease ledger, and the same ``degraded_tier`` decision on both
+paths.
 
 ``derandomize=True`` keeps CI deterministic; the example budget (200)
 is the issue's floor for generated configurations.
@@ -73,10 +73,7 @@ def configs(draw):
         min_buffer=1,
         adaptive_buffer=draw(st.booleans()),
         placement_policy=draw(st.sampled_from(["remerge", "hybrid"])),
-        shuffle_granularity=draw(
-            st.sampled_from(["round", "batched", "domain"])
-        ),
-        intra_node_aggregation=draw(st.booleans()),
+        shuffle_granularity=draw(st.sampled_from(["round", "domain"])),
         failover=draw(st.booleans()),
     )
 
