@@ -12,7 +12,7 @@ from repro.cluster import Cluster, ClusterSpec, NodeSpec, block_placement
 from repro.core import MCIOConfig, MemoryConsciousCollectiveIO, TwoPhaseCollectiveIO
 from repro.core.group_division import divide_groups
 from repro.core.partition_tree import PartitionTree
-from repro.core.request import Extent, StridedSegment
+from repro.core.request import AccessPattern, Extent, StridedSegment, window_union
 from repro.mpi import SimComm, subarray_view_3d
 from repro.pfs import ParallelFileSystem
 from repro.sim import Environment, RngFactory
@@ -42,6 +42,23 @@ def test_pattern_clip_3d(benchmark):
         return total
 
     benchmark(run)
+
+
+def test_window_union_million_blocks(benchmark):
+    """One aggregator window holding 10^6 blocks from 100 senders: the
+    exact block-array union, with one hole per 100-block period."""
+    n, count, block = 100, 10_000, 8
+    stride = (n + 1) * block
+    patterns = [
+        AccessPattern((StridedSegment(r * block, block, stride, count),))
+        for r in range(n)
+    ]
+    window = Extent(0, count * stride)
+
+    def run():
+        return len(window_union(patterns, range(n), window))
+
+    assert benchmark(run) == count
 
 
 def test_partition_tree_build(benchmark):

@@ -29,6 +29,7 @@ from .partition_tree import PartitionNode, PartitionTree
 from .persistent import PersistentCollective
 from .plan_cache import PlanCache, PlanCacheStats
 from .request import AccessPattern, Extent, StridedSegment, coalesce_extents
+from .request import block_arrays, union_blocks, window_union
 from .two_phase import TwoPhaseCollectiveIO, default_aggregators
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "StridedSegment",
     "TwoPhaseCollectiveIO",
     "TwoPhaseConfig",
+    "block_arrays",
     "candidate_hosts",
     "coalesce_extents",
     "default_aggregators",
@@ -67,4 +69,6 @@ __all__ = [
     "place_aggregators",
     "replace_failed_domains",
     "rounds_for",
+    "union_blocks",
+    "window_union",
 ]

@@ -51,18 +51,12 @@ from repro.core.borrow import (
 from repro.core.failover import replace_failed_domains
 from repro.core.filedomain import FileDomain, rounds_for
 from repro.core.metrics import StatsCollector
-from repro.core.request import AccessPattern, Extent, coalesce_extents
+from repro.core.request import AccessPattern, Extent, window_union
 from repro.mpi.comm import RankContext, SimComm
 from repro.obs.tracer import PID_PIPELINE
 from repro.pfs.filesystem import ParallelFileSystem
 
 __all__ = ["ExecutionPlan", "execute_collective"]
-
-#: Safety valve: when the exact union of requested extents inside one
-#: round would expand more blocks than this, fall back to the covering
-#: extent (requests in our workloads tile their domains, so this only
-#: guards pathological synthetic patterns).
-_UNION_BLOCK_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -169,31 +163,6 @@ def _round_extent(domain: FileDomain, t: int) -> Optional[Extent]:
         return None
     hi = min(domain.extent.end, lo + domain.buffer_bytes)
     return Extent(lo, hi - lo)
-
-
-def _union_extents(
-    patterns: Sequence[AccessPattern], senders: Sequence[int], window: Extent
-) -> list[Extent]:
-    """Exact union of the senders' requested extents inside `window`."""
-    clips = []
-    total_blocks = 0
-    for r in senders:
-        q = patterns[r].clip(window.offset, window.end)
-        if q.empty:
-            continue
-        total_blocks += q.block_count
-        clips.append(q)
-    if not clips:
-        return []
-    if total_blocks > _UNION_BLOCK_LIMIT:
-        lo = min(q.start for q in clips)
-        hi = max(q.end for q in clips)
-        return [Extent(lo, hi - lo)]
-    extents: list[Extent] = []
-    for q in clips:
-        for off, ln, _ in q.iter_mapped_extents():
-            extents.append(Extent(off, ln))
-    return coalesce_extents(extents)
 
 
 def _pack_payload(
@@ -690,7 +659,7 @@ def _pipeline_drain(
     ctx = run.ctx
     tracer = ctx.env.tracer
     t0 = tracer.now() if tracer.enabled else 0.0
-    pieces = _union_extents(run.patterns, expected, window)
+    pieces = window_union(run.patterns, expected, window)
     for piece in pieces:
         data = None
         if buffer is not None:
@@ -757,7 +726,7 @@ def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
         else None
     )
     total = 0
-    pieces = _union_extents(run.patterns, expected, window)
+    pieces = window_union(run.patterns, expected, window)
     for piece in pieces:
         data = yield from run.pfs.read_extent(run.node, piece)
         total += piece.length
@@ -969,7 +938,7 @@ def _collect_and_write(run, did, window, t, paged, io_rounds):
         if i > 0:
             # streaming mode: charge the skipped per-round synchronisation
             yield env.sleep(run.node.spec.nic_latency)
-        pieces = _union_extents(run.patterns, expected, io_window)
+        pieces = window_union(run.patterns, expected, io_window)
         if lease is not None and pieces:
             # pull the assembled round back from the lender for the write
             yield from _borrow_stage(
@@ -999,7 +968,7 @@ def _read_and_scatter(run, did, window, t, paged, io_rounds):
     for i, io_window in enumerate(windows):
         if i > 0:
             yield env.sleep(run.node.spec.nic_latency)
-        pieces = _union_extents(run.patterns, expected, io_window)
+        pieces = window_union(run.patterns, expected, io_window)
         for piece in pieces:
             data = yield from pfs.read_extent(run.node, piece)
             total_read += piece.length

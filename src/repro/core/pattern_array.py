@@ -5,15 +5,15 @@ alone touches every rank several times per domain, and materialising one
 python object per rank costs more than the whole simulated collective.
 :class:`PatternArray` stores a *contiguous* per-rank workload as two
 int64 numpy arrays (start offset and length per rank) and answers the
-planner's questions — who has bytes in a window, how many, and what the
-union of their extents is — as vectorized array operations.
+planner's questions — who has bytes in a window, and how many — as
+vectorized array operations.  Window unions go through the kernel both
+drivers share, :func:`~repro.core.request.window_union`, which takes
+this type's clipped extents as arrays (:meth:`PatternArray.clipped_blocks`).
 
 The semantics deliberately mirror :class:`~repro.core.request.AccessPattern`
 for the contiguous single-segment case: a rank with ``length == 0`` is
-"empty" and never counts as a sender, and extent unions merge *touching*
-ranges exactly like :func:`~repro.core.request.coalesce_extents`.
-``tests/core/test_pattern_array.py`` pins that equivalence against the
-generic per-pattern code paths.
+"empty" and never counts as a sender.  ``tests/core/test_pattern_array.py``
+pins that equivalence against the generic per-pattern code paths.
 
 Indexing a :class:`PatternArray` materialises a real
 :class:`AccessPattern`, so any per-rank code path that receives one
@@ -28,14 +28,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.request import AccessPattern, Extent
+from repro.core.request import AccessPattern
 
 __all__ = ["PatternArray"]
-
-#: Mirrors ``repro.core.engine._UNION_BLOCK_LIMIT``: beyond this many
-#: blocks a window union degrades to one covering extent.
-_UNION_BLOCK_LIMIT = 200_000
-
 
 class PatternArray(Sequence):
     """A contiguous-only per-rank workload held as numpy arrays."""
@@ -170,58 +165,21 @@ class PatternArray(Sequence):
 
     def bytes_in_many(self, ranks: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Per-rank byte counts inside ``[lo, hi)`` for the given ranks."""
-        ranks = np.asarray(ranks, dtype=np.int64)
-        clipped = np.minimum(self._ends[ranks], hi) - np.maximum(
-            self._starts[ranks], lo
-        )
-        return np.clip(clipped, 0, None)
+        starts, ends = self.clipped_blocks(ranks, lo, hi)
+        return np.clip(ends - starts, 0, None)
 
     def sum_bytes_in(self, lo: int, hi: int, ranks=None) -> int:
         """Total bytes inside ``[lo, hi)`` (optionally over given ranks)."""
         if ranks is None:
             window = self._window_slice(lo, hi)
-            if window is not None:
-                i0, i1 = window
-                if i0 >= i1:
-                    return 0
-                clipped = np.minimum(self._ends[i0:i1], hi) - np.maximum(
-                    self._starts[i0:i1], lo
-                )
-                return int(np.clip(clipped, 0, None).sum())
-            clipped = np.minimum(self._ends, hi) - np.maximum(self._starts, lo)
-            return int(np.clip(clipped, 0, None).sum())
-        if not len(ranks):
-            return 0
-        return int(self.bytes_in_many(np.asarray(ranks, dtype=np.int64), lo, hi).sum())
+            ranks = slice(*window) if window is not None else slice(None)
+        return int(self.bytes_in_many(ranks, lo, hi).sum())
 
-    def union_extents(self, ranks, lo: int, hi: int) -> list[Extent]:
-        """Coalesced union of the given ranks' extents clipped to a window.
-
-        Exactly matches ``repro.core.engine._union_extents`` for
-        contiguous patterns: each non-empty clip contributes one block,
-        blocks beyond ``_UNION_BLOCK_LIMIT`` collapse to a single
-        covering extent, and touching blocks merge.
-        """
-        ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.size == 0:
-            return []
-        starts = np.maximum(self._starts[ranks], lo)
-        ends = np.minimum(self._ends[ranks], hi)
-        keep = ends > starts
-        starts, ends = starts[keep], ends[keep]
-        if starts.size == 0:
-            return []
-        if starts.size > _UNION_BLOCK_LIMIT:
-            base = int(starts.min())
-            return [Extent(base, int(ends.max()) - base)]
-        order = np.argsort(starts, kind="stable")
-        starts, ends = starts[order], ends[order]
-        reach = np.maximum.accumulate(ends)
-        # a new run begins where a block starts past everything seen so far
-        breaks = np.flatnonzero(starts[1:] > reach[:-1]) + 1
-        run_starts = np.concatenate(([0], breaks))
-        run_ends = np.concatenate((breaks, [starts.size])) - 1
-        return [
-            Extent(int(starts[i]), int(reach[j]) - int(starts[i]))
-            for i, j in zip(run_starts, run_ends)
-        ]
+    def clipped_blocks(self, ranks, lo: int, hi: int):
+        """The extents of `ranks` (any numpy index: array, list, slice)
+        clipped to ``[lo, hi)`` as int64 ``(starts, ends)`` arrays; empty
+        clips have ``ends <= starts``."""
+        return (
+            np.maximum(self._starts[ranks], lo),
+            np.minimum(self._ends[ranks], hi),
+        )

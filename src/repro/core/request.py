@@ -18,6 +18,10 @@ of flat offset/length lists:
     cumulative-size prefix sums so any file position maps to its position
     in the rank's memory buffer in O(log n).
 
+The per-window union aggregators write is one exact kernel over int64
+block arrays (:func:`block_arrays`, :func:`union_blocks`,
+:func:`window_union`); :func:`coalesce_extents` is its per-object reference.
+
 All coordinates are byte offsets; all intervals are half-open.
 """
 
@@ -27,7 +31,10 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-__all__ = ["Extent", "StridedSegment", "AccessPattern", "coalesce_extents"]
+import numpy as np
+
+__all__ = ["Extent", "StridedSegment", "AccessPattern", "block_arrays",
+           "coalesce_extents", "union_blocks", "window_union"]
 
 
 @dataclass(frozen=True, order=True)
@@ -135,12 +142,6 @@ class StridedSegment:
         return self.count == 1 or self.stride == self.block
 
     # ------------------------------------------------------------------
-    def block_extent(self, index: int) -> Extent:
-        """The `index`-th block as an extent."""
-        if not 0 <= index < self.count:
-            raise IndexError(index)
-        return Extent(self.offset + index * self.stride, self.block)
-
     def iter_extents(self) -> Iterator[Extent]:
         """Yield every block as an extent (use only for small counts)."""
         for i in range(self.count):
@@ -425,3 +426,58 @@ class AccessPattern:
             f"<AccessPattern {self.segment_count} segs, {self.block_count} blocks, "
             f"{self.nbytes} B in [{self.start}, {self.end})>"
         )
+
+
+# ---------------------------------------------------------------------------
+# the block-array extent kernel
+def block_arrays(
+    segments: Iterable[StridedSegment],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every block of `segments` as int64 ``(starts, ends)`` arrays, in
+    one ``np.repeat``/``arange`` pass.  A ``stride == block`` run of
+    ``count`` blocks stays ``count`` entries (``count`` PFS requests)."""
+    geometry = np.array(
+        [(s.offset, s.stride, s.count, s.block) for s in segments],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    offset, stride, count, block = geometry.T
+    first = np.cumsum(count) - count
+    index = np.arange(int(count.sum()), dtype=np.int64) - np.repeat(first, count)
+    starts = np.repeat(offset, count) + index * np.repeat(stride, count)
+    return starts, starts + np.repeat(block, count)
+
+
+def union_blocks(starts: np.ndarray, ends: np.ndarray) -> list[Extent]:
+    """Exact union of the int64 blocks ``[starts[i], ends[i])`` at any
+    count: merges touching/overlapping blocks and drops empty ones, like
+    :func:`coalesce_extents`."""
+    keep = ends > starts
+    starts, ends = starts[keep], ends[keep]
+    if starts.size == 0:
+        return []
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    reach = np.maximum.accumulate(ends[order])
+    # a new run begins where a block starts past everything seen so far
+    breaks = np.flatnonzero(starts[1:] > reach[:-1]) + 1
+    run_starts = starts[np.concatenate(([0], breaks))].tolist()
+    run_ends = reach[np.concatenate((breaks - 1, [starts.size - 1]))].tolist()
+    return [Extent(s, e - s) for s, e in zip(run_starts, run_ends)]
+
+
+def window_union(
+    patterns: Sequence[AccessPattern], senders: Sequence[int], window: Extent
+) -> list[Extent]:
+    """Exact union of the senders' requested blocks inside `window`: the
+    I/O pieces an aggregator writes or reads for one buffer window.  A
+    :class:`~repro.core.pattern_array.PatternArray` supplies its blocks
+    through ``clipped_blocks``."""
+    lo, hi = window.offset, window.end
+    clipped_blocks = getattr(patterns, "clipped_blocks", None)
+    if clipped_blocks is not None:
+        return union_blocks(*clipped_blocks(senders, lo, hi))
+    return union_blocks(
+        *block_arrays(
+            seg for r in senders for seg in patterns[r].clip(lo, hi).segments
+        )
+    )

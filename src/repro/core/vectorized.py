@@ -48,11 +48,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import _round_extent, _union_extents
+from repro.core.engine import _round_extent
 from repro.core.filedomain import rounds_for
 from repro.core.metrics import CollectiveStats
 from repro.core.pattern_array import PatternArray
-from repro.core.request import AccessPattern
+from repro.core.request import AccessPattern, window_union
 
 __all__ = ["run_vectorized_collective", "vectorization_refusal"]
 
@@ -112,7 +112,7 @@ def _collective_time(comm, nbytes_max: int) -> float:
 
 
 def _window_node_traffic(patterns, plan, placement_arr, did, window):
-    """``[(node_id, [per-rank bytes])]`` of the window's senders, by node.
+    """The window's senders and ``[(node_id, [per-rank bytes])]`` by node.
 
     Node ids ascend; sizes inside a node follow rank order — the same
     per-message sequence the per-rank path would emit, grouped by the
@@ -121,32 +121,19 @@ def _window_node_traffic(patterns, plan, placement_arr, did, window):
     lo, hi = window.offset, window.end
     if isinstance(patterns, PatternArray):
         idx = patterns.senders_in(lo, hi)
-        if idx.size == 0:
-            return []
         sizes = patterns.bytes_in_many(idx, lo, hi)
         nodes = placement_arr[idx]
         out = []
         for node_id in np.unique(nodes).tolist():
             out.append((node_id, sizes[nodes == node_id].tolist()))
-        return out
+        return idx, out
     senders = plan.window_senders(did, lo, hi, patterns)
-    if not senders:
-        return []
     by_node: dict[int, list[int]] = {}
     for r in senders:
         by_node.setdefault(int(placement_arr[r]), []).append(
             patterns[r].bytes_in(lo, hi)
         )
-    return sorted(by_node.items())
-
-
-def _window_union(patterns, plan, did, window):
-    """Union of the window senders' requested extents (I/O piece list)."""
-    if isinstance(patterns, PatternArray):
-        idx = patterns.senders_in(window.offset, window.end)
-        return patterns.union_extents(idx, window.offset, window.end)
-    senders = plan.window_senders(did, window.offset, window.end, patterns)
-    return _union_extents(patterns, senders, window)
+    return senders, sorted(by_node.items())
 
 
 def run_vectorized_collective(
@@ -219,7 +206,9 @@ def run_vectorized_collective(
     tracer = env.tracer
 
     def _write_window(did, window, agg_node, paged, paged_wire):
-        traffic = _window_node_traffic(patterns, plan, placement_arr, did, window)
+        senders, traffic = _window_node_traffic(
+            patterns, plan, placement_arr, did, window
+        )
         received = 0
         for node_id, sizes in traffic:
             nbytes = sum(sizes)
@@ -231,17 +220,19 @@ def run_vectorized_collective(
         if received == 0:
             return
         yield from agg_node.memcopy(received, paged=paged)
-        for piece in _window_union(patterns, plan, did, window):
+        for piece in window_union(patterns, senders, window):
             yield from pfs.write_extent(agg_node, piece, None)
             stats.record_bytes(piece.length)
             stats.record_io_extent(piece.offset, piece.length)
 
     def _read_window(did, window, agg_node, paged, paged_wire):
-        traffic = _window_node_traffic(patterns, plan, placement_arr, did, window)
+        senders, traffic = _window_node_traffic(
+            patterns, plan, placement_arr, did, window
+        )
         if not traffic:
             return
         total_read = 0
-        for piece in _window_union(patterns, plan, did, window):
+        for piece in window_union(patterns, senders, window):
             yield from pfs.read_extent(agg_node, piece)
             total_read += piece.length
             stats.record_bytes(piece.length)

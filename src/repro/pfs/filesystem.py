@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.cluster import Node
 from repro.cluster.spec import StorageSpec
-from repro.core.request import AccessPattern, Extent
+from repro.core.request import AccessPattern, Extent, block_arrays
 from repro.sim import Environment
 
 from .datastore import SparseFile
@@ -84,10 +84,6 @@ class RetryPolicy:
         """Delay before retry number `attempt` (1-based), seconds."""
         return min(self.backoff_base * (2.0 ** (attempt - 1)), self.backoff_cap)
 
-#: Above this many blocks, per-server accounting for noncontiguous patterns
-#: switches from exact per-block mapping to an even approximation.
-_EXACT_BLOCK_LIMIT = 65536
-
 
 class ParallelFileSystem:
     """A striped parallel file system on the simulated cluster.
@@ -141,32 +137,10 @@ class ParallelFileSystem:
     # ------------------------------------------------------------------
     def _per_server_plan(self, pattern: AccessPattern) -> list[tuple[int, int, int]]:
         """``(server, nbytes, requests)`` per touched server for a pattern."""
-        if pattern.empty:
-            return []
-        n = self.layout.n_servers
-        nbytes = np.zeros(n, dtype=np.int64)
-        requests = np.zeros(n, dtype=np.int64)
-        if pattern.block_count <= _EXACT_BLOCK_LIMIT:
-            for seg in pattern.segments:
-                for i in range(seg.count):
-                    ext = seg.block_extent(i)
-                    per = self.layout.per_server_bytes(ext)
-                    nbytes += per
-                    requests += per > 0
-        else:
-            # even approximation: blocks and bytes spread over all servers
-            total = pattern.nbytes
-            blocks = pattern.block_count
-            base_b, rem_b = divmod(total, n)
-            base_r, rem_r = divmod(blocks, n)
-            nbytes[:] = base_b
-            nbytes[:rem_b] += 1
-            requests[:] = base_r
-            requests[:rem_r] += 1
+        nbytes, requests = self.layout.server_load(*block_arrays(pattern.segments))
         return [
-            (s, int(nbytes[s]), int(max(1, requests[s])))
-            for s in range(n)
-            if nbytes[s] > 0
+            (s, int(nbytes[s]), int(requests[s]))
+            for s in np.flatnonzero(nbytes).tolist()
         ]
 
     def _extent_plan(self, ext: Extent) -> list[tuple[int, int, int]]:

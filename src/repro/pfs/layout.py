@@ -7,7 +7,8 @@ default striping strategy, 1 MB unit size").
 
 Per-server byte counts for a contiguous extent are computed in
 O(n_servers) arithmetic, not per-stripe loops, so multi-gigabyte domains
-cost nothing to plan.
+cost nothing to plan; a whole block array's exact per-server load is a
+handful of array passes (:meth:`StripeLayout.server_load`).
 """
 
 from __future__ import annotations
@@ -97,6 +98,44 @@ class StripeLayout:
         out[k0 % self.n_servers] -= head_cut
         tail_cut = (k1 + 1) * ss - ext.end
         out[k1 % self.n_servers] -= tail_cut
+        return out
+
+    def server_load(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact per-server ``(nbytes, requests)`` of the int64 blocks
+        ``[starts[i], ends[i])``, one request per block per server it
+        touches: :meth:`per_server_bytes` summed block by block.
+
+        A block adds ``F(end) - F(start)`` bytes (:meth:`_prefix_load`).
+        One spanning ``n_servers`` stripes touches every server; a
+        shorter one the cyclic run from its first stripe's server.
+        """
+        n, ss = self.n_servers, self.stripe_size
+        keep = ends > starts
+        starts, ends = starts[keep], ends[keep]
+        nbytes = self._prefix_load(ends) - self._prefix_load(starts)
+        first = starts // ss
+        n_stripes = (ends - 1) // ss - first + 1
+        short = n_stripes < n
+        lo = first[short] % n
+        diff = np.bincount(lo, minlength=2 * n) - np.bincount(
+            lo + n_stripes[short], minlength=2 * n
+        )
+        touched = np.cumsum(diff)
+        requests = touched[:n] + touched[n:] + int(np.count_nonzero(~short))
+        return nbytes, requests
+
+    def _prefix_load(self, xs: np.ndarray) -> np.ndarray:
+        """Per-server bytes of ``[0, x)`` summed over ``x in xs``: full
+        stripe cycles, whole stripes before the partial one, the partial."""
+        n, ss = self.n_servers, self.stripe_size
+        rem = xs % (ss * n)
+        server = rem // ss
+        out = ss * int((xs // (ss * n)).sum()) + ss * (
+            server.size - np.cumsum(np.bincount(server, minlength=n))
+        )
+        np.add.at(out, server, rem - server * ss)
         return out
 
     def servers_touched(self, ext: Extent) -> list[int]:

@@ -312,11 +312,14 @@ class Process(Event):
             except StopIteration as stop:
                 self._triggered = True
                 self._value = stop.value
+                # break the self-cycle: a finished process dies by refcount
+                self._resume_cb = self._sleep_cb = None
                 self.env._schedule(self, delay=0.0)
                 return
             except BaseException as exc:
                 self._triggered = True
                 self._exception = exc
+                self._resume_cb = self._sleep_cb = None
                 self.env._schedule(self, delay=0.0)
                 if not self.callbacks:
                     # Nobody is joining this process: surface the crash
@@ -360,12 +363,14 @@ class Process(Event):
             self._target = None
             self._triggered = True
             self._value = stop.value
+            self._resume_cb = self._sleep_cb = None
             self.env._schedule(self, delay=0.0)
             return
         except BaseException as exc:
             self._target = None
             self._triggered = True
             self._exception = exc
+            self._resume_cb = self._sleep_cb = None
             self.env._schedule(self, delay=0.0)
             if not self.callbacks:
                 self.env._crashed.append((self, exc))

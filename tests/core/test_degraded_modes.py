@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-import repro.core.engine as engine_mod
 from repro.cluster.background import BackgroundLoad
-from repro.core import MCIOConfig, MemoryConsciousCollectiveIO
+from repro.core import (
+    ConservationAuditor,
+    MCIOConfig,
+    MemoryConsciousCollectiveIO,
+    TwoPhaseCollectiveIO,
+    TwoPhaseConfig,
+)
 from repro.core.aggregator_selection import PlacementError
-from repro.core.request import AccessPattern, StridedSegment
+from repro.core.request import AccessPattern, Extent, StridedSegment
 from repro.faults import FaultInjector, FaultSchedule
 
 from tests.helpers import make_stack, rank_payload
@@ -141,30 +146,50 @@ class TestFallbackChain:
         verify_contiguous(stack, payloads, self.WIDTH)
 
 
-class TestUnionBlockLimit:
-    def test_covering_extent_fallback_preserves_data(self, monkeypatch):
-        """Forcing the per-round union past the limit must only cost
-        accuracy of the I/O accounting, never correctness."""
-        monkeypatch.setattr(engine_mod, "_UNION_BLOCK_LIMIT", 2)
+class TestExactUnionAtScale:
+    def test_large_window_union_is_exact(self):
+        """One lockstep window of 240,000 interleaved blocks with a hole:
+        the aggregator writes exactly the requested bytes, never a
+        covering extent over the hole, and the data round-trips."""
         stack = make_stack()
-        engine = make_engine(stack)
-        chunk, blocks = 4 * KIB, 16
         n = stack.comm.size
+        chunk, count, hole = 4, 10_000, 4 * KIB
+        period = n * chunk * count
 
         def pattern(rank):
-            return AccessPattern(
-                (StridedSegment(rank * chunk, chunk, n * chunk, blocks),)
-            )
+            # two tiled runs of `count` blocks per rank, `hole` bytes apart
+            return AccessPattern((
+                StridedSegment(rank * chunk, chunk, n * chunk, count),
+                StridedSegment(
+                    period + hole + rank * chunk, chunk, n * chunk, count
+                ),
+            ))
 
+        assert n * pattern(0).block_count > 200_000
+        # one aggregator whose buffer holds the whole file region: a
+        # single window carries every block
+        engine = TwoPhaseCollectiveIO(
+            stack.comm, stack.pfs,
+            TwoPhaseConfig(cb_buffer_size=4 * period, cb_nodes=1),
+        )
+        auditor = ConservationAuditor()
+        auditor.attach(engine)
         payloads = roundtrip_write(stack, engine, pattern)
+
+        stats = engine.history[-1]
+        assert stats.total_bytes == 2 * period
+        assert auditor.records[-1].extents == [
+            Extent(0, period),
+            Extent(period + hole, period),
+        ]
+        # rank r owns block r of every n-block period, in both runs
+        want = np.empty((2 * count, n, chunk), dtype=np.uint8)
         for rank, payload in payloads.items():
-            for i in range(blocks):
-                got = stack.pfs.datastore.read(
-                    rank * chunk + i * n * chunk, chunk
-                )
-                np.testing.assert_array_equal(
-                    got, payload[i * chunk:(i + 1) * chunk]
-                )
+            want[:, rank, :] = payload.reshape(2 * count, chunk)
+        want = want.reshape(2, period)
+        store = stack.pfs.datastore
+        np.testing.assert_array_equal(store.read(0, period), want[0])
+        np.testing.assert_array_equal(store.read(period + hole, period), want[1])
 
 
 class TestChaosDeterminism:

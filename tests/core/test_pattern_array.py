@@ -1,10 +1,11 @@
 """PatternArray vs generic AccessPattern code paths.
 
 The array type promises pure speed: every planner question it answers
-(`senders_in`, byte counts, extent unions, group division, plan
-building, aggregator candidate hosts) must return exactly what the
-generic per-pattern walk returns for the equivalent
-``list[AccessPattern]``.  These tests pin that equivalence.
+(`senders_in`, byte counts, group division, plan building, aggregator
+candidate hosts) must return exactly what the generic per-pattern walk
+returns for the equivalent ``list[AccessPattern]``.  These tests pin
+that equivalence; the window union both routes share is pinned in
+``test_extent_kernel.py``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.aggregator_selection import candidate_hosts
-from repro.core.engine import ExecutionPlan, _union_extents
+from repro.core.engine import ExecutionPlan
 from repro.core.group_division import divide_groups
 from repro.core.pattern_array import PatternArray
-from repro.core.request import AccessPattern, Extent
+from repro.core.request import AccessPattern, Extent, window_union
 
 
 def materialize(pa: PatternArray) -> list[AccessPattern]:
@@ -147,31 +148,13 @@ def test_senders_and_byte_counts_match_generic():
             assert pa.sum_bytes_in(lo, hi, ranks=[]) == 0, name
 
 
-def test_union_extents_matches_engine_union():
-    for name, pa in assorted_arrays():
-        pats = materialize(pa)
-        for lo, hi in windows_for(pa):
-            senders = pa.senders_in(lo, hi).tolist()
-            want = _union_extents(pats, senders, Extent(lo, hi - lo))
-            got = pa.union_extents(senders, lo, hi)
-            assert got == want, f"{name} union({lo},{hi})"
-
-
 def test_union_merges_touching_blocks():
     # ranks 0 and 1 touch exactly at 100; rank 2 is disjoint
     pa = PatternArray([0, 100, 500], [100, 50, 10])
-    assert pa.union_extents([0, 1, 2], 0, 1000) == [
+    assert window_union(pa, [0, 1, 2], Extent(0, 1000)) == [
         Extent(0, 150),
         Extent(500, 10),
     ]
-
-
-def test_union_block_limit_collapses_to_covering_extent(monkeypatch):
-    import repro.core.pattern_array as pa_mod
-
-    monkeypatch.setattr(pa_mod, "_UNION_BLOCK_LIMIT", 3)
-    pa = PatternArray([0, 10, 20, 30, 40], [5, 5, 5, 5, 5])
-    assert pa.union_extents(range(5), 0, 100) == [Extent(0, 45)]
 
 
 # ---------------------------------------------------------------------------

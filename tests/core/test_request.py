@@ -89,13 +89,6 @@ class TestStridedSegment:
         with pytest.raises(ValueError):
             StridedSegment(0, 8, 4, 2)  # stride < block
 
-    def test_block_extent(self):
-        s = StridedSegment(10, 4, 10, 3)
-        assert s.block_extent(0) == Extent(10, 4)
-        assert s.block_extent(2) == Extent(30, 4)
-        with pytest.raises(IndexError):
-            s.block_extent(3)
-
     def test_iter_extents(self):
         s = StridedSegment(0, 2, 5, 3)
         assert list(s.iter_extents()) == [Extent(0, 2), Extent(5, 2), Extent(10, 2)]

@@ -92,6 +92,26 @@ def test_noncontiguous_pattern_pays_per_block_overhead():
     assert t == pytest.approx(11.0, rel=1e-3)
 
 
+def test_pattern_on_one_server_is_charged_exactly_at_scale():
+    """70,000 blocks that all stripe onto server 0: every block is a
+    request on that server, however many blocks the pattern has."""
+    env, cluster, pfs = make_pfs(servers=4, request_overhead=1.0, stripe_size=100)
+    node = cluster.nodes[0]
+    count = 70_000
+    pattern = AccessPattern((StridedSegment(0, 10, 100 * 4, count),))
+
+    def proc():
+        yield from pfs.write_pattern(node, pattern)
+        return env.now
+
+    t = run(env, proc())
+    # count requests x 1 s + 10 * count B / 100 B/s, all on one server
+    assert t == pytest.approx(count * 1.0 + 10 * count / 100.0, rel=1e-9)
+    assert pfs.server_stats() == [
+        (0, 10 * count, count), (1, 0, 0), (2, 0, 0), (3, 0, 0)
+    ]
+
+
 def test_contiguous_beats_noncontiguous_same_bytes():
     """The core premise: merged large requests are faster than many small."""
 

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.core.request import Extent
+from repro.core.request import Extent, StridedSegment, block_arrays
 from repro.pfs import StripeLayout
 
 
@@ -92,3 +92,60 @@ class TestPerServerBytes:
         for b in range(offset, offset + length):
             truth[(b // stripe) % n] += 1
         assert (per == truth).all()
+
+
+def per_block_load(lay, segments):
+    """Reference: per-server bytes and requests summed block by block."""
+    nbytes = np.zeros(lay.n_servers, dtype=np.int64)
+    requests = np.zeros(lay.n_servers, dtype=np.int64)
+    for seg in segments:
+        for ext in seg.iter_extents():
+            per = lay.per_server_bytes(ext)
+            nbytes += per
+            requests += per > 0
+    return nbytes, requests
+
+
+class TestServerLoad:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stripe=st.integers(1, 64),
+        n=st.integers(1, 9),
+        geometry=st.lists(
+            st.tuples(
+                st.integers(0, 3000),         # offset
+                st.integers(1, 700),          # block: up to ~n stripes and past
+                st.sampled_from([0, 0, 1, 50, 333]),  # stride - block
+                st.integers(1, 20),           # count
+            ),
+            max_size=5,
+        ),
+    )
+    def test_matches_per_block_loop(self, stripe, n, geometry):
+        lay = StripeLayout(stripe, n)
+        segs = [
+            StridedSegment(off, block, block + gap, count)
+            for off, block, gap, count in geometry
+        ]
+        nbytes, requests = lay.server_load(*block_arrays(segs))
+        want_bytes, want_requests = per_block_load(lay, segs)
+        assert nbytes.tolist() == want_bytes.tolist()
+        assert requests.tolist() == want_requests.tolist()
+
+    def test_contiguous_train_counts_every_block(self):
+        """``stride == block`` touches like one run but costs ``count``
+        requests: the blocks are never merged."""
+        lay = StripeLayout(100, 4)
+        seg = StridedSegment(0, 50, 50, 8)   # 400 B over 4 stripes
+        nbytes, requests = lay.server_load(*block_arrays([seg]))
+        assert nbytes.tolist() == [100, 100, 100, 100]
+        assert requests.tolist() == [2, 2, 2, 2]
+
+    def test_block_spanning_every_server(self):
+        lay = StripeLayout(10, 3)
+        nbytes, requests = lay.server_load(
+            np.array([5, 0]), np.array([75, 0])
+        )
+        # stripes 0..7, partial at both ends; the empty block is ignored
+        assert nbytes.tolist() == [25, 25, 20]
+        assert requests.tolist() == [1, 1, 1]
