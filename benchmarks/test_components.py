@@ -10,6 +10,8 @@ import numpy as np
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, block_placement
 from repro.core import MCIOConfig, MemoryConsciousCollectiveIO, TwoPhaseCollectiveIO
+from repro.core.engine import ExecutionPlan
+from repro.core.filedomain import FileDomain, even_domains
 from repro.core.group_division import divide_groups
 from repro.core.partition_tree import PartitionTree
 from repro.core.request import AccessPattern, Extent, StridedSegment, window_union
@@ -82,6 +84,24 @@ def test_group_division_1080_ranks(benchmark):
                                  stripe_size=1 << 20))
 
     assert benchmark(run) > 1
+
+
+def test_execution_plan_build_1080_ranks(benchmark):
+    """Sender lists for the Figure 8 interleaved IOR pattern: 1080
+    ranks, 90 domains, each rank's blocks in only a few of them."""
+    workload = IORWorkload(n_ranks=1080, block_size=1 << 19, segments=2)
+    patterns = workload.patterns()
+    lo = min(p.start for p in patterns)
+    hi = max(p.end for p in patterns)
+    domains = [
+        FileDomain(extent, aggregator_rank=i * 12, buffer_bytes=4 << 20)
+        for i, extent in enumerate(even_domains(lo, hi, 90, 1 << 20))
+    ]
+
+    def run():
+        return sum(map(len, ExecutionPlan.build(domains, patterns).senders))
+
+    assert benchmark(run) >= 1080
 
 
 def test_mcio_planning_120_ranks(benchmark):

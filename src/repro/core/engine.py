@@ -38,6 +38,7 @@ the node-level driver (:mod:`repro.core.vectorized`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ from repro.core.borrow import (
 from repro.core.failover import replace_failed_domains
 from repro.core.filedomain import FileDomain, rounds_for
 from repro.core.metrics import StatsCollector
-from repro.core.request import AccessPattern, Extent, window_union
+from repro.core.request import AccessPattern, Extent, block_arrays, window_union
 from repro.mpi.comm import RankContext, SimComm
 from repro.obs.tracer import PID_PIPELINE
 from repro.pfs.filesystem import ParallelFileSystem
@@ -74,6 +75,9 @@ class ExecutionPlan:
         # per-(domain, window) sender memo, shared by every rank running
         # this plan (the instance is shared across the whole collective)
         object.__setattr__(self, "_window_senders", {})
+        # rank -> domains it sends to; built on the first per-rank lookup
+        # (the vectorized driver never asks, so never pays for it)
+        object.__setattr__(self, "_member_domains", None)
 
     def window_senders(
         self, did: int, lo: int, hi: int, patterns: Sequence[AccessPattern]
@@ -113,6 +117,19 @@ class ExecutionPlan:
             cached = self._window_senders[key]
         return rank in cached[1]
 
+    def member_domains(self, rank: int) -> tuple[int, ...]:
+        """Ascending ids of the domains `rank` sends to: the exact inverse
+        of ``senders``, indexed for every rank on the first call."""
+        index = self._member_domains
+        if index is None:
+            lists: dict[int, list[int]] = {}
+            for did, ranks in enumerate(self.senders):
+                for r in ranks:
+                    lists.setdefault(r, []).append(did)
+            index = {r: tuple(dids) for r, dids in lists.items()}
+            object.__setattr__(self, "_member_domains", index)
+        return index.get(rank, ())
+
     @classmethod
     def build(
         cls,
@@ -131,14 +148,7 @@ class ExecutionPlan:
                 for d in domains
             )
         else:
-            senders = tuple(
-                tuple(
-                    r
-                    for r, p in enumerate(patterns)
-                    if p.bytes_in(d.extent.offset, d.extent.end) > 0
-                )
-                for d in domains
-            )
+            senders = _sweep_senders(domains, patterns)
         return cls(tuple(domains), senders, n_groups)
 
     @property
@@ -146,14 +156,61 @@ class ExecutionPlan:
         """Distinct aggregator ranks, sorted."""
         return tuple(sorted({d.aggregator_rank for d in self.domains}))
 
-    @property
+    @cached_property
     def ntimes(self) -> int:
         """Global round count (max over domains), ROMIO's ``ntimes``."""
-        if not self.domains:
-            return 0
         return max(
-            rounds_for(d.extent.length, d.buffer_bytes) for d in self.domains
+            (rounds_for(d.extent.length, d.buffer_bytes) for d in self.domains),
+            default=0,
         )
+
+    @cached_property
+    def half_ntimes(self) -> int:
+        """Sub-round count of the pipelined executor (half-sized windows)."""
+        return max(
+            (
+                rounds_for(d.extent.length, (d.buffer_bytes + 1) // 2)
+                for d in self.domains
+            ),
+            default=0,
+        )
+
+
+def _sweep_senders(
+    domains: Sequence[FileDomain], patterns: Sequence[AccessPattern]
+) -> tuple[tuple[int, ...], ...]:
+    """``senders`` for per-rank file views, one rank at a time: each
+    rank's blocks are mapped onto the sorted domain bounds by binary
+    search, so a rank costs its own block count, not one probe per
+    domain.  Zero-length domains get no senders; overlapping domains are
+    rejected (a byte must have exactly one aggregator)."""
+    order = sorted(
+        (did for did, d in enumerate(domains) if d.extent.length > 0),
+        key=lambda did: domains[did].extent.offset,
+    )
+    lo = np.array([domains[did].extent.offset for did in order], dtype=np.int64)
+    hi = np.array([domains[did].extent.end for did in order], dtype=np.int64)
+    if np.any(lo[1:] < hi[:-1]):
+        raise ValueError("execution plan domains overlap")
+    n = len(order)
+    senders: list[list[int]] = [[] for _ in domains]
+    for rank, pattern in enumerate(patterns):
+        if n == 0 or pattern.empty:
+            continue
+        starts, ends = block_arrays(pattern.segments)
+        # block i touches sorted domains first[i] .. last[i] - 1
+        first = np.searchsorted(hi, starts, side="right")
+        last = np.searchsorted(lo, ends, side="left")
+        hit = last > first
+        if not hit.any():
+            continue
+        depth = np.cumsum(
+            np.bincount(first[hit], minlength=n + 1)
+            - np.bincount(last[hit], minlength=n + 1)
+        )
+        for k in np.flatnonzero(depth[:n]).tolist():
+            senders[order[k]].append(rank)
+    return tuple(tuple(ranks) for ranks in senders)
 
 
 def _round_extent(domain: FileDomain, t: int) -> Optional[Extent]:
@@ -194,7 +251,7 @@ class _RunContext:
     __slots__ = (
         "ctx", "comm", "pfs", "plan", "patterns", "stats", "op", "op_seq",
         "payload", "node", "domains", "allocs", "paged_flags",
-        "failover_config", "borrow",
+        "failover_config", "borrow", "walk",
     )
 
     def __init__(self, ctx, comm, pfs, plan, patterns, stats, op, op_seq, payload):
@@ -217,6 +274,25 @@ class _RunContext:
         self.failover_config = None
         #: Active :class:`~repro.core.borrow.BorrowSession`, or None.
         self.borrow = None
+        #: Cached :func:`_walk` result; failover resets it to None.
+        self.walk: Optional[list[int]] = None
+
+
+def _walk(run: _RunContext) -> list[int]:
+    """Ascending ids of the domains this rank sends to or aggregates.
+
+    These are the only domains where a per-rank loop can spawn work, so
+    the loops visit nothing else; ascending order keeps spawn order (and
+    so the schedule) identical to a walk over every domain.
+    """
+    if run.walk is None:
+        rank = run.ctx.rank
+        mine = set(run.plan.member_domains(rank))
+        mine.update(
+            did for did, d in enumerate(run.domains) if d.aggregator_rank == rank
+        )
+        run.walk = sorted(mine)
+    return run.walk
 
 
 def execute_collective(
@@ -327,7 +403,8 @@ def execute_collective(
         )
     try:
         # allocate this rank's aggregation buffers for the whole operation
-        for did, domain in enumerate(run.domains):
+        for did in _walk(run):
+            domain = run.domains[did]
             if domain.aggregator_rank != ctx.rank:
                 continue
             if borrow is not None and domain.lender_node is not None:
@@ -404,7 +481,8 @@ def _run_lockstep(run: _RunContext):
             if run.failover_config is not None:
                 yield from _failover_check(run, t)
             procs = []
-            for did, domain in enumerate(run.domains):
+            for did in _walk(run):
+                domain = run.domains[did]
                 window = _round_extent(domain, t)
                 if window is None:
                     continue
@@ -479,6 +557,7 @@ def _failover_check(run: _RunContext, t: int):
             ctx.node.memory.free(run.allocs.pop(did))
             run.paged_flags.pop(did, None)
         run.domains[did] = new
+        run.walk = None
         if new.aggregator_rank == ctx.rank:
             _alloc_aggregator_buffer(run, did, new)
             run.stats.record_failover()
@@ -547,13 +626,7 @@ def _run_pipelined(run: _RunContext, failover_config):
     env = ctx.env
     tracer = env.tracer
     pid = comm.placement[ctx.rank]
-    ntimes = max(
-        (
-            rounds_for(d.extent.length, (d.buffer_bytes + 1) // 2)
-            for d in run.domains
-        ),
-        default=0,
-    )
+    ntimes = plan.half_ntimes
     #: (did, window) -> in-flight background PFS-service process
     service: dict[tuple[int, int], object] = {}
     degraded = False
@@ -579,7 +652,8 @@ def _run_pipelined(run: _RunContext, failover_config):
             if degraded and run.failover_config is not None:
                 yield from _failover_check(run, t)
             procs = []
-            for did, domain in enumerate(run.domains):
+            for did in _walk(run):
+                domain = run.domains[did]
                 window = _half_round_extent(domain, t)
                 if window is None:
                     continue
@@ -750,9 +824,10 @@ def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
 # ---------------------------------------------------------------------------
 def _run_streaming(run: _RunContext):
     ctx = run.ctx
-    my_pattern = run.patterns[ctx.rank]
+    members = set(run.plan.member_domains(ctx.rank))
     procs = []
-    for did, domain in enumerate(run.domains):
+    for did in _walk(run):
+        domain = run.domains[did]
         if domain.aggregator_rank == ctx.rank:
             procs.append(
                 ctx.spawn(
@@ -760,7 +835,7 @@ def _run_streaming(run: _RunContext):
                     name=f"rank{ctx.rank}.agg{did}",
                 )
             )
-        if my_pattern.bytes_in(domain.extent.offset, domain.extent.end) > 0:
+        if did in members:
             procs.append(
                 ctx.spawn(
                     _member_exchange(run, did, domain.extent, 0),

@@ -322,12 +322,20 @@ class SimComm:
     # collectives (metadata plane)
     # ------------------------------------------------------------------
     def _collective(
-        self, ctx: RankContext, op: str, group: Optional[CommGroup], value: Any, nbytes: int
+        self,
+        ctx: RankContext,
+        op: str,
+        group: Optional[CommGroup],
+        value: Any,
+        nbytes: int,
+        ordered: bool = False,
     ):
         """Shared rendezvous machinery for all collectives.
 
         Returns the dict of all participants' deposited values (keyed by
         rank), after charging a binomial-tree latency + metadata transfer.
+        With `ordered`, returns them instead as one list in group rank
+        order, built once per rendezvous and shared by every participant.
         """
         grp = group if group is not None else self.world
         if ctx.rank not in grp:
@@ -352,6 +360,8 @@ class SimComm:
             latency = self.cluster.spec.node.nic_latency
             t = hops * (latency + state.nbytes_max / self.metadata_bandwidth)
             values = state.values
+            if ordered:
+                values = [values[r] for r in grp.ranks]
 
             def _complete(env, event, result, delay):
                 yield env.sleep(delay)
@@ -414,10 +424,17 @@ class SimComm:
         group: Optional[CommGroup] = None,
         nbytes: int = 64,
     ):
-        """Process generator: every rank returns the list of all values."""
-        grp = group if group is not None else self.world
-        values = yield from self._collective(ctx, "allgather", group, value, nbytes)
-        return [values[r] for r in grp.ranks]
+        """Process generator: every rank returns the list of all values.
+
+        The list (group rank order) is built once per rendezvous and is
+        the same object on every rank of the group: read it, never
+        mutate it.
+        """
+        return (
+            yield from self._collective(
+                ctx, "allgather", group, value, nbytes, ordered=True
+            )
+        )
 
     def alltoall(
         self,

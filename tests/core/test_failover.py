@@ -177,3 +177,71 @@ class TestFailoverEndToEnd:
         assert a.failovers == 0
         assert a.elapsed == b.elapsed
         assert a.rounds_total == b.rounds_total
+
+
+class TestFailoverPromotesOutsider:
+    """A rank promoted to aggregate a domain it neither sent to nor
+    aggregated must pick that domain up in its per-rank round walk."""
+
+    def test_promoted_rank_runs_remaining_windows(self, monkeypatch):
+        from repro.core import ConservationAuditor
+        from repro.core import engine as engine_mod
+
+        stack = make_stack(memory_bytes=3 * 10**6)
+        engine = MemoryConsciousCollectiveIO(
+            stack.comm, stack.pfs,
+            MCIOConfig(msg_ind=4 * MIB, mem_min=0, nah=4,
+                       cb_buffer_size=64 * KIB, failover=True,
+                       fallback_chain=True),
+        )
+        auditor = ConservationAuditor(cluster=stack.cluster).attach(engine)
+        injector = FaultInjector(
+            stack.env, stack.cluster, stack.pfs,
+            FaultSchedule([FaultEvent(time=0.05, kind="node_failure",
+                                      target=0, magnitude=16.0)]),
+        )
+        injector.start()
+        # contiguous 1 MiB per rank: the domain hosted on node 0 holds
+        # only node-0 ranks' bytes, so its replacement host sends nothing
+        # to it
+        patterns = [
+            AccessPattern.contiguous(r * MIB, MIB)
+            for r in range(stack.comm.size)
+        ]
+        payloads = [rank_payload(r, MIB) for r in range(stack.comm.size)]
+
+        walks: dict[int, list[tuple[int, ...]]] = {}
+        real_walk = engine_mod._walk
+
+        def spy(run):
+            walk = real_walk(run)
+            walks.setdefault(run.ctx.rank, []).append(tuple(walk))
+            return walk
+
+        monkeypatch.setattr(engine_mod, "_walk", spy)
+
+        def main(ctx):
+            yield from engine.write(ctx, patterns[ctx.rank], payloads[ctx.rank].copy())
+
+        stack.run_spmd(main)
+        injector.stop()
+        stats = engine.history[-1]
+
+        assert stats.failovers == 1
+        assert stats.extra["failover_rounds"] == [1]
+        (promoted,) = stats.extra["failover_targets"]
+        moved = 0  # the domain aggregated on failed node 0
+        assert promoted == 8 and stack.comm.placement[promoted] != 0
+        # before the move the promoted rank had no business with it ...
+        assert moved not in walks[promoted][0]
+        # ... after the move its invalidated walk includes it
+        assert moved in walks[promoted][-1]
+        # every byte reached storage, nothing leaked
+        auditor.verify(patterns)
+        for rank, payload in enumerate(payloads):
+            np.testing.assert_array_equal(
+                stack.pfs.datastore.read(rank * MIB, MIB), payload
+            )
+        # the simulated schedule is the one the full per-domain walk gave
+        assert repr(stats.elapsed) == "6.237371023999998"
+        assert stats.rounds_total == 20

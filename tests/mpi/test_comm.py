@@ -289,3 +289,31 @@ def test_determinism_same_seed_same_times():
 
     assert run() == run()
 
+
+
+def test_allgather_result_shared_once_per_rendezvous():
+    """Every rank of a group gets the same list object, in group rank
+    order; a later allgather never aliases an earlier one's result."""
+    env, cluster, comm = make_comm(n_ranks=6, n_nodes=2, cores=4)
+    groups = [comm.group([4, 0, 2]), comm.group([1, 3, 5])]
+
+    def main(ctx):
+        world_a = yield from comm.allgather(ctx, ("a", ctx.rank))
+        world_b = yield from comm.allgather(ctx, ("b", ctx.rank))
+        grp = groups[0] if ctx.rank in groups[0] else groups[1]
+        sub = yield from comm.allgather(ctx, ctx.rank * 10, group=grp)
+        return world_a, world_b, sub
+
+    results = comm.run_spmd(main)
+    world_a = [r[0] for r in results]
+    world_b = [r[1] for r in results]
+    assert all(x is world_a[0] for x in world_a)
+    assert all(x is world_b[0] for x in world_b)
+    assert world_a[0] is not world_b[0]
+    assert world_a[0] == [("a", r) for r in range(6)]
+    assert world_b[0] == [("b", r) for r in range(6)]
+    for grp in groups:
+        subs = [results[r][2] for r in grp.ranks]
+        assert all(x is subs[0] for x in subs)
+        assert subs[0] == [r * 10 for r in grp.ranks]
+    assert results[0][2] is not results[1][2]
