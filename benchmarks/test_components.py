@@ -14,6 +14,7 @@ from repro.core.engine import ExecutionPlan
 from repro.core.filedomain import FileDomain, even_domains
 from repro.core.group_division import divide_groups
 from repro.core.partition_tree import PartitionTree
+from repro.core.pattern_array import FileViewIndex
 from repro.core.request import AccessPattern, Extent, StridedSegment, window_union
 from repro.mpi import SimComm, subarray_view_3d
 from repro.pfs import ParallelFileSystem
@@ -61,6 +62,31 @@ def test_window_union_million_blocks(benchmark):
         return len(window_union(patterns, range(n), window))
 
     assert benchmark(run) == count
+
+
+def test_file_view_queries(benchmark):
+    """The planner's and the drivers' window queries over the
+    fig6-collperf views (coll_perf 128x128x1024 x 4 B on 120 ranks):
+    index the views once, grow one partition tree on the group-bytes
+    query, then take every leaf's senders and window union."""
+    patterns = CollPerfWorkload(array_shape=(128, 128, 1024), n_ranks=120).patterns()
+    lo = min(p.start for p in patterns)
+    region = Extent(lo, max(p.end for p in patterns) - lo)
+
+    def run():
+        views = FileViewIndex(patterns)
+        tree = PartitionTree(
+            region, views.sum_bytes_in, msg_ind=1 << 20, stripe_size=1 << 16
+        )
+        covered = 0
+        for leaf in tree.leaves():
+            window = leaf.extent
+            senders = views.senders_in(window.offset, window.end)
+            covered += sum(e.length for e in window_union(views, senders, window))
+        return tree.n_leaves, covered
+
+    # the array tiles the file: every leaf's union is the whole leaf
+    assert benchmark(run) == (64, region.length)
 
 
 def test_partition_tree_build(benchmark):

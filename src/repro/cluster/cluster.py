@@ -41,8 +41,12 @@ class Cluster:
         self.env = env
         self.spec = spec
         self.rng = rng if rng is not None else RngFactory(0)
+        self._failed_ids: set[int] = set()
         self.nodes = [
-            Node(env, node_id=i, spec=spec.node, paging_penalty=spec.paging_penalty)
+            Node(
+                env, node_id=i, spec=spec.node,
+                paging_penalty=spec.paging_penalty, failed_ids=self._failed_ids,
+            )
             for i in range(spec.nodes)
         ]
         self.network = Network(
@@ -57,6 +61,16 @@ class Cluster:
     def node_of(self, node_id: int) -> Node:
         """Return the node with the given id."""
         return self.nodes[node_id]
+
+    @property
+    def any_failed(self) -> bool:
+        """True while at least one node is failed — O(1), no node scan."""
+        return bool(self._failed_ids)
+
+    @property
+    def failed_node_ids(self) -> frozenset:
+        """Ids of the currently failed nodes."""
+        return frozenset(self._failed_ids)
 
     # ------------------------------------------------------------------
     # memory availability (the paper's variance environment)

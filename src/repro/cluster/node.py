@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.sim import Environment, Resource
 
 from .memory import MemoryModel
@@ -30,6 +32,7 @@ class Node:
         node_id: int,
         spec: NodeSpec,
         paging_penalty: float = 4.0,
+        failed_ids: Optional[set] = None,
     ):
         self.env = env
         self.node_id = int(node_id)
@@ -47,6 +50,9 @@ class Node:
         #: times the healthy speed, and planners/failover must avoid it.
         self.failed = False
         self.failure_slowdown = 1.0
+        #: Ids of the failed nodes of this node's cluster (a set shared by
+        #: every node of it), kept exact by :meth:`fail` / :meth:`recover`.
+        self._failed_ids = failed_ids if failed_ids is not None else set()
 
     def fail(self, slowdown: float = 16.0) -> None:
         """Mark this host failed; local memory traffic slows by `slowdown`."""
@@ -54,11 +60,13 @@ class Node:
             raise ValueError("failure slowdown must be >= 1.0")
         self.failed = True
         self.failure_slowdown = float(slowdown)
+        self._failed_ids.add(self.node_id)
 
     def recover(self) -> None:
         """Return the host to healthy operation."""
         self.failed = False
         self.failure_slowdown = 1.0
+        self._failed_ids.discard(self.node_id)
 
     @property
     def channel_bandwidth(self) -> float:

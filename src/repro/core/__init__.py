@@ -26,6 +26,7 @@ from .independent import DataSievingIO, IndependentIO
 from .mcio import MemoryConsciousCollectiveIO
 from .metrics import CollectiveStats, StatsCollector
 from .partition_tree import PartitionNode, PartitionTree
+from .pattern_array import FileViewIndex, FileViews, PatternArray, file_views
 from .persistent import PersistentCollective
 from .plan_cache import PlanCache, PlanCacheStats
 from .request import AccessPattern, Extent, StridedSegment, coalesce_extents
@@ -46,11 +47,14 @@ __all__ = [
     "Extent",
     "FailoverDecision",
     "FileDomain",
+    "FileViewIndex",
+    "FileViews",
     "IndependentIO",
     "MCIOConfig",
     "MemoryConsciousCollectiveIO",
     "PartitionNode",
     "PartitionTree",
+    "PatternArray",
     "PersistentCollective",
     "PlacementError",
     "PlanCache",
@@ -66,6 +70,7 @@ __all__ = [
     "divide_groups",
     "even_domains",
     "execute_collective",
+    "file_views",
     "place_aggregators",
     "replace_failed_domains",
     "rounds_for",

@@ -35,12 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.core.config import MCIOConfig
 from repro.core.filedomain import FileDomain
 from repro.core.partition_tree import PartitionTree
-from repro.core.pattern_array import PatternArray
+from repro.core.pattern_array import FileViews, file_views
 from repro.core.request import AccessPattern, Extent
 
 __all__ = ["PlacementError", "place_aggregators", "candidate_hosts"]
@@ -84,30 +82,24 @@ def candidate_hosts(
     Returns
     -------
     dict
-        ``host node id -> ranks of that host with data in the domain``
-        (rank-ordered).
+        ``host node id -> ranks of that host with data in the domain``,
+        restricted to `ranks` (rank-ordered).
     """
-    lo, hi = domain.offset, domain.end
+    views = file_views(patterns)
+    eligible = None if len(ranks) == len(views) else frozenset(ranks)
+    return _candidate_hosts(domain, eligible, views, placement)
+
+
+def _candidate_hosts(
+    domain: Extent,
+    eligible: Optional[frozenset],
+    views: FileViews,
+    placement: Sequence[int],
+) -> dict[int, list[int]]:
+    """:func:`candidate_hosts` over the ranks in `eligible` (None: all)."""
     hosts: dict[int, list[int]] = {}
-    if isinstance(patterns, PatternArray):
-        # vectorized membership test, then intersect with the group's
-        # ranks (ascending both ways, so rank order is preserved); a
-        # group spanning every rank needs no intersection at all
-        inside = patterns.senders_in(lo, hi)
-        if len(ranks) == len(patterns):
-            members = inside
-        else:
-            members = np.intersect1d(
-                inside, np.asarray(ranks, dtype=np.int64), assume_unique=True
-            )
-        for r in members.tolist():
-            hosts.setdefault(placement[r], []).append(r)
-        return hosts
-    for r in ranks:
-        p = patterns[r]
-        if p.empty or p.start >= hi or p.end <= lo:
-            continue
-        if p.bytes_in(lo, hi) > 0:
+    for r in views.senders_in(domain.offset, domain.end).tolist():
+        if eligible is None or r in eligible:
             hosts.setdefault(placement[r], []).append(r)
     return hosts
 
@@ -163,6 +155,8 @@ def place_aggregators(
     list of FileDomain
         One per surviving leaf, in file order.
     """
+    views = file_views(patterns)
+    eligible = None if len(ranks) == len(views) else frozenset(ranks)
     if host_state is None:
         host_state = {}
     for node, avail in memory_available.items():
@@ -177,8 +171,8 @@ def place_aggregators(
     max_passes = tree.n_leaves + 1
     for _ in range(max_passes):
         result = _try_assign(
-            tree, group_id, ranks, patterns, placement, host_state, config,
-            cand_cache, local_cache,
+            tree, group_id, ranks, eligible, views, placement, host_state,
+            config, cand_cache, local_cache,
         )
         if result is not None:
             domains, tentative = result
@@ -246,7 +240,8 @@ def _try_assign(
     tree: PartitionTree,
     group_id: int,
     ranks: Sequence[int],
-    patterns: Sequence[AccessPattern],
+    eligible: Optional[frozenset],
+    views: FileViews,
     placement: Sequence[int],
     base_state: Mapping[int, "_HostState"],
     config: MCIOConfig,
@@ -276,8 +271,8 @@ def _try_assign(
         cand_key = (domain.offset, domain.end)
         candidates = cand_cache.get(cand_key)
         if candidates is None:
-            candidates = cand_cache[cand_key] = candidate_hosts(
-                domain, ranks, patterns, placement
+            candidates = cand_cache[cand_key] = _candidate_hosts(
+                domain, eligible, views, placement
             )
         if not candidates:
             # a domain with no requesting process can appear when the
@@ -310,16 +305,9 @@ def _try_assign(
                 key = (domain.offset, domain.end, node)
                 total = local_cache.get(key)
                 if total is None:
-                    if isinstance(patterns, PatternArray):
-                        total = patterns.sum_bytes_in(
-                            domain.offset, domain.end, candidates[node]
-                        )
-                    else:
-                        total = sum(
-                            patterns[r].bytes_in(domain.offset, domain.end)
-                            for r in candidates[node]
-                        )
-                    local_cache[key] = total
+                    total = local_cache[key] = views.sum_bytes_in(
+                        domain.offset, domain.end, candidates[node]
+                    )
                 return total
 
             pool = satisfied

@@ -52,7 +52,8 @@ from repro.core.borrow import (
 from repro.core.failover import replace_failed_domains
 from repro.core.filedomain import FileDomain, rounds_for
 from repro.core.metrics import StatsCollector
-from repro.core.request import AccessPattern, Extent, block_arrays, window_union
+from repro.core.pattern_array import FileViews, file_views
+from repro.core.request import AccessPattern, Extent, window_union
 from repro.mpi.comm import RankContext, SimComm
 from repro.obs.tracer import PID_PIPELINE
 from repro.pfs.filesystem import ParallelFileSystem
@@ -72,50 +73,42 @@ class ExecutionPlan:
     def __post_init__(self) -> None:
         if len(self.domains) != len(self.senders):
             raise ValueError("domains and senders length mismatch")
-        # per-(domain, window) sender memo, shared by every rank running
-        # this plan (the instance is shared across the whole collective)
-        object.__setattr__(self, "_window_senders", {})
+        # (domain, window) -> each sender's byte count, shared by every
+        # rank running this plan (the instance is shared across the
+        # whole collective)
+        object.__setattr__(self, "_windows", {})
         # rank -> domains it sends to; built on the first per-rank lookup
         # (the vectorized driver never asks, so never pays for it)
         object.__setattr__(self, "_member_domains", None)
 
+    def _window(self, did: int, lo: int, hi: int, views: FileViews):
+        key = (did, lo, hi)
+        entry = self._windows.get(key)
+        if entry is None:
+            # windows lie inside their domain: only its senders can send
+            candidates = self.senders[did]
+            nbytes = views.bytes_in_many(candidates, lo, hi).tolist()
+            sizes = {r: n for r, n in zip(candidates, nbytes) if n}
+            entry = self._windows[key] = (list(sizes), sizes)
+        return entry
+
     def window_senders(
-        self, did: int, lo: int, hi: int, patterns: Sequence[AccessPattern]
+        self, did: int, lo: int, hi: int, views: FileViews
     ) -> list[int]:
         """Ranks of ``senders[did]`` with bytes in ``[lo, hi)``, memoized.
 
         Callers must treat the returned list as immutable — it is shared
         across every rank of the collective.
         """
-        key = (did, lo, hi)
-        cached = self._window_senders.get(key)
-        if cached is None:
-            senders = [
-                r
-                for r in self.senders[did]
-                # bounding-interval pre-check before the per-segment walk
-                if patterns[r].start < hi and patterns[r].end > lo
-                and patterns[r].bytes_in(lo, hi) > 0
-            ]
-            cached = (senders, frozenset(senders))
-            self._window_senders[key] = cached
-        return cached[0]
+        return self._window(did, lo, hi, views)[0]
 
-    def is_window_sender(
-        self, rank: int, did: int, lo: int, hi: int,
-        patterns: Sequence[AccessPattern],
-    ) -> bool:
-        """Whether `rank` has bytes in window ``[lo, hi)`` of domain `did`.
-
-        One shared pattern scan per window serves every rank's
-        membership check — the per-rank cost is a set lookup.
-        """
-        key = (did, lo, hi)
-        cached = self._window_senders.get(key)
-        if cached is None:
-            self.window_senders(did, lo, hi, patterns)
-            cached = self._window_senders[key]
-        return rank in cached[1]
+    def window_bytes(
+        self, rank: int, did: int, lo: int, hi: int, views: FileViews
+    ) -> int:
+        """`rank`'s bytes in window ``[lo, hi)`` of domain `did` (0 when
+        it sends none), from the same memo: one view query per window
+        serves every rank's membership check and message size."""
+        return self._window(did, lo, hi, views)[1].get(rank, 0)
 
     def member_domains(self, rank: int) -> tuple[int, ...]:
         """Ascending ids of the domains `rank` sends to: the exact inverse
@@ -137,18 +130,17 @@ class ExecutionPlan:
         patterns: Sequence[AccessPattern],
         n_groups: int = 1,
     ) -> "ExecutionPlan":
-        """Derive sender lists from the ranks' file views."""
-        from repro.core.pattern_array import PatternArray
-
-        if isinstance(patterns, PatternArray):
-            senders = tuple(
-                tuple(
-                    patterns.senders_in(d.extent.offset, d.extent.end).tolist()
-                )
-                for d in domains
-            )
-        else:
-            senders = _sweep_senders(domains, patterns)
+        """Derive sender lists from the ranks' file views.  Zero-length
+        domains get no senders; overlapping domains are rejected (a byte
+        must have exactly one aggregator)."""
+        spans = sorted(
+            (d.extent.offset, d.extent.end) for d in domains if d.extent.length
+        )
+        if any(nxt[0] < prev[1] for prev, nxt in zip(spans, spans[1:])):
+            raise ValueError("execution plan domains overlap")
+        senders = file_views(patterns).senders_in_each(
+            [(d.extent.offset, d.extent.end) for d in domains]
+        )
         return cls(tuple(domains), senders, n_groups)
 
     @property
@@ -174,43 +166,6 @@ class ExecutionPlan:
             ),
             default=0,
         )
-
-
-def _sweep_senders(
-    domains: Sequence[FileDomain], patterns: Sequence[AccessPattern]
-) -> tuple[tuple[int, ...], ...]:
-    """``senders`` for per-rank file views, one rank at a time: each
-    rank's blocks are mapped onto the sorted domain bounds by binary
-    search, so a rank costs its own block count, not one probe per
-    domain.  Zero-length domains get no senders; overlapping domains are
-    rejected (a byte must have exactly one aggregator)."""
-    order = sorted(
-        (did for did, d in enumerate(domains) if d.extent.length > 0),
-        key=lambda did: domains[did].extent.offset,
-    )
-    lo = np.array([domains[did].extent.offset for did in order], dtype=np.int64)
-    hi = np.array([domains[did].extent.end for did in order], dtype=np.int64)
-    if np.any(lo[1:] < hi[:-1]):
-        raise ValueError("execution plan domains overlap")
-    n = len(order)
-    senders: list[list[int]] = [[] for _ in domains]
-    for rank, pattern in enumerate(patterns):
-        if n == 0 or pattern.empty:
-            continue
-        starts, ends = block_arrays(pattern.segments)
-        # block i touches sorted domains first[i] .. last[i] - 1
-        first = np.searchsorted(hi, starts, side="right")
-        last = np.searchsorted(lo, ends, side="left")
-        hit = last > first
-        if not hit.any():
-            continue
-        depth = np.cumsum(
-            np.bincount(first[hit], minlength=n + 1)
-            - np.bincount(last[hit], minlength=n + 1)
-        )
-        for k in np.flatnonzero(depth[:n]).tolist():
-            senders[order[k]].append(rank)
-    return tuple(tuple(ranks) for ranks in senders)
 
 
 def _round_extent(domain: FileDomain, t: int) -> Optional[Extent]:
@@ -249,17 +204,17 @@ class _RunContext:
     """Per-collective state shared by one rank's role coroutines."""
 
     __slots__ = (
-        "ctx", "comm", "pfs", "plan", "patterns", "stats", "op", "op_seq",
+        "ctx", "comm", "pfs", "plan", "views", "stats", "op", "op_seq",
         "payload", "node", "domains", "allocs", "paged_flags",
         "failover_config", "borrow", "walk",
     )
 
-    def __init__(self, ctx, comm, pfs, plan, patterns, stats, op, op_seq, payload):
+    def __init__(self, ctx, comm, pfs, plan, views, stats, op, op_seq, payload):
         self.ctx = ctx
         self.comm = comm
         self.pfs = pfs
         self.plan = plan
-        self.patterns = patterns
+        self.views = views
         self.stats = stats
         self.op = op
         self.op_seq = op_seq
@@ -381,7 +336,7 @@ def execute_collective(
         if borrow is not None:
             pipelined = False
             stats.extra["pipeline_fallback"] = "borrow-lease"
-        elif any(node.failed for node in comm.cluster.nodes):
+        elif comm.cluster.any_failed:
             pipelined = False
             stats.extra["pipeline_fallback"] = "failed-nodes"
         else:
@@ -389,7 +344,9 @@ def execute_collective(
     env = ctx.env
     stats.mark_start(env.now)
     stats.record_attempt()
-    run = _RunContext(ctx, comm, pfs, plan, patterns, stats, op, op_seq, payload)
+    run = _RunContext(
+        ctx, comm, pfs, plan, file_views(patterns), stats, op, op_seq, payload
+    )
     run.borrow = borrow
     if granularity == "round" and not pipelined:
         run.failover_config = failover_config
@@ -465,7 +422,7 @@ def _alloc_aggregator_buffer(run: _RunContext, did: int, domain: FileDomain):
 # ---------------------------------------------------------------------------
 def _run_lockstep(run: _RunContext):
     ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
+    plan, views = run.plan, run.views
     ntimes = plan.ntimes
     tracer = ctx.env.tracer
     pid = comm.placement[ctx.rank]
@@ -495,12 +452,13 @@ def _run_lockstep(run: _RunContext):
                             name=f"rank{ctx.rank}.agg{did}.r{t}",
                         )
                     )
-                if plan.is_window_sender(
-                    ctx.rank, did, window.offset, window.end, patterns
-                ):
+                nbytes = plan.window_bytes(
+                    ctx.rank, did, window.offset, window.end, views
+                )
+                if nbytes:
                     procs.append(
                         ctx.spawn(
-                            _member_exchange(run, did, window, t),
+                            _member_exchange(run, did, window, t, nbytes),
                             name=f"rank{ctx.rank}.m{did}.r{t}",
                         )
                     )
@@ -526,14 +484,13 @@ def _failover_check(run: _RunContext, t: int):
     identical replacement via :func:`replace_failed_domains`.
     """
     ctx, comm = run.ctx, run.comm
-    orphaned = any(
+    # the cluster-level health gate keeps the fault-free check O(1); only
+    # with a host down does any rank look at its domains' aggregators
+    if not comm.cluster.any_failed or not any(
         comm.node_of_rank(d.aggregator_rank).failed for d in run.domains
-    )
-    if not orphaned:
+    ):
         return
-    failed_nodes = frozenset(
-        node.node_id for node in comm.cluster.nodes if node.failed
-    )
+    failed_nodes = comm.cluster.failed_node_ids
     # fresh memory snapshot: identical values on every rank, and the
     # allgather itself charges the failover's coordination cost
     mem_pairs = yield from comm.allgather(
@@ -544,7 +501,7 @@ def _failover_check(run: _RunContext, t: int):
         memory_available.setdefault(node_id, avail)
     decision = replace_failed_domains(
         run.domains,
-        run.patterns,
+        run.views,
         comm.placement,
         memory_available,
         run.failover_config,
@@ -622,7 +579,7 @@ def _run_pipelined(run: _RunContext, failover_config):
     behaviour, at half-window granularity.
     """
     ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
+    plan, views = run.plan, run.views
     env = ctx.env
     tracer = env.tracer
     pid = comm.placement[ctx.rank]
@@ -634,9 +591,7 @@ def _run_pipelined(run: _RunContext, failover_config):
         if tracer.enabled:
             tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
         try:
-            if not degraded and any(
-                node.failed for node in comm.cluster.nodes
-            ):
+            if not degraded and comm.cluster.any_failed:
                 # drain the in-flight windows, then run the rest of
                 # the operation at blocking fidelity with failover
                 degraded = True
@@ -666,12 +621,13 @@ def _run_pipelined(run: _RunContext, failover_config):
                             name=f"rank{ctx.rank}.pagg{did}.r{t}",
                         )
                     )
-                if plan.is_window_sender(
-                    ctx.rank, did, window.offset, window.end, patterns
-                ):
+                nbytes = plan.window_bytes(
+                    ctx.rank, did, window.offset, window.end, views
+                )
+                if nbytes:
                     procs.append(
                         ctx.spawn(
-                            _member_exchange(run, did, window, t),
+                            _member_exchange(run, did, window, t, nbytes),
                             name=f"rank{ctx.rank}.m{did}.r{t}",
                         )
                     )
@@ -733,7 +689,7 @@ def _pipeline_drain(
     ctx = run.ctx
     tracer = ctx.env.tracer
     t0 = tracer.now() if tracer.enabled else 0.0
-    pieces = window_union(run.patterns, expected, window)
+    pieces = window_union(run.views, expected, window)
     for piece in pieces:
         data = None
         if buffer is not None:
@@ -800,7 +756,7 @@ def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
         else None
     )
     total = 0
-    pieces = window_union(run.patterns, expected, window)
+    pieces = window_union(run.views, expected, window)
     for piece in pieces:
         data = yield from run.pfs.read_extent(run.node, piece)
         total += piece.length
@@ -824,7 +780,6 @@ def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
 # ---------------------------------------------------------------------------
 def _run_streaming(run: _RunContext):
     ctx = run.ctx
-    members = set(run.plan.member_domains(ctx.rank))
     procs = []
     for did in _walk(run):
         domain = run.domains[did]
@@ -835,10 +790,14 @@ def _run_streaming(run: _RunContext):
                     name=f"rank{ctx.rank}.agg{did}",
                 )
             )
-        if did in members:
+        extent = domain.extent
+        nbytes = run.plan.window_bytes(
+            ctx.rank, did, extent.offset, extent.end, run.views
+        )
+        if nbytes:
             procs.append(
                 ctx.spawn(
-                    _member_exchange(run, did, domain.extent, 0),
+                    _member_exchange(run, did, extent, 0, nbytes),
                     name=f"rank{ctx.rank}.m{did}",
                 )
             )
@@ -849,36 +808,43 @@ def _run_streaming(run: _RunContext):
 # ---------------------------------------------------------------------------
 # member side
 # ---------------------------------------------------------------------------
-def _member_exchange(run: _RunContext, did: int, window: Extent, tag_round: int):
-    """Send (write) or receive (read) this rank's bytes of `window`."""
+def _member_exchange(
+    run: _RunContext, did: int, window: Extent, tag_round: int, nbytes: int
+):
+    """Send (write) or receive (read) this rank's `nbytes` of `window`.
+
+    The rank's view is clipped to the window only when payload bytes
+    travel; a metadata-only message needs nothing but its size.
+    """
     ctx, comm = run.ctx, run.comm
     domain = run.domains[did]
-    my_pattern = run.patterns[ctx.rank]
     agg = domain.aggregator_rank
     same_node = comm.node_id_of_rank(agg) == comm.node_id_of_rank(ctx.rank)
-    q = my_pattern.clip(window.offset, window.end)
-    if q.empty:
-        return
     tag = (run.op_seq, did, tag_round)
     if run.op == "write":
-        data = (
-            _pack_payload(my_pattern, run.payload, q)
-            if run.payload is not None
-            else None
-        )
-        run.stats.record_shuffle(q.nbytes, same_node=same_node)
+        data = None
+        if run.payload is not None:
+            pattern = run.views[ctx.rank]
+            data = _pack_payload(
+                pattern, run.payload, pattern.clip(window.offset, window.end)
+            )
+        run.stats.record_shuffle(nbytes, same_node=same_node)
         # physical effect, not a planning decision: if the aggregator's
         # node is overcommitted, inbound data lands at paging speed
         agg_node = comm.node_of_rank(agg)
         paged_wire = domain.paged or agg_node.memory.overcommitted
         yield from comm.send(
-            ctx, agg, q.nbytes, tag=tag, payload=data, paged_dst=paged_wire
+            ctx, agg, nbytes, tag=tag, payload=data, paged_dst=paged_wire
         )
     else:
         msg = yield from comm.recv(ctx, source=agg, tag=tag)
         run.stats.record_shuffle(msg.nbytes, same_node=same_node)
         if run.payload is not None and msg.payload is not None:
-            _unpack_payload(my_pattern, run.payload, q, msg.payload)
+            pattern = run.views[ctx.rank]
+            _unpack_payload(
+                pattern, run.payload, pattern.clip(window.offset, window.end),
+                msg.payload,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +878,7 @@ def _borrow_stage(run: _RunContext, did: int, lease, nbytes: int, inbound: bool)
 
 def _expected_senders(run: _RunContext, did: int, window: Extent) -> list[int]:
     return run.plan.window_senders(
-        did, window.offset, window.end, run.patterns
+        did, window.offset, window.end, run.views
     )
 
 
@@ -959,7 +925,7 @@ def _gather_window(run: _RunContext, did: int, window: Extent, t: int, expected)
             continue
         if buffer is None:
             buffer = np.zeros(window.length, dtype=np.uint8)
-        q = run.patterns[msg.source].clip(window.offset, window.end)
+        q = run.views[msg.source].clip(window.offset, window.end)
         for off, ln, qbuf in q.iter_mapped_extents():
             rel = off - window.offset
             buffer[rel : rel + ln] = msg.payload[qbuf : qbuf + ln]
@@ -972,18 +938,19 @@ def _scatter_window(
 ):
     """Send each expected rank its slice of `window`, one message apiece."""
     ctx, comm = run.ctx, run.comm
+    lo, hi = window.offset, window.end
     sends = []
     for r in expected:
-        q = run.patterns[r].clip(window.offset, window.end)
+        nbytes = run.plan.window_bytes(r, did, lo, hi, run.views)
         data = None
         if buffer is not None:
-            data = np.empty(q.nbytes, dtype=np.uint8)
-            for off, ln, qbuf in q.iter_mapped_extents():
-                rel = off - window.offset
+            data = np.empty(nbytes, dtype=np.uint8)
+            for off, ln, qbuf in run.views[r].clip(lo, hi).iter_mapped_extents():
+                rel = off - lo
                 data[qbuf : qbuf + ln] = buffer[rel : rel + ln]
         sends.append(
             comm.isend(
-                ctx, r, q.nbytes, tag=(run.op_seq, did, t),
+                ctx, r, nbytes, tag=(run.op_seq, did, t),
                 payload=data, paged_dst=paged,
             )
         )
@@ -1013,7 +980,7 @@ def _collect_and_write(run, did, window, t, paged, io_rounds):
         if i > 0:
             # streaming mode: charge the skipped per-round synchronisation
             yield env.sleep(run.node.spec.nic_latency)
-        pieces = window_union(run.patterns, expected, io_window)
+        pieces = window_union(run.views, expected, io_window)
         if lease is not None and pieces:
             # pull the assembled round back from the lender for the write
             yield from _borrow_stage(
@@ -1043,7 +1010,7 @@ def _read_and_scatter(run, did, window, t, paged, io_rounds):
     for i, io_window in enumerate(windows):
         if i > 0:
             yield env.sleep(run.node.spec.nic_latency)
-        pieces = window_union(run.patterns, expected, io_window)
+        pieces = window_union(run.views, expected, io_window)
         for piece in pieces:
             data = yield from pfs.read_extent(run.node, piece)
             total_read += piece.length

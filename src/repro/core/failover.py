@@ -28,6 +28,7 @@ from repro.core.aggregator_selection import PlacementError, place_aggregators
 from repro.core.config import MCIOConfig
 from repro.core.filedomain import FileDomain
 from repro.core.partition_tree import PartitionTree
+from repro.core.pattern_array import FileViews, file_views
 from repro.core.request import AccessPattern
 
 __all__ = ["FailoverDecision", "replace_failed_domains"]
@@ -67,7 +68,7 @@ class FailoverDecision:
 
 def _live_ranks_for(
     domain: FileDomain,
-    patterns: Sequence[AccessPattern],
+    views: FileViews,
     placement: Sequence[int],
     failed_nodes: frozenset,
     live_memory: Mapping[int, int],
@@ -84,9 +85,8 @@ def _live_ranks_for(
     ext = domain.extent
     with_data = [
         r
-        for r in range(len(patterns))
+        for r in views.senders_in(ext.offset, ext.end).tolist()
         if placement[r] not in failed_nodes
-        and patterns[r].bytes_in(ext.offset, ext.end) > 0
     ]
     if with_data:
         return with_data
@@ -98,7 +98,7 @@ def _live_ranks_for(
         return live_memory.get(node, 0)
 
     return sorted(
-        (r for r in range(len(patterns)) if placement[r] not in failed_nodes),
+        (r for r in range(len(views)) if placement[r] not in failed_nodes),
         key=lambda r: (-remaining(placement[r]), r),
     )
 
@@ -154,12 +154,13 @@ def replace_failed_domains(
         for node, avail in memory_available.items()
         if node not in failed_nodes
     }
+    views = file_views(patterns)
     host_state: dict = {}
     for did, domain in enumerate(domains):
         if placement[domain.aggregator_rank] not in failed_nodes:
             continue
         ranks = _live_ranks_for(
-            domain, patterns, placement, failed_nodes, live_memory, host_state
+            domain, views, placement, failed_nodes, live_memory, host_state
         )
         if not ranks:
             kept.append(did)
@@ -168,7 +169,7 @@ def replace_failed_domains(
         ext = domain.extent
 
         def domain_data(lo, hi, _ranks=ranks):
-            return sum(patterns[r].bytes_in(lo, hi) for r in _ranks)
+            return views.sum_bytes_in(lo, hi, _ranks)
 
         # single-leaf tree: the extent is fixed mid-flight, so no
         # bisection and no remerge may alter it
@@ -183,7 +184,7 @@ def replace_failed_domains(
                 tree,
                 domain.group_id,
                 ranks,
-                patterns,
+                views,
                 placement,
                 live_memory,
                 config,

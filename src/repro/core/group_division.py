@@ -30,7 +30,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.core.pattern_array import PatternArray
+from repro.core.pattern_array import FileViews, file_views
 from repro.core.request import AccessPattern, Extent
 
 __all__ = ["AggregationGroup", "divide_groups"]
@@ -63,50 +63,28 @@ class AggregationGroup:
             raise ValueError("group must contain at least one rank")
 
 
-def _members(
-    patterns: Sequence[AccessPattern], region: Extent
-) -> tuple[int, ...]:
-    lo, hi = region.offset, region.end
-    if isinstance(patterns, PatternArray):
-        return tuple(patterns.senders_in(lo, hi).tolist())
-    return tuple(
-        r
-        for r, p in enumerate(patterns)
-        # bounding-interval pre-check before the per-segment walk
-        if not p.empty and p.start < hi and p.end > lo
-        and p.bytes_in(lo, hi) > 0
-    )
+def _members(views: FileViews, region: Extent) -> tuple[int, ...]:
+    return tuple(views.senders_in(region.offset, region.end).tolist())
 
 
 def _serial_walk(
-    patterns: Sequence[AccessPattern],
+    views: FileViews,
     placement: Sequence[int],
     msg_group: int,
     lo: int,
     hi: int,
 ) -> list[Extent]:
     """Offset-ordered accumulation with node-boundary extension."""
-    if isinstance(patterns, PatternArray):
-        # vectorized sort, then plain-python lists for the linear walk
-        # (numpy scalar indexing in a hot loop is slower than list access)
-        active = np.flatnonzero(patterns.lengths > 0)
-        order_arr = active[
-            np.lexsort(
-                (active, patterns.ends[active], patterns.starts[active])
-            )
-        ]
-        order = order_arr.tolist()
-        starts = patterns.starts[order_arr].tolist()
-        ends = patterns.ends[order_arr].tolist()
-        sizes = patterns.lengths[order_arr].tolist()
-    else:
-        order = sorted(
-            (r for r, p in enumerate(patterns) if not p.empty),
-            key=lambda r: (patterns[r].start, patterns[r].end, r),
-        )
-        starts = [patterns[r].start for r in order]
-        ends = [patterns[r].end for r in order]
-        sizes = [patterns[r].nbytes for r in order]
+    # vectorized sort, then plain-python lists for the linear walk
+    # (numpy scalar indexing in a hot loop is slower than list access)
+    active = np.flatnonzero(views.sizes > 0)
+    order_arr = active[
+        np.lexsort((active, views.ends[active], views.starts[active]))
+    ]
+    order = order_arr.tolist()
+    starts = views.starts[order_arr].tolist()
+    ends = views.ends[order_arr].tolist()
+    sizes = views.sizes[order_arr].tolist()
     regions: list[Extent] = []
     region_start = lo
     acc_bytes = 0
@@ -148,22 +126,14 @@ def _interleaved_chunks(
     return out
 
 
-def _intervals_interleave(patterns: Sequence[AccessPattern]) -> bool:
+def _intervals_interleave(views: FileViews) -> bool:
     """True if any two ranks' bounding intervals overlap."""
-    if isinstance(patterns, PatternArray):
-        active = patterns.lengths > 0
-        starts = patterns.starts[active]
-        ends = patterns.ends[active]
-        order = np.lexsort((ends, starts))
-        starts, ends = starts[order], ends[order]
-        return bool((starts[1:] < ends[:-1]).any())
-    intervals = sorted(
-        (p.start, p.end) for p in patterns if not p.empty
-    )
-    for (_, prev_end), (nxt_start, _) in zip(intervals, intervals[1:]):
-        if nxt_start < prev_end:
-            return True
-    return False
+    active = views.sizes > 0
+    starts = views.starts[active]
+    ends = views.ends[active]
+    order = np.lexsort((ends, starts))
+    starts, ends = starts[order], ends[order]
+    return bool((starts[1:] < ends[:-1]).any())
 
 
 def divide_groups(
@@ -200,23 +170,16 @@ def divide_groups(
         raise ValueError("patterns and placement length mismatch")
     if msg_group < 1:
         raise ValueError("msg_group must be >= 1")
-    if isinstance(patterns, PatternArray):
-        if not patterns.any_active:
-            return []
-        n_active = int((patterns.lengths > 0).sum())
-        lo, hi = patterns.bounds()
-    else:
-        active = [p for p in patterns if not p.empty]
-        if not active:
-            return []
-        n_active = len(active)
-        lo = min(p.start for p in active)
-        hi = max(p.end for p in active)
+    views = file_views(patterns)
+    if not views.any_active:
+        return []
+    n_active = int((views.sizes > 0).sum())
+    lo, hi = views.bounds()
 
     if mode == "interleaved":
         regions = _interleaved_chunks(msg_group, stripe_size, lo, hi)
     else:
-        regions = _serial_walk(patterns, placement, msg_group, lo, hi)
+        regions = _serial_walk(views, placement, msg_group, lo, hi)
         # The serial walk collapses when rank intervals interleave (no
         # clean cut ever appears).  Only then fall back to file-view
         # chunking — a serial distribution that happens to fit one group
@@ -226,14 +189,14 @@ def divide_groups(
             and len(regions) == 1
             and n_active > 1
             and (hi - lo) > 2 * msg_group
-            and _intervals_interleave(patterns)
+            and _intervals_interleave(views)
         )
         if degenerate:
             regions = _interleaved_chunks(msg_group, stripe_size, lo, hi)
 
     groups: list[AggregationGroup] = []
     for region in regions:
-        ranks = _members(patterns, region)
+        ranks = _members(views, region)
         if not ranks:
             # empty slice of the file (gap between rank data): fold it
             # into the previous group's region so regions still tile

@@ -38,7 +38,7 @@ from repro.core.filedomain import FileDomain, even_domains
 from repro.core.group_division import divide_groups
 from repro.core.metrics import CollectiveStats, StatsCollector
 from repro.core.partition_tree import PartitionTree
-from repro.core.pattern_array import PatternArray
+from repro.core.pattern_array import FileViewIndex, FileViews, file_views
 from repro.core.plan_cache import PlanCache
 from repro.core.request import AccessPattern
 from repro.core.two_phase import default_aggregators
@@ -134,6 +134,10 @@ class MemoryConsciousCollectiveIO:
         #: set by the vectorized driver right before it falls back to the
         #: per-rank path, so the fallback's stats carry the refusal.
         self._pending_vec_refusal: Optional[str] = None
+        #: Per-operation state, keyed by sequence number and dropped by
+        #: the last rank out: the gathered views' index, the plan, the
+        #: collector.
+        self._views: dict[int, FileViewIndex] = {}
         self._plans: dict = {}
         self._stats: dict[int, StatsCollector] = {}
         #: Per-operation shared lease state (None for lease-free plans).
@@ -272,14 +276,14 @@ class MemoryConsciousCollectiveIO:
             (ctx.node.node_id, ctx.node.memory.free_available, ctx.node.failed),
             nbytes=16,
         )
-        plan, stats, borrow = self._prepare(seq, patterns, mem_state, op)
+        views, plan, stats, borrow = self._prepare(seq, patterns, mem_state, op)
         if plan is None:
             # last tier of the fallback chain: uncoordinated independent I/O
             result = yield from self._independent_tier(ctx, pattern, payload, op, stats)
         else:
             try:
                 result = yield from execute_collective(
-                    ctx, self.comm, self.pfs, plan, patterns, stats, op, seq,
+                    ctx, self.comm, self.pfs, plan, views, stats, op, seq,
                     payload=payload, granularity=self.config.shuffle_granularity,
                     failover_config=self.config if self.config.failover else None,
                     borrow=borrow,
@@ -289,16 +293,19 @@ class MemoryConsciousCollectiveIO:
                 # lease teardown); re-enter the normal degradation chain
                 # with borrowing disabled
                 result = yield from self._borrow_fallback(
-                    ctx, pattern, payload, op, seq, patterns, stats
+                    ctx, pattern, payload, op, seq, views, stats
                 )
         self._finish(seq, ctx)
         return result
 
     def _prepare(self, seq, patterns, mem_state, op):
+        """Index the gathered views and plan, once per collective: the
+        first-arriving rank does the work, every rank shares the result."""
         if seq not in self._plans:
             # the cache has no environment of its own: point it at the
             # live tracer so hit/miss/invalidate instants land in-trace
             self.plan_cache.tracer = self.comm.env.tracer
+            views = self._views[seq] = FileViewIndex(patterns)
             memory_available = {}
             failed_nodes = set()
             for node_id, avail, failed in mem_state:
@@ -306,7 +313,7 @@ class MemoryConsciousCollectiveIO:
                 if failed:
                     failed_nodes.add(node_id)
             (plan, tier, reason), cached = self._plan_or_reuse(
-                patterns, memory_available, frozenset(failed_nodes)
+                views, memory_available, frozenset(failed_nodes)
             )
             self._plans[seq] = plan
             self._stats[seq] = self._make_collector(op, plan, tier, reason, cached)
@@ -323,7 +330,10 @@ class MemoryConsciousCollectiveIO:
                 if borrowed
                 else None
             )
-        return self._plans[seq], self._stats[seq], self._borrows[seq]
+        return (
+            self._views[seq], self._plans[seq], self._stats[seq],
+            self._borrows[seq],
+        )
 
     def _make_collector(self, op, plan, tier, reason, cached) -> StatsCollector:
         """Build one operation's collector (shared with the vectorized driver)."""
@@ -400,7 +410,7 @@ class MemoryConsciousCollectiveIO:
         yield from self.comm.barrier(ctx)
         return result
 
-    def _borrow_fallback(self, ctx, pattern, payload, op, seq, patterns, stats):
+    def _borrow_fallback(self, ctx, pattern, payload, op, seq, views, stats):
         """Process generator: re-run a degraded borrowed collective.
 
         Every rank arrives here at the same sim instant (the abort round's
@@ -425,7 +435,7 @@ class MemoryConsciousCollectiveIO:
                     failed_nodes.add(node_id)
             remerge_cfg = _cfg_replace(self.config, placement_policy="remerge")
             plan, tier, reason = self._plan_with_fallback(
-                patterns,
+                views,
                 memory_available,
                 frozenset(failed_nodes),
                 config=remerge_cfg,
@@ -440,7 +450,7 @@ class MemoryConsciousCollectiveIO:
         remerge_cfg = _cfg_replace(self.config, placement_policy="remerge")
         return (
             yield from execute_collective(
-                ctx, self.comm, self.pfs, plan, patterns, stats, op,
+                ctx, self.comm, self.pfs, plan, views, stats, op,
                 ("bfb", seq),
                 payload=payload, granularity="round",
                 failover_config=remerge_cfg if self.config.failover else None,
@@ -458,6 +468,7 @@ class MemoryConsciousCollectiveIO:
             self.history.append(final)
             del self._stats[seq]
             del self._plans[seq]
+            del self._views[seq]
             self._borrows.pop(seq, None)
             self._plans.pop(("borrow-fallback", seq), None)
             if final.failovers:
@@ -485,9 +496,10 @@ class MemoryConsciousCollectiveIO:
         re-plans with ``placement_policy="remerge"``).
         """
         cfg = self.config if config is None else config
+        views = file_views(patterns)
         try:
             plan = self.plan(
-                patterns, memory_available, failed_nodes=failed_nodes,
+                views, memory_available, failed_nodes=failed_nodes,
                 config=cfg,
             )
             return plan, None, None
@@ -495,25 +507,18 @@ class MemoryConsciousCollectiveIO:
             if not cfg.fallback_chain:
                 raise
             reason = str(exc)
-        plan = self._two_phase_plan(patterns, failed_nodes)
+        plan = self._two_phase_plan(views, failed_nodes)
         if plan is not None:
             return plan, "two-phase", reason
         return None, "independent", reason
 
     def _two_phase_plan(
-        self, patterns: Sequence[AccessPattern], failed_nodes: frozenset
+        self, views: FileViews, failed_nodes: frozenset
     ) -> Optional[ExecutionPlan]:
         """ROMIO-style even plan restricted to live hosts, or None."""
-        if isinstance(patterns, PatternArray):
-            if not patterns.any_active:
-                return ExecutionPlan((), (), n_groups=1)
-            lo, hi = patterns.bounds()
-        else:
-            active = [p for p in patterns if not p.empty]
-            if not active:
-                return ExecutionPlan((), (), n_groups=1)
-            lo = min(p.start for p in active)
-            hi = max(p.end for p in active)
+        if not views.any_active:
+            return ExecutionPlan((), (), n_groups=1)
+        lo, hi = views.bounds()
         aggs = [
             r
             for r in default_aggregators(self.comm.placement)
@@ -533,7 +538,7 @@ class MemoryConsciousCollectiveIO:
             )
             for i, ext in enumerate(extents)
         ]
-        return ExecutionPlan.build(domains, patterns, n_groups=1)
+        return ExecutionPlan.build(domains, views, n_groups=1)
 
     # ------------------------------------------------------------------
     def plan(
@@ -552,6 +557,7 @@ class MemoryConsciousCollectiveIO:
         """
         cfg = self.config if config is None else config
         stripe = self.pfs.layout.stripe_size if cfg.stripe_align else 0
+        views = file_views(patterns)
         self.last_plan_tree_queries = 0
         # Planning costs no simulated time: its spans sit at the current
         # sim instant on the planner track with zero sim duration, and
@@ -560,7 +566,7 @@ class MemoryConsciousCollectiveIO:
 
         wall0 = perf_counter() if tracer.enabled else 0.0
         groups = divide_groups(
-            patterns, self.comm.placement, cfg.msg_group, stripe_size=stripe
+            views, self.comm.placement, cfg.msg_group, stripe_size=stripe
         )
         if tracer.enabled:
             tracer.complete(
@@ -594,20 +600,10 @@ class MemoryConsciousCollectiveIO:
         for group in groups:
             members = group.ranks
 
-            if isinstance(patterns, PatternArray):
-                if len(members) == len(patterns):
-                    # one group spanning every rank — the common tiled
-                    # case; skip member indexing on each tree query
-                    def group_data(lo, hi):
-                        return patterns.sum_bytes_in(lo, hi)
-                else:
-                    members_arr = np.asarray(members, dtype=np.int64)
-
-                    def group_data(lo, hi, _members=members_arr):
-                        return patterns.sum_bytes_in(lo, hi, _members)
-            else:
-                def group_data(lo, hi, _members=members):
-                    return sum(patterns[r].bytes_in(lo, hi) for r in _members)
+            # a group's members are exactly the ranks with bytes in its
+            # region, and the tree only asks about windows inside the
+            # region: the sum over every rank is the sum over members
+            group_data = views.sum_bytes_in
 
             # Size the partition to the group's feasible aggregator slots:
             # bisecting far below what memory-qualified hosts can absorb
@@ -648,7 +644,7 @@ class MemoryConsciousCollectiveIO:
                     tree,
                     group.group_id,
                     members,
-                    patterns,
+                    views,
                     self.comm.placement,
                     memory_available,
                     cfg,
@@ -677,4 +673,4 @@ class MemoryConsciousCollectiveIO:
                     group=group.group_id,
                     wall_us=(perf_counter() - wall0) * 1e6,
                 )
-        return ExecutionPlan.build(all_domains, patterns, n_groups=len(groups))
+        return ExecutionPlan.build(all_domains, views, n_groups=len(groups))

@@ -119,7 +119,7 @@ class PersistentCollective:
         self._plan = None
         self._tier = None
         self._reason = None
-        self._patterns = None
+        self._views = None
         self._cached = False
         self._plan_gen = -1
         self._inval_gen = 0
@@ -145,7 +145,7 @@ class PersistentCollective:
     @property
     def stale(self) -> bool:
         """Whether the next ``start()`` will re-plan."""
-        return self._plan_gen < self._inval_gen or self._patterns is None
+        return self._plan_gen < self._inval_gen or self._views is None
 
     def free(self) -> None:
         """Release the handle (MPI_Request_free for the persistent op)."""
@@ -219,6 +219,7 @@ class PersistentCollective:
         # deferred: repro.mpi.file imports this module, and the engine
         # module imports repro.mpi.comm — a top-level import would cycle
         from repro.core.engine import execute_collective
+        from repro.core.pattern_array import FileViewIndex
 
         engine, comm = self.engine, self.comm
         if not self.managed:
@@ -249,18 +250,20 @@ class PersistentCollective:
                     memory_available.setdefault(node_id, avail)
                     if failed:
                         failed_nodes.add(node_id)
+                # the frozen plan keeps its views' index beside it: one
+                # index per handle, replaced only by the next re-plan
+                views = FileViewIndex(patterns)
                 (plan, tier, reason), cached = engine._plan_or_reuse(
-                    patterns, memory_available, frozenset(failed_nodes)
+                    views, memory_available, frozenset(failed_nodes)
                 )
                 self._plan = plan
                 self._tier = tier
                 self._reason = reason
-                self._patterns = patterns
+                self._views = views
                 self._cached = cached
                 self._plan_gen = ep.gen
                 self.replans += 1
-        else:
-            patterns = self._patterns
+        views = self._views
         plan = self._plan
         if plan is not None and any(d.lender_node is not None for d in plan.domains):
             # borrow leases are a per-operation protocol (acquire/renew/
@@ -291,7 +294,7 @@ class PersistentCollective:
             return result
         return (
             yield from execute_collective(
-                ctx, comm, engine.pfs, plan, patterns, stats, self.op,
+                ctx, comm, engine.pfs, plan, views, stats, self.op,
                 ("pc", self.pc_id, ep.index),
                 payload=payload,
                 granularity=engine.config.shuffle_granularity,

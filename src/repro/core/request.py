@@ -19,8 +19,10 @@ of flat offset/length lists:
     in the rank's memory buffer in O(log n).
 
 The per-window union aggregators write is one exact kernel over int64
-block arrays (:func:`block_arrays`, :func:`union_blocks`,
-:func:`window_union`); :func:`coalesce_extents` is its per-object reference.
+block arrays (:func:`block_arrays`, :func:`expand_blocks`,
+:func:`union_blocks`); :func:`window_union` feeds it the clipped blocks
+of a collective's view set (:mod:`repro.core.pattern_array`), and
+:func:`coalesce_extents` is its per-object reference.
 
 All coordinates are byte offsets; all intervals are half-open.
 """
@@ -34,7 +36,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 __all__ = ["Extent", "StridedSegment", "AccessPattern", "block_arrays",
-           "coalesce_extents", "union_blocks", "window_union"]
+           "coalesce_extents", "expand_blocks", "union_blocks", "window_union"]
 
 
 @dataclass(frozen=True, order=True)
@@ -231,6 +233,9 @@ class StridedSegment:
             return 0
         if file_offset >= self.end:
             return self.nbytes
+        if self.contiguous:
+            # a single block's stride is arbitrary: never divide by it
+            return file_offset - self.offset
         i = (file_offset - self.offset) // self.stride
         within = file_offset - (self.offset + i * self.stride)
         return i * self.block + min(within, self.block)
@@ -436,11 +441,18 @@ def block_arrays(
     """Every block of `segments` as int64 ``(starts, ends)`` arrays, in
     one ``np.repeat``/``arange`` pass.  A ``stride == block`` run of
     ``count`` blocks stays ``count`` entries (``count`` PFS requests)."""
-    geometry = np.array(
-        [(s.offset, s.stride, s.count, s.block) for s in segments],
-        dtype=np.int64,
-    ).reshape(-1, 4)
-    offset, stride, count, block = geometry.T
+    return expand_blocks(
+        np.array(
+            [(s.offset, s.stride, s.count, s.block) for s in segments],
+            dtype=np.int64,
+        )
+    )
+
+
+def expand_blocks(geometry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of block trains given as int64 rows ``(first block start,
+    stride, count, block)``, as ``(starts, ends)`` arrays in row order."""
+    offset, stride, count, block = geometry.reshape(-1, 4).T
     first = np.cumsum(count) - count
     index = np.arange(int(count.sum()), dtype=np.int64) - np.repeat(first, count)
     starts = np.repeat(offset, count) + index * np.repeat(stride, count)
@@ -465,19 +477,16 @@ def union_blocks(starts: np.ndarray, ends: np.ndarray) -> list[Extent]:
     return [Extent(s, e - s) for s, e in zip(run_starts, run_ends)]
 
 
-def window_union(
-    patterns: Sequence[AccessPattern], senders: Sequence[int], window: Extent
-) -> list[Extent]:
+def window_union(views, senders: Sequence[int], window: Extent) -> list[Extent]:
     """Exact union of the senders' requested blocks inside `window`: the
-    I/O pieces an aggregator writes or reads for one buffer window.  A
-    :class:`~repro.core.pattern_array.PatternArray` supplies its blocks
-    through ``clipped_blocks``."""
-    lo, hi = window.offset, window.end
-    clipped_blocks = getattr(patterns, "clipped_blocks", None)
-    if clipped_blocks is not None:
-        return union_blocks(*clipped_blocks(senders, lo, hi))
+    I/O pieces an aggregator writes or reads for one buffer window.
+
+    `views` is a :class:`~repro.core.pattern_array.FileViews` (both
+    drivers pass the collective's view set, which hands over its clipped
+    blocks as arrays); a plain sequence of patterns is indexed first.
+    """
+    from repro.core.pattern_array import file_views
+
     return union_blocks(
-        *block_arrays(
-            seg for r in senders for seg in patterns[r].clip(lo, hi).segments
-        )
+        *file_views(views).clipped_blocks(senders, window.offset, window.end)
     )

@@ -24,6 +24,7 @@ from repro.core.config import TwoPhaseConfig
 from repro.core.engine import ExecutionPlan, execute_collective
 from repro.core.filedomain import FileDomain, even_domains
 from repro.core.metrics import CollectiveStats, StatsCollector
+from repro.core.pattern_array import FileViewIndex, file_views
 from repro.core.request import AccessPattern
 from repro.mpi.comm import RankContext, SimComm
 from repro.pfs.filesystem import ParallelFileSystem
@@ -80,6 +81,8 @@ class TwoPhaseCollectiveIO:
         self.pfs = pfs
         self.config = config if config is not None else TwoPhaseConfig()
         self._rank_seq: dict[int, int] = {}
+        #: Per-operation state, dropped by the last rank out.
+        self._views: dict[int, FileViewIndex] = {}
         self._plans: dict[int, ExecutionPlan] = {}
         self._stats: dict[int, StatsCollector] = {}
         #: Optional :class:`~repro.core.audit.ConservationAuditor`; when
@@ -119,25 +122,27 @@ class TwoPhaseCollectiveIO:
         seq = self._next_seq(ctx.rank)
         meta_bytes = 32 * (1 + pattern.segment_count)
         patterns = yield from self.comm.allgather(ctx, pattern, nbytes=meta_bytes)
-        plan, stats = self._prepare(seq, patterns, op)
+        views, plan, stats = self._prepare(seq, patterns, op)
         result = yield from execute_collective(
-            ctx, self.comm, self.pfs, plan, patterns, stats, op, seq,
+            ctx, self.comm, self.pfs, plan, views, stats, op, seq,
             payload=payload, granularity=self.config.shuffle_granularity,
         )
         self._finish(seq, ctx)
         return result
 
     def _prepare(self, seq, patterns, op):
-        """Plan once per collective call (identical on every rank)."""
+        """Index the views and plan once per collective call (identical
+        on every rank)."""
         if seq not in self._plans:
-            self._plans[seq] = self.plan(patterns)
+            views = self._views[seq] = FileViewIndex(patterns)
+            self._plans[seq] = self.plan(views)
             collector = StatsCollector(self.name, op, n_ranks=self.comm.size)
             collector.n_groups = self._plans[seq].n_groups
             collector.attach_pfs(self.pfs)
             if self.auditor is not None:
                 collector.auditor = self.auditor
             self._stats[seq] = collector
-        return self._plans[seq], self._stats[seq]
+        return self._views[seq], self._plans[seq], self._stats[seq]
 
     def _finish(self, seq, ctx):
         """Last rank out finalizes the stats."""
@@ -150,15 +155,15 @@ class TwoPhaseCollectiveIO:
             self.history.append(stats.finalize())
             del self._stats[seq]
             del self._plans[seq]
+            del self._views[seq]
 
     # ------------------------------------------------------------------
     def plan(self, patterns: Sequence[AccessPattern]) -> ExecutionPlan:
         """Compute the baseline execution plan for the gathered views."""
-        active = [p for p in patterns if not p.empty]
-        if not active:
+        views = file_views(patterns)
+        if not views.any_active:
             return ExecutionPlan((), (), n_groups=1)
-        lo = min(p.start for p in active)
-        hi = max(p.end for p in active)
+        lo, hi = views.bounds()
         aggs = default_aggregators(self.comm.placement, self.config.cb_nodes)
         stripe = self.pfs.layout.stripe_size if self.config.stripe_align else 0
         extents = even_domains(lo, hi, len(aggs), stripe_size=stripe)
@@ -172,4 +177,4 @@ class TwoPhaseCollectiveIO:
             )
             for i, ext in enumerate(extents)
         ]
-        return ExecutionPlan.build(domains, patterns, n_groups=1)
+        return ExecutionPlan.build(domains, views, n_groups=1)

@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.engine import _round_extent
 from repro.core.filedomain import rounds_for
 from repro.core.metrics import CollectiveStats
-from repro.core.pattern_array import PatternArray
+from repro.core.pattern_array import FileViews, file_views
 from repro.core.request import AccessPattern, window_union
 
 __all__ = ["run_vectorized_collective", "vectorization_refusal"]
@@ -68,7 +68,7 @@ def vectorization_refusal(engine, payloads=None) -> Optional[str]:
         return "data-plane"
     if any(len(inj.schedule) > 0 for inj in engine._fault_injectors):
         return "fault-schedule"
-    if any(node.failed for node in engine.comm.cluster.nodes):
+    if engine.comm.cluster.any_failed:
         return "failed-nodes"
     if engine.comm.cluster.memory_ledger.outstanding > 0:
         return "active-leases"
@@ -90,15 +90,11 @@ def _per_rank_fallback(
     return engine.history[-1]
 
 
-def _meta_allgather_time(comm, patterns) -> float:
+def _meta_allgather_time(comm, views: FileViews) -> float:
     """Time of the pattern-metadata allgather, as the per-rank path charges it."""
     size = comm.size
     hops = max(1, (size - 1).bit_length()) if size > 1 else 0
-    if isinstance(patterns, PatternArray):
-        max_seg = patterns.max_segment_count
-    else:
-        max_seg = max(p.segment_count for p in patterns)
-    nbytes_max = 32 * (1 + max_seg)
+    nbytes_max = 32 * (1 + views.max_segment_count)
     latency = comm.cluster.spec.node.nic_latency
     return hops * (latency + nbytes_max / comm.metadata_bandwidth)
 
@@ -111,7 +107,7 @@ def _collective_time(comm, nbytes_max: int) -> float:
     return hops * (latency + nbytes_max / comm.metadata_bandwidth)
 
 
-def _window_node_traffic(patterns, plan, placement_arr, did, window):
+def _window_node_traffic(views: FileViews, placement_arr, window):
     """The window's senders and ``[(node_id, [per-rank bytes])]`` by node.
 
     Node ids ascend; sizes inside a node follow rank order — the same
@@ -119,21 +115,13 @@ def _window_node_traffic(patterns, plan, placement_arr, did, window):
     sender's host.
     """
     lo, hi = window.offset, window.end
-    if isinstance(patterns, PatternArray):
-        idx = patterns.senders_in(lo, hi)
-        sizes = patterns.bytes_in_many(idx, lo, hi)
-        nodes = placement_arr[idx]
-        out = []
-        for node_id in np.unique(nodes).tolist():
-            out.append((node_id, sizes[nodes == node_id].tolist()))
-        return idx, out
-    senders = plan.window_senders(did, lo, hi, patterns)
-    by_node: dict[int, list[int]] = {}
-    for r in senders:
-        by_node.setdefault(int(placement_arr[r]), []).append(
-            patterns[r].bytes_in(lo, hi)
-        )
-    return senders, sorted(by_node.items())
+    idx = views.senders_in(lo, hi)
+    sizes = views.bytes_in_many(idx, lo, hi)
+    nodes = placement_arr[idx]
+    out = []
+    for node_id in np.unique(nodes).tolist():
+        out.append((node_id, sizes[nodes == node_id].tolist()))
+    return idx, out
 
 
 def run_vectorized_collective(
@@ -152,7 +140,8 @@ def run_vectorized_collective(
     patterns:
         All ranks' file views — a :class:`~repro.core.pattern_array.
         PatternArray` for array-speed planning, or any sequence of
-        :class:`~repro.core.request.AccessPattern`.
+        :class:`~repro.core.request.AccessPattern` (indexed once, as a
+        :class:`~repro.core.pattern_array.FileViewIndex`).
     op:
         ``"write"`` or ``"read"``.
     payloads:
@@ -183,8 +172,9 @@ def run_vectorized_collective(
         node_id: comm.cluster.nodes[node_id].memory.free_available
         for node_id in set(comm.placement)
     }
+    views = file_views(patterns)
     (plan, tier, reason_txt), cached = engine._plan_or_reuse(
-        patterns, memory_available, frozenset()
+        views, memory_available, frozenset()
     )
     if plan is None:
         return _per_rank_fallback(engine, patterns, op, "independent-tier", payloads)
@@ -200,15 +190,13 @@ def run_vectorized_collective(
     nodes = comm.cluster.nodes
     n_ranks = comm.size
     placement_arr = np.asarray(comm.placement, dtype=np.int64)
-    meta_t = _meta_allgather_time(comm, patterns)
+    meta_t = _meta_allgather_time(comm, views)
     mem_t = _collective_time(comm, 16)
     barrier_t = _collective_time(comm, 0)
     tracer = env.tracer
 
-    def _write_window(did, window, agg_node, paged, paged_wire):
-        senders, traffic = _window_node_traffic(
-            patterns, plan, placement_arr, did, window
-        )
+    def _write_window(window, agg_node, paged, paged_wire):
+        senders, traffic = _window_node_traffic(views, placement_arr, window)
         received = 0
         for node_id, sizes in traffic:
             nbytes = sum(sizes)
@@ -220,19 +208,17 @@ def run_vectorized_collective(
         if received == 0:
             return
         yield from agg_node.memcopy(received, paged=paged)
-        for piece in window_union(patterns, senders, window):
+        for piece in window_union(views, senders, window):
             yield from pfs.write_extent(agg_node, piece, None)
             stats.record_bytes(piece.length)
             stats.record_io_extent(piece.offset, piece.length)
 
-    def _read_window(did, window, agg_node, paged, paged_wire):
-        senders, traffic = _window_node_traffic(
-            patterns, plan, placement_arr, did, window
-        )
+    def _read_window(window, agg_node, paged, paged_wire):
+        senders, traffic = _window_node_traffic(views, placement_arr, window)
         if not traffic:
             return
         total_read = 0
-        for piece in window_union(patterns, senders, window):
+        for piece in window_union(views, senders, window):
             yield from pfs.read_extent(agg_node, piece)
             total_read += piece.length
             stats.record_bytes(piece.length)
@@ -302,7 +288,7 @@ def run_vectorized_collective(
                     procs.append(
                         env.process(
                             run_window(
-                                did, window, agg_node,
+                                window, agg_node,
                                 paged_flags[did], paged_wire[did],
                             ),
                             name=f"vec.d{did}.r{t}",

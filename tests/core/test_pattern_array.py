@@ -1,11 +1,12 @@
-"""PatternArray vs generic AccessPattern code paths.
+"""PatternArray vs the equivalent list of AccessPatterns.
 
 The array type promises pure speed: every planner question it answers
 (`senders_in`, byte counts, group division, plan building, aggregator
-candidate hosts) must return exactly what the generic per-pattern walk
-returns for the equivalent ``list[AccessPattern]``.  These tests pin
-that equivalence; the window union both routes share is pinned in
-``test_extent_kernel.py``.
+candidate hosts) must return exactly what the per-pattern oracles and
+the indexed ``list[AccessPattern]`` return.  These tests pin that
+equivalence; the window union both storages share is pinned in
+``test_extent_kernel.py``, and every query of the two storages in
+``test_file_view_index.py``.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def test_union_merges_touching_blocks():
 
 
 # ---------------------------------------------------------------------------
-# planner dispatch: identical plans either way
+# planner results: identical plans from either storage
 
 
 def test_divide_groups_identical():

@@ -1,11 +1,11 @@
 """ExecutionPlan's rank→domain participation index.
 
-``ExecutionPlan.build`` derives ``senders`` for per-rank file views by
-mapping each rank's blocks onto the sorted domain bounds; the per-rank
-round loops then visit only ``member_domains(rank)`` plus the domains
-the rank aggregates.  These tests pin the sweep against the brute-force
-``bytes_in > 0`` probe of every (rank, domain) pair — kept here as the
-oracle only — on the shapes that trip up interval reasoning.
+``ExecutionPlan.build`` asks the view set for every domain's senders in
+one pass over the ranks' segment rows (``FileViews.senders_in_each``);
+the per-rank round loops then visit only ``member_domains(rank)`` plus
+the domains the rank aggregates.  These tests pin that pass against the
+brute-force ``bytes_in > 0`` probe of every (rank, domain) pair — kept
+here as the oracle only — on the shapes that trip up interval reasoning.
 """
 
 from __future__ import annotations
