@@ -19,7 +19,7 @@ from repro.core.request import AccessPattern, Extent, StridedSegment, window_uni
 from repro.mpi import SimComm, subarray_view_3d
 from repro.pfs import ParallelFileSystem
 from repro.sim import Environment, RngFactory
-from repro.workloads import CollPerfWorkload, IORWorkload
+from repro.workloads import CollPerfWorkload, IORWorkload, pattern_bytes
 
 
 def test_strided_bytes_in(benchmark):
@@ -195,3 +195,9 @@ def test_workload_generation_paper_scale(benchmark):
         return sum(p.nbytes for p in patterns)
 
     assert benchmark(run) == 32 * 1024**3
+
+
+def test_pattern_bytes_500k(benchmark):
+    """One 500 kB checkpoint block of verifiable payload bytes."""
+    out = benchmark(pattern_bytes, 500_000, 5 * 97 + 13)
+    assert out.shape == (500_000,) and out[251] == out[0]

@@ -56,7 +56,7 @@ class Cluster:
             uplink_bandwidth=spec.uplink_bandwidth,
         )
         #: Shared remote-memory lease registry (borrowed aggregation buffers).
-        self.memory_ledger = LeaseLedger(self)
+        self.memory_ledger = LeaseLedger(self.nodes)
 
     def node_of(self, node_id: int) -> Node:
         """Return the node with the given id."""

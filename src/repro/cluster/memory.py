@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.sim.subscribers import Subscribers
+
 __all__ = [
     "Allocation",
     "Lease",
@@ -306,14 +308,21 @@ class LeaseLedger:
     ``listener(lease, event)`` for events ``grant``, ``renew``,
     ``release``, ``revoke``, and ``expire`` — the plan cache subscribes
     so cached plans never replay against a changed lease landscape.
+    Bound-method listeners are held weakly (see
+    :class:`~repro.sim.subscribers.Subscribers`), so subscribing never
+    keeps an engine alive.
+
+    The ledger holds the cluster's node list, not the cluster: the
+    cluster owns its ledger, and a back-reference would make every
+    platform a reference cycle.
     """
 
-    def __init__(self, cluster):
-        self.cluster = cluster
+    def __init__(self, nodes: list):
+        self._nodes = nodes
         self._next_id = 0
         self._active: dict[int, Lease] = {}
         self.history: list[Lease] = []
-        self._listeners: list = []
+        self._listeners = Subscribers()
         # lifecycle counters
         self.granted = 0
         self.renewed = 0
@@ -326,11 +335,10 @@ class LeaseLedger:
     # ------------------------------------------------------------------
     def add_listener(self, listener) -> None:
         """Register ``listener(lease, event)`` for lifecycle events."""
-        self._listeners.append(listener)
+        self._listeners.add(listener)
 
     def _notify(self, lease: Lease, event: str) -> None:
-        for listener in self._listeners:
-            listener(lease, event)
+        self._listeners.notify(lease, event)
 
     @property
     def outstanding(self) -> int:
@@ -386,7 +394,7 @@ class LeaseLedger:
         lender's memory model, so a later shock can push the lender into
         overcommit, which :meth:`soundness` reports as a squeeze.
         """
-        node = self.cluster.node_of(lender_node)
+        node = self._nodes[lender_node]
         if nbytes <= 0 or term <= 0 or node.failed:
             self.denied += 1
             return None
@@ -451,7 +459,7 @@ class LeaseLedger:
     def _retire(self, lease: Lease) -> None:
         self._active.pop(lease.lease_id, None)
         if lease._alloc is not None:
-            self.cluster.node_of(lease.lender_node).memory.free(lease._alloc)
+            self._nodes[lease.lender_node].memory.free(lease._alloc)
             lease._alloc = None
 
     # ------------------------------------------------------------------
@@ -465,7 +473,7 @@ class LeaseLedger:
         """
         if not lease.active:
             return lease.outcome_reason or lease.state
-        node = self.cluster.node_of(lease.lender_node)
+        node = self._nodes[lease.lender_node]
         if node.failed:
             return "lender-failed"
         if node.memory.overcommitted:

@@ -45,6 +45,7 @@ from repro.core.two_phase import default_aggregators
 from repro.mpi.comm import RankContext, SimComm
 from repro.obs.tracer import PID_PLANNER
 from repro.pfs.filesystem import ParallelFileSystem
+from repro.sim.subscribers import Subscribers
 
 __all__ = ["MemoryConsciousCollectiveIO"]
 
@@ -163,7 +164,7 @@ class MemoryConsciousCollectiveIO:
         #: :meth:`add_invalidation_listener`); persistent collectives
         #: subscribe here so lease churn, faults, and failover force a
         #: re-plan at their next ``start()``.
-        self._invalidation_listeners: list = []
+        self._invalidation_listeners = Subscribers()
         self.comm.cluster.memory_ledger.add_listener(self._on_lease_event)
         #: Partition-tree evaluations performed by the most recent
         #: :meth:`plan` call (0 when the plan came from the cache).
@@ -190,20 +191,18 @@ class MemoryConsciousCollectiveIO:
         injectors wired via :meth:`watch_faults`), and mid-run aggregator
         failover.  :class:`~repro.core.persistent.PersistentCollective`
         handles use this to drop their frozen plan and re-plan at the
-        next ``start()``.
+        next ``start()``.  A bound method is held weakly: a handle
+        that is dropped without :meth:`free` stops being notified
+        instead of being kept alive by the engine.
         """
-        self._invalidation_listeners.append(fn)
+        self._invalidation_listeners.add(fn)
 
     def remove_invalidation_listener(self, fn) -> None:
         """Unregister a callback added by :meth:`add_invalidation_listener`."""
-        try:
-            self._invalidation_listeners.remove(fn)
-        except ValueError:
-            pass
+        self._invalidation_listeners.remove(fn)
 
     def _notify_plan_invalidation(self, reason: str) -> None:
-        for fn in list(self._invalidation_listeners):
-            fn(reason)
+        self._invalidation_listeners.notify(reason)
 
     def _on_lease_event(self, lease, event) -> None:
         # renew/release keep the buffer map intact; only grants and

@@ -27,6 +27,7 @@ partition the root region.
 from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
+from weakref import ref
 
 from repro.core.request import Extent
 
@@ -34,15 +35,28 @@ __all__ = ["PartitionNode", "PartitionTree"]
 
 
 class PartitionNode:
-    """One vertex of the partition tree."""
+    """One vertex of the partition tree.
 
-    __slots__ = ("extent", "parent", "left", "right")
+    A vertex owns its children; the link back to its parent is weak, so
+    a finished plan's tree is freed by reference counting.
+    """
+
+    __slots__ = ("extent", "_parent", "left", "right", "__weakref__")
 
     def __init__(self, extent: Extent, parent: Optional["PartitionNode"] = None):
         self.extent = extent
         self.parent = parent
         self.left: Optional["PartitionNode"] = None
         self.right: Optional["PartitionNode"] = None
+
+    @property
+    def parent(self) -> Optional["PartitionNode"]:
+        """The vertex this one was split from (None at the root)."""
+        return None if self._parent is None else self._parent()
+
+    @parent.setter
+    def parent(self, node: Optional["PartitionNode"]) -> None:
+        self._parent = None if node is None else ref(node)
 
     @property
     def is_leaf(self) -> bool:

@@ -53,6 +53,7 @@ two-phase baseline).
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -106,7 +107,9 @@ class PersistentCollective:
     def __init__(self, file, op: str, overlap: bool = True):
         if op not in ("write", "read"):
             raise ValueError(f"bad op {op!r}")
-        self.file = file
+        #: The file owns its handles (``SimFile._pcs``); the link back is
+        #: weak so a finished run's file and handles die by refcount.
+        self.file = weakref.proxy(file)
         self.comm = file.comm
         self.engine = file.engine
         self.op = op

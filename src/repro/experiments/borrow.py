@@ -47,6 +47,7 @@ from repro.core import (
     MemoryConsciousCollectiveIO,
 )
 from repro.core.request import AccessPattern, StridedSegment
+from repro.workloads.payload import pattern_bytes
 
 from .harness import Platform
 from .report import format_table
@@ -143,11 +144,6 @@ def _patterns(n_ranks: int, nbytes: int) -> list[AccessPattern]:
     ]
 
 
-def _payload(rank: int, nbytes: int) -> np.ndarray:
-    idx = np.arange(nbytes, dtype=np.int64)
-    return ((idx * 31 + rank * 97 + 13) % 251).astype(np.uint8)
-
-
 def _apply_regime(platform: Platform, regime: str, rich_node: int) -> None:
     """Pin per-node available memory to the regime's shape.
 
@@ -194,7 +190,7 @@ def _run_cell(
     engine = MemoryConsciousCollectiveIO(platform.comm, platform.pfs, config)
     auditor = ConservationAuditor().attach(engine)
     patterns = _patterns(n_ranks, nbytes)
-    payloads = [_payload(r, nbytes) for r in range(n_ranks)]
+    payloads = [pattern_bytes(nbytes, r * 97 + 13) for r in range(n_ranks)]
 
     def main_fn(ctx):
         if fault != "none" and fault_at is not None and ctx.rank == 0:

@@ -55,6 +55,7 @@ import numpy as np
 from repro.cluster import ClusterSpec, NodeSpec, StorageSpec
 from repro.core import CollectiveStats, MCIOConfig, MemoryConsciousCollectiveIO
 from repro.mpi import SimFile, contiguous_view
+from repro.workloads.payload import pattern_bytes
 
 from .harness import Platform
 from .report import format_table
@@ -119,11 +120,6 @@ class PipelinePoint:
     fairness: float = 1.0  # Jain index over per-tenant loop times
 
 
-def _rank_bytes(rank: int, nbytes: int) -> np.ndarray:
-    idx = np.arange(nbytes, dtype=np.int64)
-    return ((idx * 31 + rank * 97 + 13) % 251).astype(np.uint8)
-
-
 def _pipeline_cell(cell, tracer=None) -> PipelinePoint:
     """One sweep cell on a fresh platform.
 
@@ -150,11 +146,13 @@ def _pipeline_cell(cell, tracer=None) -> PipelinePoint:
     fh = SimFile.open(platform.comm, engine)
     if op == "read":
         for r in range(N_RANKS):
-            platform.pfs.datastore.write(r * BLOCK, _rank_bytes(r, BLOCK))
+            platform.pfs.datastore.write(
+                r * BLOCK, pattern_bytes(BLOCK, r * 97 + 13)
+            )
 
     def main_fn(ctx):
         fh.set_view(ctx, contiguous_view(ctx.rank * BLOCK, BLOCK))
-        payload = _rank_bytes(ctx.rank, BLOCK) if op == "write" else None
+        payload = pattern_bytes(BLOCK, ctx.rank * 97 + 13) if op == "write" else None
         if mode == "blocking":
             for _ in range(steps):
                 if op == "write":

@@ -30,6 +30,7 @@ from repro.cluster.cluster import Cluster
 from repro.obs.tracer import PID_PFS, TID_NODE
 from repro.pfs.filesystem import ParallelFileSystem
 from repro.sim import Environment, Interrupt, Process
+from repro.sim.subscribers import Subscribers
 
 from .schedule import FaultEvent, FaultSchedule
 
@@ -71,19 +72,19 @@ class FaultInjector:
         #: Callbacks ``listener(event, phase)`` fired after every applied
         #: (``phase="apply"``) and reverted (``phase="revert"``) fault —
         #: e.g. a plan cache dropping its entries because the platform
-        #: state the plans were built against just changed.
-        self._listeners: list = []
+        #: state the plans were built against just changed.  Bound
+        #: methods are held weakly: watching never keeps an engine alive.
+        self._listeners = Subscribers()
         for ev in schedule:
             self._validate_target(ev)
 
     # ------------------------------------------------------------------
     def add_listener(self, listener) -> None:
         """Register ``listener(event, phase)`` for fault apply/revert."""
-        self._listeners.append(listener)
+        self._listeners.add(listener)
 
     def _notify(self, ev: FaultEvent, phase: str) -> None:
-        for listener in self._listeners:
-            listener(ev, phase)
+        self._listeners.notify(ev, phase)
 
     def _trace(self, ev: FaultEvent, phase: str) -> None:
         """Mark the fault on its target's own trace track."""

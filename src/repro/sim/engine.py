@@ -210,8 +210,13 @@ class _PooledTimeout(Timeout):
 
     __slots__ = ("_waiter",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        super().__init__(env, delay, value)
+    def __init__(self, env: "Environment", delay: float):
+        super().__init__(env, delay)
+        # the environment's free list owns this object, so it keeps no
+        # reference back: an environment dies by refcount with its pool.
+        # Nothing reads ``env`` of a sleep (it is born triggered, so
+        # succeed/fail refuse it before touching the environment).
+        self.env = None
         self._waiter: Optional[Callable[["Event"], None]] = None
 
 

@@ -86,6 +86,7 @@ class Resource:
         self._waiters: deque[Request] = deque()
         #: Total simulated time-weighted busy integral (for utilisation).
         self._busy_time = 0.0
+        self._created = env.now
         self._last_change = env.now
         self._peak_queue = 0
 
@@ -108,7 +109,7 @@ class Resource:
     def utilization(self) -> float:
         """Average fraction of capacity in use since creation."""
         self._account()
-        elapsed = self.env.now - 0.0
+        elapsed = self.env.now - self._created
         if elapsed <= 0:
             return 0.0
         return self._busy_time / (elapsed * self.capacity)
@@ -125,7 +126,9 @@ class Resource:
         if len(self._holders) < self.capacity and not self._waiters:
             self._account()
             self._holders.add(req)
-            req.succeed(req)
+            # the grant carries no value: succeeding with the request
+            # itself would make every granted request a self-cycle
+            req.succeed()
         else:
             self._waiters.append(req)
             self._peak_queue = max(self._peak_queue, len(self._waiters))
@@ -180,7 +183,7 @@ class Resource:
                 continue
             self._account()
             self._holders.add(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
 
 
 class Container:

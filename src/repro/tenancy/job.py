@@ -9,6 +9,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.config import MCIOConfig
+from repro.workloads.payload import pattern_bytes
 
 __all__ = ["JobRecord", "TenantJob", "jobs_from_arrivals"]
 
@@ -86,9 +87,9 @@ class TenantJob:
 
     def payload(self, rank: int) -> np.ndarray:
         """Deterministic per-rank bytes (a function of seed and rank)."""
-        idx = np.arange(self.block, dtype=np.int64)
-        mix = idx * 31 + rank * 97 + self.payload_seed * 131 + 13
-        return (mix % 251).astype(np.uint8)
+        return pattern_bytes(
+            self.block, rank * 97 + self.payload_seed * 131 + 13
+        )
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Benchmark workload generators: coll_perf, IOR, synthetic patterns,
-and multi-tenant job-arrival streams."""
+multi-tenant job-arrival streams, and verifiable payload bytes."""
 
 from .arrivals import JobArrival, PoissonArrivals, TraceArrivals
 from .coll_perf import CollPerfWorkload
 from .ior import IORWorkload
+from .payload import pattern_bytes
 from .synthetic import SkewedWorkload, SmallRequestWorkload
 
 __all__ = [
@@ -14,4 +15,5 @@ __all__ = [
     "SkewedWorkload",
     "SmallRequestWorkload",
     "TraceArrivals",
+    "pattern_bytes",
 ]

@@ -274,6 +274,7 @@ def test_double_start_and_bare_wait_raise():
 
     results = stack.run_spmd(main)
     pc = results[0]
+    assert pc._on_invalidate in engine._invalidation_listeners
     pc.free()  # idle handle frees cleanly and unsubscribes
     assert pc._on_invalidate not in engine._invalidation_listeners
 

@@ -16,6 +16,7 @@ from repro.cluster import (
 from repro.mpi import SimComm
 from repro.pfs import ParallelFileSystem, SparseFile
 from repro.sim import Environment, RngFactory
+from repro.workloads import pattern_bytes
 
 
 @dataclass
@@ -76,8 +77,7 @@ def make_stack(
 
 def rank_payload(rank: int, nbytes: int) -> np.ndarray:
     """Deterministic per-rank byte pattern (verifiable after a roundtrip)."""
-    idx = np.arange(nbytes, dtype=np.int64)
-    return ((idx * 31 + rank * 97 + 13) % 251).astype(np.uint8)
+    return pattern_bytes(nbytes, rank * 97 + 13)
 
 
 # ---------------------------------------------------------------------------

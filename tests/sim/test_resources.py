@@ -205,3 +205,51 @@ def test_container_immediate_when_available():
     env.run()
     assert p.value == 0.0
     assert box.level == 6
+
+
+@pytest.mark.parametrize("initial_time", [0.0, 5.0])
+def test_resource_utilization_counts_from_creation(initial_time):
+    env = Environment(initial_time=initial_time)
+    log = []
+
+    def late(env):
+        yield env.timeout(5.0)
+        res = Resource(env, capacity=1)  # created at initial_time + 5
+        yield env.process(make_user(env, res, log, "a", 4))
+        yield env.timeout(4.0)
+        return res
+
+    proc = env.process(late(env))
+    env.run()
+    assert env.now == initial_time + 13.0
+    # busy 4 s of the 8 s the resource has existed
+    assert proc.value.utilization() == pytest.approx(0.5)
+
+
+def test_finished_environment_leaves_no_cyclic_garbage():
+    import gc
+
+    def user(env, res):
+        for _ in range(3):
+            req = res.request()
+            yield req
+            yield env.sleep(1.0)
+            res.release(req)
+
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        res = Resource(env, capacity=1)
+        for _ in range(3):
+            env.process(user(env, res))
+        env.run()
+        del env, res
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [o for o in gc.garbage if type(o).__module__.startswith("repro.")]
+        assert leaked == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
