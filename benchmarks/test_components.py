@@ -14,7 +14,9 @@ from repro.core.engine import ExecutionPlan
 from repro.core.filedomain import FileDomain, even_domains
 from repro.core.group_division import divide_groups
 from repro.core.partition_tree import PartitionTree
-from repro.core.pattern_array import FileViewIndex
+from repro.core.pattern_array import FileViewIndex, PatternArray
+from repro.experiments import scale_sweep
+from repro.experiments.harness import Platform
 from repro.core.request import AccessPattern, Extent, StridedSegment, window_union
 from repro.mpi import SimComm, subarray_view_3d
 from repro.pfs import ParallelFileSystem
@@ -148,6 +150,30 @@ def test_mcio_planning_120_ranks(benchmark):
         return len(engine.plan(patterns, dict(avail)).domains)
 
     assert benchmark(run) > 0
+
+
+def test_mcio_planning_tiled_100k(benchmark):
+    """Plan only: the scale sweep's 10^5-rank tiled checkpoint (64 ranks
+    per node, 256 KiB per rank) with its MCIO parameters.  Group
+    division, candidate hosts and local bytes are array passes over the
+    views, so this costs per domain, not per rank."""
+    n_ranks, per_node = 100_000, 64
+    platform = Platform.build(
+        scale_sweep.build_spec(-(-n_ranks // per_node), per_node), n_ranks
+    )
+    engine = MemoryConsciousCollectiveIO(
+        platform.comm, platform.pfs, scale_sweep.sweep_config()
+    )
+    patterns = PatternArray.tiled(n_ranks, 256 << 10)
+    avail = {
+        node.node_id: node.memory.free_available
+        for node in platform.cluster.nodes
+    }
+
+    def run():
+        return len(engine.plan(patterns, dict(avail)).domains)
+
+    assert benchmark(run) > 1
 
 
 def test_two_phase_planning_120_ranks(benchmark):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["block_placement", "round_robin_placement", "ranks_on_node", "validate_placement"]
 
 
@@ -45,16 +47,21 @@ def validate_placement(placement: Sequence[int], n_nodes: int, cores_per_node: i
     ValueError
         On out-of-range node ids or oversubscribed nodes.
     """
-    counts: dict[int, int] = {}
-    for rank, nid in enumerate(placement):
-        if not 0 <= nid < n_nodes:
-            raise ValueError(f"rank {rank} placed on invalid node {nid}")
-        counts[nid] = counts.get(nid, 0) + 1
-    for nid, count in counts.items():
-        if count > cores_per_node:
-            raise ValueError(
-                f"node {nid} oversubscribed: {count} ranks > {cores_per_node} cores"
-            )
+    nodes = np.asarray(placement, dtype=np.int64)
+    invalid = np.flatnonzero((nodes < 0) | (nodes >= n_nodes))
+    if invalid.size:
+        rank = int(invalid[0])
+        raise ValueError(f"rank {rank} placed on invalid node {placement[rank]}")
+    counts = np.bincount(nodes, minlength=n_nodes)
+    over = counts > cores_per_node
+    if over.any():
+        # the first rank on any oversubscribed node names the node that
+        # appears first in rank order
+        nid = int(nodes[over[nodes].argmax()])
+        raise ValueError(
+            f"node {nid} oversubscribed: {int(counts[nid])} ranks > "
+            f"{cores_per_node} cores"
+        )
 
 
 def _check(n_ranks: int, n_nodes: int, cores_per_node: int) -> None:

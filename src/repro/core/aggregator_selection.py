@@ -35,10 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.core.config import MCIOConfig
 from repro.core.filedomain import FileDomain
 from repro.core.partition_tree import PartitionTree
-from repro.core.pattern_array import FileViews, file_views
+from repro.core.pattern_array import FileViews, file_views, group_by_host
 from repro.core.request import AccessPattern, Extent
 
 __all__ = ["PlacementError", "place_aggregators", "candidate_hosts"]
@@ -83,25 +85,61 @@ def candidate_hosts(
     -------
     dict
         ``host node id -> ranks of that host with data in the domain``,
-        restricted to `ranks` (rank-ordered).
+        restricted to `ranks`; hosts in order of first appearance in
+        rank order, each host's ranks ascending.
     """
     views = file_views(patterns)
-    eligible = None if len(ranks) == len(views) else frozenset(ranks)
-    return _candidate_hosts(domain, eligible, views, placement)
+    hosts, _local = _candidate_hosts(
+        domain, _eligible(ranks, views), views,
+        np.asarray(placement, dtype=np.int64),
+    )
+    return hosts
+
+
+def _eligible(ranks: Sequence[int], views: FileViews) -> Optional[np.ndarray]:
+    """`ranks` as a boolean mask over every rank, or None when it is
+    every rank."""
+    if len(ranks) == len(views):
+        return None
+    mask = np.zeros(len(views), dtype=bool)
+    mask[np.asarray(ranks, dtype=np.int64)] = True
+    return mask
 
 
 def _candidate_hosts(
     domain: Extent,
-    eligible: Optional[frozenset],
+    eligible: Optional[np.ndarray],
     views: FileViews,
-    placement: Sequence[int],
-) -> dict[int, list[int]]:
-    """:func:`candidate_hosts` over the ranks in `eligible` (None: all)."""
-    hosts: dict[int, list[int]] = {}
-    for r in views.senders_in(domain.offset, domain.end).tolist():
-        if eligible is None or r in eligible:
-            hosts.setdefault(placement[r], []).append(r)
-    return hosts
+    placement: np.ndarray,
+) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """:func:`candidate_hosts` over the ranks `eligible` marks (a
+    boolean mask over every rank; None: all), plus each host's bytes in
+    the domain.
+
+    One pass over the domain's senders and their bytes: their hosts, a
+    stable sort by host cut where the host changes (each host's ranks
+    stay ascending), and the bytes summed per host.
+    """
+    ranks, nbytes = views.sender_bytes(domain.offset, domain.end)
+    if eligible is not None:
+        keep = eligible[ranks]
+        ranks, nbytes = ranks[keep], nbytes[keep]
+    if not ranks.size:
+        return {}, {}
+    order, heads, nodes = group_by_host(ranks, placement)
+    ranks = ranks[order]
+    local = np.add.reduceat(nbytes[order], heads).tolist()
+    nodes = nodes.tolist()
+    bounds = heads.tolist()
+    members = ranks.tolist()
+    # hosts by first appearance: each run's head is its lowest rank
+    heads_rank = [members[b] for b in bounds]
+    appearance = sorted(range(len(bounds)), key=heads_rank.__getitem__)
+    bounds.append(len(members))
+    return (
+        {nodes[k]: members[bounds[k]:bounds[k + 1]] for k in appearance},
+        {nodes[k]: local[k] for k in appearance},
+    )
 
 
 @dataclass
@@ -156,7 +194,8 @@ def place_aggregators(
         One per surviving leaf, in file order.
     """
     views = file_views(patterns)
-    eligible = None if len(ranks) == len(views) else frozenset(ranks)
+    eligible = _eligible(ranks, views)
+    placement = np.asarray(placement, dtype=np.int64)
     if host_state is None:
         host_state = {}
     for node, avail in memory_available.items():
@@ -166,13 +205,12 @@ def place_aggregators(
     # per-host local byte counts are memoised by extent across passes.
     # A remerge only *creates* extents (the absorber's grows), so stale
     # keys are simply never queried again.
-    cand_cache: dict[tuple[int, int], dict[int, list[int]]] = {}
-    local_cache: dict[tuple[int, int, int], int] = {}
+    cand_cache: dict[tuple[int, int], tuple[dict, dict]] = {}
     max_passes = tree.n_leaves + 1
     for _ in range(max_passes):
         result = _try_assign(
             tree, group_id, ranks, eligible, views, placement, host_state,
-            config, cand_cache, local_cache,
+            config, cand_cache,
         )
         if result is not None:
             domains, tentative = result
@@ -240,20 +278,19 @@ def _try_assign(
     tree: PartitionTree,
     group_id: int,
     ranks: Sequence[int],
-    eligible: Optional[frozenset],
+    eligible: Optional[np.ndarray],
     views: FileViews,
-    placement: Sequence[int],
+    placement: np.ndarray,
     base_state: Mapping[int, "_HostState"],
     config: MCIOConfig,
-    cand_cache: dict[tuple[int, int], dict[int, list[int]]],
-    local_cache: dict[tuple[int, int, int], int],
+    cand_cache: dict[tuple[int, int], tuple[dict, dict]],
 ):
     """One assignment pass over a copy of `base_state`.
 
     Returns ``(domains, tentative_state)`` on success, or None if a
-    remerge happened (the caller restarts the pass).  `cand_cache` and
-    `local_cache` memoise candidate hosts / per-host local bytes by
-    domain extent across restarted passes.
+    remerge happened (the caller restarts the pass).  `cand_cache`
+    memoises candidate hosts and per-host local bytes by domain extent
+    across restarted passes.
     """
     hosts: dict[int, _HostState] = {
         node: _HostState(
@@ -269,18 +306,21 @@ def _try_assign(
         nominal = max(1, min(config.cb_buffer_size, domain.length))
         requirement = max(config.mem_min, nominal)
         cand_key = (domain.offset, domain.end)
-        candidates = cand_cache.get(cand_key)
-        if candidates is None:
-            candidates = cand_cache[cand_key] = _candidate_hosts(
+        cached = cand_cache.get(cand_key)
+        if cached is None:
+            cached = cand_cache[cand_key] = _candidate_hosts(
                 domain, eligible, views, placement
             )
+        candidates, local = cached
         if not candidates:
             # a domain with no requesting process can appear when the
             # region contains request gaps; fold it into a neighbour
             if tree.n_leaves > 1:
                 tree.remerge(leaf)
                 return None
-            candidates = {placement[ranks[0]]: [ranks[0]]}
+            first = int(ranks[0])
+            host = int(placement[first])
+            candidates, local = {host: [first]}, {host: 0}
 
         open_hosts = {
             node: members
@@ -301,19 +341,10 @@ def _try_assign(
             # on the intra-node path (the abstract's "coordinates I/O
             # accesses in intra-node and inter-node layer"); memory is the
             # tie-break
-            def _local_bytes(node: int) -> int:
-                key = (domain.offset, domain.end, node)
-                total = local_cache.get(key)
-                if total is None:
-                    total = local_cache[key] = views.sum_bytes_in(
-                        domain.offset, domain.end, candidates[node]
-                    )
-                return total
-
             pool = satisfied
             best = max(
                 pool,
-                key=lambda node: (_local_bytes(node), hosts[node].remaining, -node),
+                key=lambda node: (local[node], hosts[node].remaining, -node),
             )
             buffer = _buffer_for(domain, hosts[best], config)
         else:

@@ -69,45 +69,95 @@ def _members(views: FileViews, region: Extent) -> tuple[int, ...]:
 
 def _serial_walk(
     views: FileViews,
-    placement: Sequence[int],
+    placement: np.ndarray,
     msg_group: int,
     lo: int,
     hi: int,
 ) -> list[Extent]:
-    """Offset-ordered accumulation with node-boundary extension."""
-    # vectorized sort, then plain-python lists for the linear walk
-    # (numpy scalar indexing in a hot loop is slower than list access)
-    active = np.flatnonzero(views.sizes > 0)
-    order_arr = active[
-        np.lexsort((active, views.ends[active], views.starts[active]))
-    ]
-    order = order_arr.tolist()
-    starts = views.starts[order_arr].tolist()
-    ends = views.ends[order_arr].tolist()
-    sizes = views.sizes[order_arr].tolist()
+    """Offset-ordered accumulation with node-boundary extension.
+
+    The walk visits the non-empty ranks in file order (start, end,
+    rank) and cuts after position ``i`` when the open group holds at
+    least `msg_group` bytes, no earlier rank reaches past the next
+    rank's start, and the next rank's host is not in the open group.
+    Each condition is an array fact, so Python iterates only over cuts:
+
+    * the furthest end seen, *reach*, never resets at a cut: it is the
+      running max of the ends;
+    * the open group's bytes are a difference of cumulative sizes, so
+      its first big-enough position is one bisection;
+    * the next rank's host is new to a group opening at position ``g``
+      exactly when that host's previous position lies before ``g``.
+    """
+    sizes = views.sizes
+    starts, ends = views.starts, views.ends
+    hosts = placement
+    if not (sizes > 0).all():
+        active = sizes.nonzero()[0]
+        starts, ends, sizes = starts[active], ends[active], sizes[active]
+        hosts = placement[active]
+    # a monotone view set (the tiled checkpoint case) is already in
+    # file order; lexsort is stable, so ties stay in rank order
+    if (starts[1:] < starts[:-1]).any() or (ends[1:] < ends[:-1]).any():
+        order = np.lexsort((ends, starts))
+        starts, ends, sizes = starts[order], ends[order], sizes[order]
+        hosts = hosts[order]
+        # at 10^5+ ranks every full-length temporary raises peak RSS:
+        # the allocator keeps freed heap resident
+        del order
+    last = sizes.size - 1
+    reach = np.maximum.accumulate(ends)
+    clean = starts[1:] >= reach[:-1]
+    cum = np.cumsum(sizes)
+    previous = _previous_on_host(hosts)
+
     regions: list[Extent] = []
     region_start = lo
-    acc_bytes = 0
-    reach = lo  # furthest end among ranks added to the open group
-    group_nodes: set[int] = set()
-    last = len(order) - 1
-    for i, rank in enumerate(order):
-        acc_bytes += sizes[i]
-        if ends[i] > reach:
-            reach = ends[i]
-        group_nodes.add(placement[rank])
-        if i == last:
+    first = 0  # position opening the current group
+    while first < last:
+        base = int(cum[first - 1]) if first else 0
+        i = int(cum.searchsorted(base + msg_group))
+        cut = _next_cut(clean, previous, first, i, last)
+        if cut is None:
             break
-        clean = starts[i + 1] >= reach
-        big_enough = acc_bytes >= msg_group
-        node_boundary = placement[order[i + 1]] not in group_nodes
-        if big_enough and clean and node_boundary:
-            regions.append(Extent(region_start, reach - region_start))
-            region_start = reach
-            acc_bytes = 0
-            group_nodes = set()
+        end = int(reach[cut])
+        regions.append(Extent(region_start, end - region_start))
+        region_start = end
+        first = cut + 1
     regions.append(Extent(region_start, hi - region_start))
     return regions
+
+
+def _previous_on_host(hosts: np.ndarray) -> np.ndarray:
+    """``previous[j]`` = the last position before ``j`` on the host of
+    ``j``, or -1: a stable sort by host puts each position right after
+    its predecessor on the same host."""
+    order = hosts.argsort(kind="stable")
+    grouped = hosts[order]
+    same = grouped[1:] == grouped[:-1]
+    del grouped
+    previous = np.empty(hosts.size, dtype=np.int64)
+    previous[order[:1]] = -1
+    previous[order[1:]] = np.where(same, order[:-1], -1)
+    return previous
+
+
+def _next_cut(
+    clean: np.ndarray, previous: np.ndarray, first: int, i: int, last: int
+):
+    """First cut position in ``[i, last)`` for a group opening at
+    `first`, or None.  Chunks double, so finding a cut costs the
+    distance scanned, not the positions left."""
+    chunk = 64
+    while i < last:
+        stop = min(i + chunk, last)
+        ok = clean[i:stop] & (previous[i + 1:stop + 1] < first)
+        k = int(ok.argmax())
+        if ok[k]:
+            return i + k
+        i = stop
+        chunk *= 2
+    return None
 
 
 def _interleaved_chunks(
@@ -150,7 +200,8 @@ def divide_groups(
     patterns:
         ``patterns[rank]`` = the rank's file view (empty patterns allowed).
     placement:
-        ``placement[rank]`` = node id.
+        ``placement[rank]`` = node id (any int sequence; an int64 array,
+        such as :attr:`SimComm.placement_array`, is used as is).
     msg_group:
         Target bytes per group (``Msg_group``).
     stripe_size:
@@ -171,6 +222,7 @@ def divide_groups(
     if msg_group < 1:
         raise ValueError("msg_group must be >= 1")
     views = file_views(patterns)
+    placement = np.asarray(placement, dtype=np.int64)
     if not views.any_active:
         return []
     n_active = int((views.sizes > 0).sum())

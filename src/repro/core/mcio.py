@@ -564,8 +564,9 @@ class MemoryConsciousCollectiveIO:
         tracer = self.comm.env.tracer
 
         wall0 = perf_counter() if tracer.enabled else 0.0
+        placement = self.comm.placement_array
         groups = divide_groups(
-            views, self.comm.placement, cfg.msg_group, stripe_size=stripe
+            views, placement, cfg.msg_group, stripe_size=stripe
         )
         if tracer.enabled:
             tracer.complete(
@@ -596,8 +597,11 @@ class MemoryConsciousCollectiveIO:
         # reservations and the N_ah cap are shared across groups: the
         # groups' aggregators all coexist during the collective
         host_state: dict = {}
+        n_nodes = len(self.comm.cluster.nodes)
         for group in groups:
-            members = group.ranks
+            members = np.fromiter(
+                group.ranks, dtype=np.int64, count=len(group.ranks)
+            )
 
             # a group's members are exactly the ranks with bytes in its
             # region, and the tree only asks about windows inside the
@@ -611,7 +615,9 @@ class MemoryConsciousCollectiveIO:
             # hold at least half the per-aggregator buffer (the adaptive
             # path accepts those).
             requirement = max(cfg.mem_min, min(cfg.cb_buffer_size, cfg.msg_ind))
-            group_nodes = {self.comm.placement[r] for r in members}
+            on_node = np.zeros(n_nodes, dtype=bool)
+            on_node[placement[members]] = True
+            group_nodes = np.flatnonzero(on_node).tolist()
             slots = sum(
                 max(0, cfg.nah - getattr(host_state.get(n), "aggregators", 0))
                 for n in group_nodes
@@ -644,7 +650,7 @@ class MemoryConsciousCollectiveIO:
                     group.group_id,
                     members,
                     views,
-                    self.comm.placement,
+                    placement,
                     memory_available,
                     cfg,
                     host_state=host_state,

@@ -45,7 +45,9 @@ import numpy as np
 
 from repro.core.request import AccessPattern, expand_blocks
 
-__all__ = ["FileViews", "FileViewIndex", "PatternArray", "file_views"]
+__all__ = [
+    "FileViews", "FileViewIndex", "PatternArray", "file_views", "group_by_host",
+]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -110,6 +112,12 @@ class FileViews(Sequence):
     def bytes_in_many(self, ranks, lo: int, hi: int) -> np.ndarray:
         """Per-rank byte counts inside ``[lo, hi)`` for the given ranks."""
 
+    def sender_bytes(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`senders_in` and each sender's :meth:`bytes_in_many`,
+        from one query."""
+        ranks = self.senders_in(lo, hi)
+        return ranks, self.bytes_in_many(ranks, lo, hi)
+
     @abstractmethod
     def sum_bytes_in(self, lo: int, hi: int, ranks=None) -> int:
         """Total bytes inside ``[lo, hi)`` (optionally over given ranks)."""
@@ -133,6 +141,23 @@ def file_views(patterns: Sequence[AccessPattern]) -> FileViews:
     if isinstance(patterns, FileViews):
         return patterns
     return FileViewIndex(patterns)
+
+
+def group_by_host(ranks: np.ndarray, placement: np.ndarray):
+    """Group `ranks` (ascending) by host with a stable sort and a cut
+    where the host changes: ``(order, heads, hosts)``.  Run ``k`` is
+    ``ranks[order][heads[k]:heads[k + 1]]``, still ascending, all on
+    host ``hosts[k]``; hosts ascend.  `ranks` must be non-empty."""
+    # ndarray methods, not the np.* wrappers: a leaf of a small
+    # collective has a handful of senders, so call overhead dominates
+    on = placement[ranks]
+    order = on.argsort(kind="stable")
+    on = on[order]
+    cut = np.empty(on.size, dtype=bool)
+    cut[0] = True
+    np.not_equal(on[1:], on[:-1], out=cut[1:])
+    heads = cut.nonzero()[0]
+    return order, heads, on[heads]
 
 
 class FileViewIndex(FileViews):
@@ -280,6 +305,27 @@ class FileViewIndex(FileViews):
                     found.add(rank[k])
         return np.array(sorted(found), dtype=np.int64)
 
+    def sender_bytes(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        # the rows senders_in visits, each adding its bytes: a rank's
+        # segments never overlap, so their sum is the rank's byte count
+        totals: dict[int, int] = {}
+        if hi > lo:
+            order, end, rank = self._order, self._end, self._rank
+            for j in range(
+                bisect_right(self._reach, lo), bisect_left(self._sorted_start, hi)
+            ):
+                k = order[j]
+                if end[k] > lo:
+                    nbytes = self._position(k, hi) - self._position(k, lo)
+                    if nbytes:
+                        r = rank[k]
+                        totals[r] = totals.get(r, 0) + nbytes
+        ranks = sorted(totals)
+        return (
+            np.array(ranks, dtype=np.int64),
+            np.array([totals[r] for r in ranks], dtype=np.int64),
+        )
+
     def senders_in_each(self, windows) -> tuple[tuple[int, ...], ...]:
         # one pass over the rows, rank by rank: each row visits the
         # windows it has bytes in, jumping over the ones that fall in the
@@ -411,8 +457,8 @@ class PatternArray(FileViews):
         """
         if not self._monotone:
             return None
-        i1 = int(np.searchsorted(self._starts, hi, side="left"))
-        i0 = int(np.searchsorted(self._ends, lo, side="right"))
+        i1 = int(self._starts.searchsorted(hi, side="left"))
+        i0 = int(self._ends.searchsorted(lo, side="right"))
         return i0, max(i0, i1)
 
     # ------------------------------------------------------------------
@@ -495,7 +541,7 @@ class PatternArray(FileViews):
 
     def bytes_in_many(self, ranks, lo: int, hi: int) -> np.ndarray:
         starts, ends = self.clipped_blocks(ranks, lo, hi)
-        return np.clip(ends - starts, 0, None)
+        return np.maximum(ends - starts, 0)
 
     def sum_bytes_in(self, lo: int, hi: int, ranks=None) -> int:
         if ranks is None:

@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.engine import _round_extent
 from repro.core.filedomain import rounds_for
 from repro.core.metrics import CollectiveStats
-from repro.core.pattern_array import FileViews, file_views
+from repro.core.pattern_array import FileViews, file_views, group_by_host
 from repro.core.request import AccessPattern, window_union
 
 __all__ = ["run_vectorized_collective", "vectorization_refusal"]
@@ -114,14 +114,16 @@ def _window_node_traffic(views: FileViews, placement_arr, window):
     per-message sequence the per-rank path would emit, grouped by the
     sender's host.
     """
-    lo, hi = window.offset, window.end
-    idx = views.senders_in(lo, hi)
-    sizes = views.bytes_in_many(idx, lo, hi)
-    nodes = placement_arr[idx]
-    out = []
-    for node_id in np.unique(nodes).tolist():
-        out.append((node_id, sizes[nodes == node_id].tolist()))
-    return idx, out
+    idx, nbytes = views.sender_bytes(window.offset, window.end)
+    if not idx.size:
+        return idx, []
+    order, heads, hosts = group_by_host(idx, placement_arr)
+    sizes = nbytes[order].tolist()
+    bounds = heads.tolist() + [len(sizes)]
+    return idx, [
+        (node_id, sizes[bounds[k]:bounds[k + 1]])
+        for k, node_id in enumerate(hosts.tolist())
+    ]
 
 
 def run_vectorized_collective(
@@ -170,7 +172,9 @@ def run_vectorized_collective(
     engine.plan_cache.tracer = comm.env.tracer
     memory_available = {
         node_id: comm.cluster.nodes[node_id].memory.free_available
-        for node_id in set(comm.placement)
+        for node_id in np.flatnonzero(
+            np.bincount(comm.placement_array, minlength=len(comm.cluster.nodes))
+        ).tolist()
     }
     views = file_views(patterns)
     (plan, tier, reason_txt), cached = engine._plan_or_reuse(
@@ -189,7 +193,7 @@ def run_vectorized_collective(
     network = comm.cluster.network
     nodes = comm.cluster.nodes
     n_ranks = comm.size
-    placement_arr = np.asarray(comm.placement, dtype=np.int64)
+    placement_arr = comm.placement_array
     meta_t = _meta_allgather_time(comm, views)
     mem_t = _collective_time(comm, 16)
     barrier_t = _collective_time(comm, 0)

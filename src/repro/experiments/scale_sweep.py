@@ -39,7 +39,9 @@ from repro.experiments.harness import Platform
 from repro.experiments.report import format_table
 from repro.parallel import ParallelRunner, cell_seed, resolve_jobs
 
-__all__ = ["build_spec", "rank_ladder", "run_point", "run_sweep", "main"]
+__all__ = [
+    "build_spec", "rank_ladder", "sweep_config", "run_point", "run_sweep", "main",
+]
 
 
 def build_spec(n_nodes: int, ranks_per_node: int) -> ClusterSpec:
@@ -81,6 +83,20 @@ def rank_ladder(target: int, base: int = 1000, factor: int = 10) -> list[int]:
     return ladder
 
 
+def sweep_config() -> MCIOConfig:
+    """The MCIO parameters of every ladder point: one group, 64 MiB
+    domains and buffers, up to four aggregators per host."""
+    return MCIOConfig(
+        msg_group=1 << 40,
+        msg_ind=64 * MIB,
+        mem_min=0,
+        nah=4,
+        cb_buffer_size=64 * MIB,
+        min_buffer=1 * MIB,
+        execution_mode="vectorized",
+    )
+
+
 def _ladder_cell(cell) -> list[dict]:
     """Picklable wrapper around :func:`run_point` for cell sharding.
 
@@ -112,17 +128,7 @@ def run_point(
     platform = Platform.build(build_spec(n_nodes, ranks_per_node), n_ranks, seed=seed)
     patterns = PatternArray.tiled(n_ranks, bytes_per_rank)
     engine = MemoryConsciousCollectiveIO(
-        platform.comm,
-        platform.pfs,
-        MCIOConfig(
-            msg_group=1 << 40,
-            msg_ind=64 * MIB,
-            mem_min=0,
-            nah=4,
-            cb_buffer_size=64 * MIB,
-            min_buffer=1 * MIB,
-            execution_mode="vectorized",
-        ),
+        platform.comm, platform.pfs, sweep_config()
     )
     rows = []
     for op in ops:

@@ -23,6 +23,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.cluster import Cluster, Node
 from repro.sim import Environment, Event, Process
 
@@ -173,9 +175,16 @@ class SimComm:
     ):
         from repro.cluster.placement import validate_placement
 
-        validate_placement(placement, len(cluster.nodes), cluster.spec.node.cores)
+        #: ``placement[rank]`` = node id, as a read-only int64 array for
+        #: the planner's and the vectorized driver's array passes.
+        self.placement_array = np.array(placement, dtype=np.int64)
+        self.placement_array.flags.writeable = False
+        validate_placement(
+            self.placement_array, len(cluster.nodes), cluster.spec.node.cores
+        )
         self.env = env
         self.cluster = cluster
+        #: The same placement as a list; never mutated after construction.
         self.placement = list(placement)
         self.size = len(placement)
         self.metadata_bandwidth = float(metadata_bandwidth)

@@ -225,10 +225,11 @@ class Initialize(Event):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment"):
-        # flattened like Timeout: born triggered, scheduled urgently
+    def __init__(self, env: "Environment", callback: Callable[[Event], None]):
+        # flattened like Timeout: born triggered, scheduled urgently,
+        # with the starting process's resume as its one callback
         self.env = env
-        self.callbacks = []
+        self.callbacks = [callback]
         self._value = None
         self._exception = None
         self._triggered = True
@@ -252,28 +253,33 @@ class Process(Event):
         "_target",
         "name",
         "_send",
-        "_throw",
         "_resume_cb",
         "_sleep_cb",
     )
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
-        super().__init__(env)
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process requires a generator, got {generator!r}")
+        # flattened Event initialisation: processes are created per rank
+        # and per transfer, so the base-class call chain is skipped
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._exception = None
+        self._triggered = False
+        self._processed = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         #: Event this process is currently waiting on (None if runnable).
         self._target: Optional[Event] = None
-        # bind the generator methods and the resume callbacks once — every
-        # wait re-registers a callback, and creating a fresh bound
-        # method per wait is measurable on the hot path
+        # bind send and the resume callbacks once — every wait
+        # re-registers a callback, and creating a fresh bound method per
+        # wait is measurable on the hot path (``throw`` is looked up only
+        # when an exception is actually thrown)
         self._send = generator.send
-        self._throw = generator.throw
         self._resume_cb = self._resume
         self._sleep_cb = self._resume_sleep
-        init = Initialize(env)
-        init.callbacks.append(self._resume_cb)
+        Initialize(env, self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -313,7 +319,7 @@ class Process(Event):
                 if event._exception is None:
                     next_target = send(event._value)
                 else:
-                    next_target = self._throw(event._exception)
+                    next_target = self._generator.throw(event._exception)
             except StopIteration as stop:
                 self._triggered = True
                 self._value = stop.value
@@ -417,7 +423,12 @@ class AllOf(Event):
     __slots__ = ("_events", "_remaining")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._exception = None
+        self._triggered = False
+        self._processed = False
         self._events = list(events)
         self._remaining = 0
         on_sub = self._on_sub

@@ -42,7 +42,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # flattened Event initialisation (one request per wire chunk)
+        self.env = resource.env
+        self.callbacks = []
+        self._value = None
+        self._exception = None
+        self._triggered = False
+        self._processed = False
         self.resource = resource
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -123,9 +129,13 @@ class Resource:
     def request(self) -> Request:
         """Ask for a slot; the returned event fires when granted."""
         req = Request(self)
-        if len(self._holders) < self.capacity and not self._waiters:
-            self._account()
-            self._holders.add(req)
+        holders = self._holders
+        if len(holders) < self.capacity and not self._waiters:
+            # _account, inlined on the hot path
+            now = self.env._now
+            self._busy_time += len(holders) * (now - self._last_change)
+            self._last_change = now
+            holders.add(req)
             # the grant carries no value: succeeding with the request
             # itself would make every granted request a self-cycle
             req.succeed()
@@ -141,10 +151,15 @@ class Resource:
         it.  Releasing a request that was *failed* while queued (see
         :meth:`Request.fail`) is a no-op: the slot was already reclaimed.
         """
-        if request in self._holders:
-            self._account()
-            self._holders.discard(request)
-            self._grant_next()
+        holders = self._holders
+        if request in holders:
+            # _account, inlined on the hot path
+            now = self.env._now
+            self._busy_time += len(holders) * (now - self._last_change)
+            self._last_change = now
+            holders.discard(request)
+            if self._waiters:
+                self._grant_next()
         else:
             try:
                 self._waiters.remove(request)

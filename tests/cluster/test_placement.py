@@ -50,6 +50,35 @@ def test_validate_placement_rejects_oversubscribed():
         validate_placement([0, 0, 0], n_nodes=2, cores_per_node=2)
 
 
+def test_validate_placement_names_first_invalid_rank():
+    with pytest.raises(ValueError) as err:
+        validate_placement([0, 1, -1, 7, 1], n_nodes=2, cores_per_node=4)
+    assert str(err.value) == "rank 2 placed on invalid node -1"
+    with pytest.raises(ValueError) as err:
+        validate_placement([0, 2, -1], n_nodes=2, cores_per_node=4)
+    assert str(err.value) == "rank 1 placed on invalid node 2"
+
+
+def test_validate_placement_names_first_oversubscribed_node():
+    """Two oversubscribed nodes: the one appearing first in rank order is
+    named, whatever its id and whichever node overflows first."""
+    placement = [1, 3, 0, 3, 3, 1, 1, 3]
+    with pytest.raises(ValueError) as err:
+        validate_placement(placement, n_nodes=4, cores_per_node=2)
+    assert str(err.value) == "node 1 oversubscribed: 3 ranks > 2 cores"
+    with pytest.raises(ValueError) as err:
+        validate_placement([2] + placement, n_nodes=4, cores_per_node=2)
+    assert str(err.value) == "node 1 oversubscribed: 3 ranks > 2 cores"
+    with pytest.raises(ValueError) as err:
+        validate_placement([3] + placement, n_nodes=4, cores_per_node=3)
+    assert str(err.value) == "node 3 oversubscribed: 5 ranks > 3 cores"
+
+
+def test_validate_placement_invalid_node_reported_before_oversubscription():
+    with pytest.raises(ValueError, match="rank 3 placed on invalid node 9"):
+        validate_placement([0, 0, 0, 9], n_nodes=2, cores_per_node=1)
+
+
 @given(
     n_nodes=st.integers(1, 20),
     cores=st.integers(1, 16),

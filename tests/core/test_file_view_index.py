@@ -1,11 +1,12 @@
 """FileViewIndex against the per-pattern oracles, and its lifetime.
 
 Every query the planner and both drivers ask of a collective's views —
-``senders_in``, ``senders_in_each``, ``bytes_in_many``, ``sum_bytes_in``,
-``clipped_blocks`` and the per-rank summaries — must return exactly what
-the object-at-a-time code answers: ``AccessPattern.bytes_in``,
-``clip(...).nbytes``, and ``coalesce_extents`` / ``union_blocks`` over
-``block_arrays`` of clipped segments.  The strategies mix strided and
+``senders_in``, ``senders_in_each``, ``bytes_in_many``, ``sender_bytes``,
+``sum_bytes_in``, ``clipped_blocks`` and the per-rank summaries — must
+return exactly what the object-at-a-time code answers:
+``AccessPattern.bytes_in``, ``clip(...).nbytes``, and
+``coalesce_extents`` / ``union_blocks`` over ``block_arrays`` of
+clipped segments.  The strategies mix strided and
 ``stride == block`` trains, single-block segments with arbitrary
 strides, empty ranks, several ranks reading the same bytes, sparse
 trains whose span crosses windows they hold nothing in, and windows that
@@ -121,6 +122,11 @@ def check_window(views, pats, lo, hi, ranks):
     assert views.bytes_in_many(range(len(pats)), lo, hi).tolist() == want
     assert views.bytes_in_many(ranks, lo, hi).tolist() == [
         want[r] for r in ranks
+    ]
+    senders, nbytes = views.sender_bytes(lo, hi)
+    assert senders.dtype == np.int64 and nbytes.dtype == np.int64
+    assert list(zip(senders.tolist(), nbytes.tolist())) == [
+        (r, n) for r, n in enumerate(want) if n > 0
     ]
     assert views.sum_bytes_in(lo, hi) == sum(want)
     assert views.sum_bytes_in(lo, hi, ranks) == sum(want[r] for r in ranks)
@@ -293,6 +299,8 @@ def test_pattern_array_and_index_agree(extents, wins, data):
         assert pa.bounds() == views.bounds()
     for lo, hi in wins:
         assert pa.senders_in(lo, hi).tolist() == views.senders_in(lo, hi).tolist()
+        for got, want in zip(pa.sender_bytes(lo, hi), views.sender_bytes(lo, hi)):
+            assert got.tolist() == want.tolist()
         assert (
             pa.bytes_in_many(ranks, lo, hi).tolist()
             == views.bytes_in_many(ranks, lo, hi).tolist()
