@@ -11,12 +11,12 @@ from repro.experiments.figure7 import small_config
 from repro.experiments.figures import run_figure
 
 
-def test_figure7_sweep(once):
+def test_figure7_sweep(sweep):
     config = replace(
         small_config(),
         buffer_sizes=tuple(m * MIB for m in (64, 16, 4)),
     )
-    result = once(lambda: run_figure(config))
+    result = sweep(lambda: run_figure(config))
     issues = result.check_shape()
     assert issues == [], "\n".join(issues)
 

@@ -9,16 +9,8 @@ Two engines, two configs:
   tuning parameters (``msg_group``, ``msg_ind``, ``mem_min``, ``nah``)
   plus the same nominal buffer size the evaluation sweeps.
 
-``shuffle_granularity`` trades simulation fidelity for event count:
-
-* ``"round"`` sends one shuffle message per (rank, aggregator, round)
-  like the real protocol — the reference fidelity level;
-* ``"domain"`` batches a rank's traffic to an aggregator into one
-  message per file domain and charges the extra per-round latency
-  analytically — required to simulate 1000+ rank runs in reasonable
-  time, at the cost of under-charging synchronisation stalls.
-
-Per-rank runs always send one shuffle message per sending rank.
+Per-rank runs send one shuffle message per (sending rank, aggregator,
+round), like the real protocol, and run ROMIO's lockstep rounds.
 Node-level aggregation of shuffle traffic (one wire transfer per
 source node and aggregator) lives only in the vectorized driver
 (``MCIOConfig.execution_mode="vectorized"``, DESIGN.md §11).
@@ -36,19 +28,15 @@ __all__ = [
     "MCIOConfig",
     "ExecutionMode",
     "PlacementPolicy",
-    "ShuffleGranularity",
 ]
 
-ShuffleGranularity = Literal["round", "domain"]
 PlacementPolicy = Literal["remerge", "borrow", "hybrid"]
 ExecutionMode = Literal["per-rank", "vectorized"]
 
 
-def _check_common(cb_buffer_size: int, shuffle_granularity: str) -> None:
+def _check_common(cb_buffer_size: int) -> None:
     if cb_buffer_size < 1:
         raise ValueError("cb_buffer_size must be >= 1")
-    if shuffle_granularity not in ("round", "domain"):
-        raise ValueError(f"bad shuffle_granularity {shuffle_granularity!r}")
 
 
 @dataclass(frozen=True)
@@ -66,17 +54,14 @@ class TwoPhaseConfig:
     stripe_align:
         Align file-domain boundaries down to stripe boundaries, avoiding
         two aggregators splitting one stripe (lock contention in Lustre).
-    shuffle_granularity:
-        See module docstring.
     """
 
     cb_buffer_size: int = 16 * MIB
     cb_nodes: Optional[int] = None
     stripe_align: bool = True
-    shuffle_granularity: ShuffleGranularity = "round"
 
     def __post_init__(self) -> None:
-        _check_common(self.cb_buffer_size, self.shuffle_granularity)
+        _check_common(self.cb_buffer_size)
         if self.cb_nodes is not None and self.cb_nodes < 1:
             raise ValueError("cb_nodes must be >= 1")
 
@@ -122,13 +107,11 @@ class MCIOConfig:
     min_buffer:
         Smallest buffer the adaptive path accepts; below this the domain
         is remerged (or placed paged as a last resort).
-    shuffle_granularity:
-        See module docstring.
     failover:
         Degraded-mode execution: when an aggregator's host fails
         mid-operation, re-place the orphaned domains on the next-best
-        live hosts between lockstep rounds (``"round"`` granularity
-        only).  With no faults injected this is timing-neutral.
+        live hosts between lockstep rounds.  With no faults injected
+        this is timing-neutral.
     fallback_chain:
         Graceful planning degradation: if MCIO planning raises
         :class:`~repro.core.aggregator_selection.PlacementError`, fall
@@ -204,7 +187,6 @@ class MCIOConfig:
     memory_oblivious: bool = False
     adaptive_buffer: bool = True
     min_buffer: int = 1 * MIB
-    shuffle_granularity: ShuffleGranularity = "round"
     failover: bool = True
     fallback_chain: bool = True
     plan_cache: bool = False
@@ -217,7 +199,7 @@ class MCIOConfig:
     execution_mode: ExecutionMode = "per-rank"
 
     def __post_init__(self) -> None:
-        _check_common(self.cb_buffer_size, self.shuffle_granularity)
+        _check_common(self.cb_buffer_size)
         if self.msg_group < 1:
             raise ValueError("msg_group must be >= 1")
         if self.msg_ind < 1:

@@ -22,12 +22,9 @@ Round synchronisation.  ROMIO's ``ADIOI_Exch_and_write`` loops a global
 ``ntimes = max(rounds over aggregators)`` with an all-to-all exchange per
 iteration, so every rank advances through buffer rounds in lockstep; a
 slow aggregator (paged buffer, contended server) stalls *everyone* each
-round.  ``granularity="round"`` reproduces exactly that.
-``granularity="domain"`` instead batches each (rank, aggregator) pair's
-traffic into one message and lets aggregators stream their rounds
-without global synchronisation — far fewer simulation events, at the
-cost of under-charging synchronisation stalls; use it for 1000+ rank
-runs.
+round.  Every per-rank collective reproduces exactly that: the
+lockstep runner walks ``ntimes`` rounds behind a barrier each, and the
+pipelined runner walks half-sized sub-rounds the same way.
 
 Every rank exchanges its own shuffle messages here: one protocol, one
 message per (sender, aggregator, window).  Coalescing a node's traffic
@@ -260,7 +257,6 @@ def execute_collective(
     op: str,
     op_seq: int,
     payload: Optional[np.ndarray] = None,
-    granularity: str = "round",
     failover_config=None,
     borrow=None,
     pipelined: bool = False,
@@ -286,19 +282,16 @@ def execute_collective(
     payload:
         This rank's data buffer (write: source, read: destination), or
         None for metadata-only runs.
-    granularity:
-        ``"round"`` (lockstep, like ROMIO) or ``"domain"`` (streaming,
-        for very large runs) — see module docstring.
     failover_config:
         An :class:`~repro.core.config.MCIOConfig` to enable mid-run
-        aggregator failover (between lockstep rounds, ``"round"``
-        granularity only), or None for fault-oblivious execution.  With
+        aggregator failover (between lockstep rounds), or None for
+        fault-oblivious execution.  With
         no failed hosts the check adds no simulation events, so
         fault-free timing is unchanged.
     borrow:
         A :class:`~repro.core.borrow.BorrowSession` when the plan
-        contains lender-backed domains, else None.  Forces ``"round"``
-        granularity (the lease protocol needs round boundaries).  Lease
+        contains lender-backed domains, else None.  Forces the lockstep
+        runner (the lease protocol needs round boundaries).  Lease
         acquisition runs before round 0; an acquisition failure or a
         mid-run unsound lease raises
         :class:`~repro.core.borrow.BorrowDegraded` on every rank after
@@ -324,11 +317,6 @@ def execute_collective(
     """
     if op not in ("write", "read"):
         raise ValueError(f"op must be 'write' or 'read', got {op!r}")
-    if granularity not in ("round", "domain"):
-        raise ValueError(f"bad granularity {granularity!r}")
-    if borrow is not None:
-        # lease checks live at lockstep round boundaries
-        granularity = "round"
     if pipelined:
         # the overlapped path needs healthy hosts and local buffers to
         # start; it handles failures *arising* mid-run itself (drain,
@@ -339,8 +327,6 @@ def execute_collective(
         elif comm.cluster.any_failed:
             pipelined = False
             stats.extra["pipeline_fallback"] = "failed-nodes"
-        else:
-            granularity = "round"
     env = ctx.env
     stats.mark_start(env.now)
     stats.record_attempt()
@@ -348,7 +334,7 @@ def execute_collective(
         ctx, comm, pfs, plan, file_views(patterns), stats, op, op_seq, payload
     )
     run.borrow = borrow
-    if granularity == "round" and not pipelined:
+    if not pipelined:
         run.failover_config = failover_config
 
     tracer = env.tracer
@@ -356,7 +342,7 @@ def execute_collective(
     if tracer.enabled:
         tracer.begin(
             "collective", f"collective.{op}", pid, ctx.rank,
-            strategy=stats.strategy, seq=op_seq, granularity=granularity,
+            strategy=stats.strategy, seq=op_seq, granularity="round",
         )
     try:
         # allocate this rank's aggregation buffers for the whole operation
@@ -385,10 +371,8 @@ def execute_collective(
                 check_acquisition(run, borrow)
             if pipelined:
                 yield from _run_pipelined(run, failover_config)
-            elif granularity == "round":
-                yield from _run_lockstep(run)
             else:
-                yield from _run_streaming(run)
+                yield from _run_lockstep(run)
             if borrow is not None:
                 release_leases(run, borrow)
         finally:
@@ -426,6 +410,8 @@ def _run_lockstep(run: _RunContext):
     ntimes = plan.ntimes
     tracer = ctx.env.tracer
     pid = comm.placement[ctx.rank]
+    # the aggregator's half of a round: gather + write, or read + scatter
+    role = _collect_and_write if run.op == "write" else _read_and_scatter
     for t in range(ntimes):
         if tracer.enabled:
             tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
@@ -446,9 +432,7 @@ def _run_lockstep(run: _RunContext):
                 if domain.aggregator_rank == ctx.rank:
                     procs.append(
                         ctx.spawn(
-                            _aggregator_window(
-                                run, did, window, t, run.paged_flags[did]
-                            ),
+                            role(run, did, window, t, run.paged_flags[did]),
                             name=f"rank{ctx.rank}.agg{did}.r{t}",
                         )
                     )
@@ -776,36 +760,6 @@ def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
 
 
 # ---------------------------------------------------------------------------
-# streaming execution (one message per pair, aggregators free-run)
-# ---------------------------------------------------------------------------
-def _run_streaming(run: _RunContext):
-    ctx = run.ctx
-    procs = []
-    for did in _walk(run):
-        domain = run.domains[did]
-        if domain.aggregator_rank == ctx.rank:
-            procs.append(
-                ctx.spawn(
-                    _aggregator_streaming(run, did, run.paged_flags[did]),
-                    name=f"rank{ctx.rank}.agg{did}",
-                )
-            )
-        extent = domain.extent
-        nbytes = run.plan.window_bytes(
-            ctx.rank, did, extent.offset, extent.end, run.views
-        )
-        if nbytes:
-            procs.append(
-                ctx.spawn(
-                    _member_exchange(run, did, extent, 0, nbytes),
-                    name=f"rank{ctx.rank}.m{did}",
-                )
-            )
-    if procs:
-        yield ctx.env.all_of(procs)
-
-
-# ---------------------------------------------------------------------------
 # member side
 # ---------------------------------------------------------------------------
 def _member_exchange(
@@ -882,33 +836,6 @@ def _expected_senders(run: _RunContext, did: int, window: Extent) -> list[int]:
     )
 
 
-def _aggregator_window(
-    run: _RunContext, did: int, window: Extent, t: int, paged: bool
-):
-    """One buffer round of one domain: exchange + I/O for `window`."""
-    if run.op == "write":
-        yield from _collect_and_write(run, did, window, t, paged, io_rounds=None)
-    else:
-        yield from _read_and_scatter(run, did, window, t, paged, io_rounds=None)
-
-
-def _aggregator_streaming(run: _RunContext, did: int, paged: bool):
-    """Whole-domain exchange; buffer rounds applied to the I/O locally."""
-    domain = run.domains[did]
-    io_rounds = [
-        w
-        for w in (
-            _round_extent(domain, t)
-            for t in range(rounds_for(domain.extent.length, domain.buffer_bytes))
-        )
-        if w is not None
-    ]
-    if run.op == "write":
-        yield from _collect_and_write(run, did, domain.extent, 0, paged, io_rounds)
-    else:
-        yield from _read_and_scatter(run, did, domain.extent, 0, paged, io_rounds)
-
-
 def _gather_window(run: _RunContext, did: int, window: Extent, t: int, expected):
     """Receive each expected sender's slice of `window`.
 
@@ -958,9 +885,9 @@ def _scatter_window(
         yield ctx.env.all_of(sends)
 
 
-def _collect_and_write(run, did, window, t, paged, io_rounds):
+def _collect_and_write(run, did, window, t, paged):
     """Receive all contributions for `window`, assemble, write to the PFS."""
-    pfs, env = run.pfs, run.ctx.env
+    pfs = run.pfs
     expected = _expected_senders(run, did, window)
     buffer, received = yield from _gather_window(run, did, window, t, expected)
     if received == 0:
@@ -975,50 +902,40 @@ def _collect_and_write(run, did, window, t, paged, io_rounds):
         # throttled for paged buffers
         yield from run.node.memcopy(received, paged=paged)
 
-    windows = io_rounds if io_rounds is not None else [window]
-    for i, io_window in enumerate(windows):
-        if i > 0:
-            # streaming mode: charge the skipped per-round synchronisation
-            yield env.sleep(run.node.spec.nic_latency)
-        pieces = window_union(run.views, expected, io_window)
-        if lease is not None and pieces:
-            # pull the assembled round back from the lender for the write
-            yield from _borrow_stage(
-                run, did, lease, sum(p.length for p in pieces), inbound=False
-            )
-        for piece in pieces:
-            data = None
-            if buffer is not None:
-                rel = piece.offset - window.offset
-                data = buffer[rel : rel + piece.length]
-            yield from pfs.write_extent(run.node, piece, data)
-            run.stats.record_bytes(piece.length)
-            run.stats.record_io_extent(piece.offset, piece.length)
+    pieces = window_union(run.views, expected, window)
+    if lease is not None and pieces:
+        # pull the assembled round back from the lender for the write
+        yield from _borrow_stage(
+            run, did, lease, sum(p.length for p in pieces), inbound=False
+        )
+    for piece in pieces:
+        data = None
+        if buffer is not None:
+            rel = piece.offset - window.offset
+            data = buffer[rel : rel + piece.length]
+        yield from pfs.write_extent(run.node, piece, data)
+        run.stats.record_bytes(piece.length)
+        run.stats.record_io_extent(piece.offset, piece.length)
 
 
-def _read_and_scatter(run, did, window, t, paged, io_rounds):
+def _read_and_scatter(run, did, window, t, paged):
     """Read `window`'s requested extents, then send each rank its bytes."""
-    pfs, env = run.pfs, run.ctx.env
+    pfs = run.pfs
     expected = _expected_senders(run, did, window)
     if not expected:
         return
     buffer: Optional[np.ndarray] = (
         np.zeros(window.length, dtype=np.uint8) if pfs.datastore is not None else None
     )
-    windows = io_rounds if io_rounds is not None else [window]
     total_read = 0
-    for i, io_window in enumerate(windows):
-        if i > 0:
-            yield env.sleep(run.node.spec.nic_latency)
-        pieces = window_union(run.views, expected, io_window)
-        for piece in pieces:
-            data = yield from pfs.read_extent(run.node, piece)
-            total_read += piece.length
-            run.stats.record_bytes(piece.length)
-            run.stats.record_io_extent(piece.offset, piece.length)
-            if buffer is not None and data is not None:
-                rel = piece.offset - window.offset
-                buffer[rel : rel + piece.length] = data
+    for piece in window_union(run.views, expected, window):
+        data = yield from pfs.read_extent(run.node, piece)
+        total_read += piece.length
+        run.stats.record_bytes(piece.length)
+        run.stats.record_io_extent(piece.offset, piece.length)
+        if buffer is not None and data is not None:
+            rel = piece.offset - window.offset
+            buffer[rel : rel + piece.length] = data
     if total_read == 0:
         return
     lease = run.borrow.lease_for(did) if run.borrow is not None else None

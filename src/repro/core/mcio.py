@@ -283,7 +283,7 @@ class MemoryConsciousCollectiveIO:
             try:
                 result = yield from execute_collective(
                     ctx, self.comm, self.pfs, plan, views, stats, op, seq,
-                    payload=payload, granularity=self.config.shuffle_granularity,
+                    payload=payload,
                     failover_config=self.config if self.config.failover else None,
                     borrow=borrow,
                 )
@@ -451,7 +451,7 @@ class MemoryConsciousCollectiveIO:
             yield from execute_collective(
                 ctx, self.comm, self.pfs, plan, views, stats, op,
                 ("bfb", seq),
-                payload=payload, granularity="round",
+                payload=payload,
                 failover_config=remerge_cfg if self.config.failover else None,
             )
         )

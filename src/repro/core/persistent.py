@@ -300,7 +300,6 @@ class PersistentCollective:
                 ctx, comm, engine.pfs, plan, views, stats, self.op,
                 ("pc", self.pc_id, ep.index),
                 payload=payload,
-                granularity=engine.config.shuffle_granularity,
                 failover_config=engine.config if engine.config.failover else None,
                 pipelined=self.overlap,
             )

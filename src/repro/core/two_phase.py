@@ -125,7 +125,7 @@ class TwoPhaseCollectiveIO:
         views, plan, stats = self._prepare(seq, patterns, op)
         result = yield from execute_collective(
             ctx, self.comm, self.pfs, plan, views, stats, op, seq,
-            payload=payload, granularity=self.config.shuffle_granularity,
+            payload=payload,
         )
         self._finish(seq, ctx)
         return result

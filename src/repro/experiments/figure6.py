@@ -52,7 +52,6 @@ def small_config(seed: int = 0) -> FigureConfig:
         sigma_bytes=50 * MIB,
         # groups spanning ~4 nodes so aggregator relocation has room
         mcio=_mcio(msg_group=384 * MIB, msg_ind=32 * MIB),
-        granularity="round",
         seed=seed,
         paper_reference=_PAPER_REFERENCE,
     )
@@ -68,7 +67,6 @@ def paper_config(seed: int = 0) -> FigureConfig:
         buffer_sizes=tuple(m * MIB for m in (128, 64, 32, 16, 8, 4, 2)),
         sigma_bytes=50 * MIB,
         mcio=_mcio(msg_group=2048 * MIB, msg_ind=128 * MIB),
-        granularity="domain",
         seed=seed,
         paper_reference=_PAPER_REFERENCE,
     )

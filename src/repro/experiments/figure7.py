@@ -50,7 +50,6 @@ def small_config(seed: int = 0) -> FigureConfig:
         buffer_sizes=tuple(m * MIB for m in (64, 32, 16, 8, 4)),
         sigma_bytes=50 * MIB,
         mcio=_mcio(msg_group=96 * MIB, msg_ind=16 * MIB),
-        granularity="round",
         seed=seed,
         paper_reference=_PAPER_REFERENCE,
     )
@@ -66,7 +65,6 @@ def paper_config(seed: int = 0) -> FigureConfig:
         buffer_sizes=tuple(m * MIB for m in (128, 64, 32, 16, 8, 4, 2)),
         sigma_bytes=50 * MIB,
         mcio=_mcio(msg_group=768 * MIB, msg_ind=128 * MIB),
-        granularity="domain",
         seed=seed,
         paper_reference=_PAPER_REFERENCE,
     )

@@ -55,7 +55,6 @@ def small_config(seed: int = 0) -> FigureConfig:
         buffer_sizes=tuple(m * MIB for m in (32, 16, 8, 4)),
         sigma_bytes=50 * MIB,
         mcio=_mcio(msg_group=384 * MIB, msg_ind=96 * MIB),
-        granularity="round",
         seed=seed,
         paper_reference=_PAPER_REFERENCE,
     )
@@ -71,7 +70,6 @@ def paper_config(seed: int = 0) -> FigureConfig:
         buffer_sizes=tuple(m * MIB for m in (128, 64, 32, 16, 8, 4, 2)),
         sigma_bytes=50 * MIB,
         mcio=_mcio(msg_group=1536 * MIB, msg_ind=256 * MIB),
-        granularity="domain",
         seed=seed,
         paper_reference=_PAPER_REFERENCE,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from repro.cluster import ClusterSpec
 from repro.core import MCIOConfig
@@ -27,7 +27,8 @@ class FigureConfig:
     buffer_sizes: tuple[int, ...]
     sigma_bytes: float
     mcio: MCIOConfig
-    granularity: str = "round"
+    # read, not set, by perfbench/workloads.py; not a constructor field
+    granularity: ClassVar[str] = "round"
     seed: int = 0
     paper_reference: str = ""
 
@@ -124,7 +125,6 @@ def run_figure(config: FigureConfig, tracer=None, jobs=1) -> FigureResult:
         sigma_bytes=config.sigma_bytes,
         seed=config.seed,
         mcio_config=config.mcio,
-        granularity=config.granularity,
         tracer=tracer,
         jobs=jobs,
     )

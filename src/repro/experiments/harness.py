@@ -152,7 +152,7 @@ def _memory_sweep_cell(cell, tracer: Optional[Tracer] = None) -> list[SweepPoint
     """
     (
         spec, patterns, buffer, strategy, sigma_bytes, seed,
-        mcio_template, tp_template, ops, granularity,
+        mcio_template, tp_template, ops,
     ) = cell
     platform = Platform.build(spec, len(patterns), seed=seed, tracer=tracer)
     platform.cluster.sample_memory_availability(
@@ -162,21 +162,13 @@ def _memory_sweep_cell(cell, tracer: Optional[Tracer] = None) -> list[SweepPoint
         engine = TwoPhaseCollectiveIO(
             platform.comm,
             platform.pfs,
-            replace(
-                tp_template,
-                cb_buffer_size=int(buffer),
-                shuffle_granularity=granularity,
-            ),
+            replace(tp_template, cb_buffer_size=int(buffer)),
         )
     elif strategy == "mcio":
         engine = MemoryConsciousCollectiveIO(
             platform.comm,
             platform.pfs,
-            replace(
-                mcio_template,
-                cb_buffer_size=int(buffer),
-                shuffle_granularity=granularity,
-            ),
+            replace(mcio_template, cb_buffer_size=int(buffer)),
         )
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -199,6 +191,7 @@ def run_memory_sweep(
     twophase_config: Optional[TwoPhaseConfig] = None,
     ops: Sequence[str] = ("write", "read"),
     strategies: Sequence[str] = ("two-phase", "mcio"),
+    # accepted only because perfbench/workloads.py still passes it
     granularity: str = "round",
     tracer: Optional[Tracer] = None,
     jobs: Optional[int] = 1,
@@ -221,12 +214,14 @@ def run_memory_sweep(
     sigma_bytes:
         Std-dev of the availability distribution (paper: 50 MB).
     mcio_config / twophase_config:
-        Templates; ``cb_buffer_size`` and ``shuffle_granularity`` are
-        overridden per point.
+        Templates; ``cb_buffer_size`` is overridden per point.
     ops:
         Which operations to measure (order preserved).
     strategies:
         Subset of ``("two-phase", "mcio")``.
+    granularity:
+        Must be ``"round"``, the only shuffle timing model; any other
+        value raises ValueError.
     tracer:
         Optional :class:`~repro.obs.Tracer` installed on every point's
         platform (timelines concatenated), for exporting the whole sweep
@@ -243,6 +238,8 @@ def run_memory_sweep(
     list of SweepPoint
         One per (buffer, strategy, op); order independent of `jobs`.
     """
+    if granularity != "round":
+        raise ValueError(f"bad granularity {granularity!r}: lockstep only")
     mcio_template = mcio_config if mcio_config is not None else MCIOConfig()
     tp_template = (
         twophase_config if twophase_config is not None else TwoPhaseConfig()
@@ -250,7 +247,7 @@ def run_memory_sweep(
     cells = [
         (
             spec, tuple(patterns), buffer, strategy, sigma_bytes, seed,
-            mcio_template, tp_template, tuple(ops), granularity,
+            mcio_template, tp_template, tuple(ops),
         )
         for buffer in buffer_sizes
         for strategy in strategies

@@ -3,8 +3,7 @@
 Property-based: for arbitrary non-overlapping rank workloads, a
 collective write followed by a collective read must be byte-exact under
 *any* strategy (two-phase, MCIO, independent, sieving), at any buffer
-size, at either shuffle granularity — and all strategies must leave the
-file in the identical state.
+size — and all strategies must leave the file in the identical state.
 """
 
 import numpy as np
@@ -19,7 +18,10 @@ from repro.core import (
     TwoPhaseCollectiveIO,
     TwoPhaseConfig,
 )
+from repro.core.engine import execute_collective
 from repro.core.request import AccessPattern, Extent
+from repro.experiments.figures import FigureConfig
+from repro.experiments.harness import run_memory_sweep
 
 from tests.helpers import make_stack, rank_payload
 
@@ -45,17 +47,14 @@ def rank_workloads(draw):
     return patterns
 
 
-def engines(stack, buffer_size, granularity):
+def engines(stack, buffer_size):
     yield TwoPhaseCollectiveIO(
-        stack.comm, stack.pfs,
-        TwoPhaseConfig(cb_buffer_size=buffer_size,
-                       shuffle_granularity=granularity),
+        stack.comm, stack.pfs, TwoPhaseConfig(cb_buffer_size=buffer_size)
     )
     yield MemoryConsciousCollectiveIO(
         stack.comm, stack.pfs,
         MCIOConfig(msg_group=512, msg_ind=128, mem_min=0, nah=2,
-                   cb_buffer_size=buffer_size, min_buffer=1,
-                   shuffle_granularity=granularity),
+                   cb_buffer_size=buffer_size, min_buffer=1),
     )
     yield IndependentIO(stack.comm, stack.pfs)
     yield DataSievingIO(stack.comm, stack.pfs)
@@ -64,21 +63,20 @@ def engines(stack, buffer_size, granularity):
 @given(
     patterns=rank_workloads(),
     buffer_size=st.sampled_from([32, 128, 1024]),
-    granularity=st.sampled_from(["round", "domain"]),
 )
 @settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_all_strategies_agree_byte_for_byte(patterns, buffer_size, granularity):
+def test_all_strategies_agree_byte_for_byte(patterns, buffer_size):
     n_ranks = len(patterns)
     payloads = {r: rank_payload(r, patterns[r].nbytes) for r in range(n_ranks)}
     file_images = {}
     readbacks = {}
 
     stack0 = make_stack(n_ranks=n_ranks, n_nodes=2, cores=4)
-    for engine in engines(stack0, buffer_size, granularity):
+    for engine in engines(stack0, buffer_size):
         stack = make_stack(n_ranks=n_ranks, n_nodes=2, cores=4)
         engine.comm = stack.comm
         engine.pfs = stack.pfs
@@ -107,26 +105,6 @@ def test_all_strategies_agree_byte_for_byte(patterns, buffer_size, granularity):
     )
 
 
-def test_lockstep_and_streaming_identical_data():
-    """The two shuffle granularities are timing models, not data paths."""
-    patterns = [AccessPattern.contiguous(r * 500, 500) for r in range(6)]
-    images = {}
-    for granularity in ("round", "domain"):
-        stack = make_stack(n_ranks=6, n_nodes=3)
-        engine = TwoPhaseCollectiveIO(
-            stack.comm, stack.pfs,
-            TwoPhaseConfig(cb_buffer_size=128, shuffle_granularity=granularity),
-        )
-
-        def main(ctx):
-            yield from engine.write(ctx, patterns[ctx.rank],
-                                    rank_payload(ctx.rank, 500))
-
-        stack.run_spmd(main)
-        images[granularity] = bytes(stack.pfs.datastore.read(0, 3000))
-    assert images["round"] == images["domain"]
-
-
 def test_strategies_same_bytes_written_metric():
     """total_bytes accounting matches the workload for every strategy."""
     patterns = [AccessPattern.contiguous(r * 300, 300) for r in range(4)]
@@ -151,12 +129,30 @@ def test_strategies_same_bytes_written_metric():
 
 
 def test_bad_granularity_rejected():
-    """The only shuffle granularities are "round" and "domain"."""
-    for granularity in ("bogus", "batched"):
-        with pytest.raises(ValueError, match="shuffle_granularity"):
+    """Per-rank collectives have one shuffle timing model (lockstep
+    rounds), so no layer takes a granularity knob any more."""
+    for granularity in ("round", "domain"):
+        with pytest.raises(TypeError):
             TwoPhaseConfig(shuffle_granularity=granularity)
-        with pytest.raises(ValueError, match="shuffle_granularity"):
+        with pytest.raises(TypeError):
             MCIOConfig(shuffle_granularity=granularity)
+        with pytest.raises(TypeError):
+            execute_collective(
+                None, None, None, None, (), None, "write", 0,
+                granularity=granularity,
+            )
+        with pytest.raises(TypeError):
+            FigureConfig(
+                figure_id="f", description="d", spec=None, workload=None,
+                buffer_sizes=(), sigma_bytes=0.0, mcio=MCIOConfig(),
+                granularity=granularity,
+            )
+    # the sweep keeps the keyword for existing callers, single-valued
+    with pytest.raises(ValueError, match="granularity"):
+        run_memory_sweep(
+            spec=None, patterns=(), buffer_sizes=(), sigma_bytes=0.0,
+            granularity="domain",
+        )
     # node-level shuffle aggregation is not a per-rank engine option
     with pytest.raises(TypeError):
         TwoPhaseConfig(intra_node_aggregation=True)

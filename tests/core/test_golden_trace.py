@@ -129,6 +129,16 @@ def test_golden_trace_with_hybrid_placement(strategy, op, case):
     )
 
 
+@pytest.mark.parametrize("strategy", ["mcio", "two-phase"])
+@pytest.mark.parametrize("op", OPS)
+def test_tiny_mem_goldens_pin_paged_aggregators(strategy, op):
+    """The tiny-mem case exists to pin paged placements: both collective
+    strategies must record a paged aggregator there."""
+    stats = GOLDENS[f"tiny-mem/{strategy}/{op}"]["stats"]
+    assert stats["paged_aggregators"] > 0
+    assert any(stats["agg_overcommit_bytes"].values())
+
+
 def test_golden_matrix_is_complete():
     """Every matrix cell has a recorded fixture and vice versa."""
     expected_keys = {case_id(s, o, c) for s, o, c in CELLS}

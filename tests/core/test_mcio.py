@@ -93,15 +93,6 @@ class TestCorrectness:
         roundtrip(stack, engine, lambda r: serial_pattern(r, 300))
         assert engine.history[0].rounds_total > engine.history[0].n_aggregators
 
-    def test_domain_granularity_roundtrip(self):
-        stack = make_stack(n_ranks=6, n_nodes=3)
-        engine = MemoryConsciousCollectiveIO(
-            stack.comm, stack.pfs,
-            mcio_cfg(cb_buffer_size=64, msg_ind=512, msg_group=2048,
-                     shuffle_granularity="domain"),
-        )
-        roundtrip(stack, engine, lambda r: serial_pattern(r, 300))
-
     def test_empty_and_nonempty_mix(self):
         stack = make_stack(n_ranks=4, n_nodes=2)
         engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, mcio_cfg())

@@ -112,14 +112,6 @@ class TestWriteReadCorrectness:
         stats = engine.history[0]
         assert stats.rounds_total > stats.n_aggregators  # forced multi-round
 
-    def test_domain_granularity_roundtrip(self):
-        stack = make_stack(n_ranks=6, n_nodes=3)
-        engine = TwoPhaseCollectiveIO(
-            stack.comm, stack.pfs,
-            TwoPhaseConfig(cb_buffer_size=64, shuffle_granularity="domain"),
-        )
-        roundtrip(stack, engine, lambda r: serial_pattern(r, 300), 300)
-
     def test_ranks_with_empty_patterns_participate(self):
         stack = make_stack(n_ranks=4, n_nodes=2)
         engine = TwoPhaseCollectiveIO(stack.comm, stack.pfs)

@@ -39,7 +39,6 @@ def micro_figure():
         mcio=MCIOConfig(
             msg_group=40000, msg_ind=10000, mem_min=0, nah=2, min_buffer=256
         ),
-        granularity="round",
         seed=2,
     )
 

@@ -52,7 +52,6 @@ class ClusterCase:
     memory_availability: Optional[tuple[int, ...]]
     workload: str  # "serial" | "interleaved" | "mixed"
     cb_buffer_size: int
-    granularity: str
     stripe_size: int = 256
 
 
@@ -66,7 +65,6 @@ CLUSTER_CASES = (
         memory_availability=None,
         workload="serial",
         cb_buffer_size=1024,
-        granularity="round",
     ),
     # skewed memory, interleaved IOR-style stride: exercises group
     # division's interleaved path, remerging, and adaptive buffers
@@ -78,19 +76,18 @@ CLUSTER_CASES = (
         memory_availability=(64 * 1024, 2048, 64 * 1024, 1024),
         workload="interleaved",
         cb_buffer_size=2048,
-        granularity="round",
     ),
-    # tiny memory everywhere + streaming granularity: paged placements
-    # and the domain-batched timing model
+    # no memory available anywhere: paged placements.  No host can
+    # take any MCIO leaf, so the leaves remerge down to one, placed by
+    # the paged fallback; two-phase pages both per-node aggregators
     ClusterCase(
         name="tiny-mem",
         n_ranks=8,
         n_nodes=2,
         cores=4,
-        memory_availability=(1536, 1024),
+        memory_availability=(0, 0),
         workload="mixed",
         cb_buffer_size=512,
-        granularity="domain",
     ),
 )
 
@@ -147,10 +144,7 @@ def make_engine(
         return TwoPhaseCollectiveIO(
             stack.comm,
             stack.pfs,
-            TwoPhaseConfig(
-                cb_buffer_size=case.cb_buffer_size,
-                shuffle_granularity=case.granularity,
-            ),
+            TwoPhaseConfig(cb_buffer_size=case.cb_buffer_size),
         )
     if strategy == "mcio":
         kwargs = dict(
@@ -160,7 +154,6 @@ def make_engine(
             nah=2,
             cb_buffer_size=case.cb_buffer_size,
             min_buffer=1,
-            shuffle_granularity=case.granularity,
         )
         if mcio_overrides:
             kwargs.update(mcio_overrides)

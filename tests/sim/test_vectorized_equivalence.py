@@ -49,7 +49,6 @@ def case_config(case, **overrides) -> MCIOConfig:
         nah=2,
         cb_buffer_size=case.cb_buffer_size,
         min_buffer=1,
-        shuffle_granularity=case.granularity,
     )
     kwargs.update(overrides)
     return MCIOConfig(**kwargs)

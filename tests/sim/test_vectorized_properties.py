@@ -2,9 +2,9 @@
 
 Satellite of the differential harness: instead of the pinned golden
 matrix, hypothesis draws whole configurations — workload shape, rank
-and node counts, memory regime, placement policy, shuffle granularity,
-op — and every drawn cell must satisfy the equivalence contract:
-identical I/O extents and offsets, identical shuffle byte split, a
+and node counts, memory regime, placement policy, op — and every
+drawn cell must satisfy the equivalence contract: identical I/O
+extents and offsets, identical shuffle byte split, a
 balanced lease ledger, and the same ``degraded_tier`` decision on both
 paths.
 
@@ -73,7 +73,6 @@ def configs(draw):
         min_buffer=1,
         adaptive_buffer=draw(st.booleans()),
         placement_policy=draw(st.sampled_from(["remerge", "hybrid"])),
-        shuffle_granularity=draw(st.sampled_from(["round", "domain"])),
         failover=draw(st.booleans()),
     )
 
