@@ -22,11 +22,12 @@ finalized operation, that
    every staging/aggregation/lease allocation was freed.
 
 Attempts are delimited without any engine-side attempt id: every rank
-calls :meth:`~repro.core.metrics.StatsCollector.record_attempt` once
-per execution attempt, so call ``k * n_ranks`` is the first arrival of
-attempt ``k`` — and because aborts happen at barriers, it
-happens-before any shuffle of that attempt.  Snapshotting the shuffle
-counters there yields per-attempt deltas.
+reports through :meth:`~repro.core.metrics.StatsCollector.record_attempt`
+once per execution attempt (the vectorized driver reports all ranks in
+one call), so arrival ``k * n_ranks`` is the first of attempt ``k`` —
+and because aborts happen at barriers, it happens-before any shuffle of
+that attempt.  Snapshotting the shuffle counters there yields
+per-attempt deltas.
 
 Wiring: ``auditor.attach(engine)`` (works for both
 :class:`~repro.core.mcio.MemoryConsciousCollectiveIO` and
@@ -138,12 +139,13 @@ class ConservationAuditor:
     # ------------------------------------------------------------------
     # collector-facing hooks
     # ------------------------------------------------------------------
-    def on_attempt(self, collector) -> None:
-        """One rank entered an execution attempt.
+    def on_attempt(self, collector, n: int = 1) -> None:
+        """`n` ranks entered an execution attempt.
 
         The first arrival of each attempt (call count a multiple of the
         rank count) snapshots the shuffle counters; the abort barrier
-        guarantees no byte of the new attempt moved yet.
+        guarantees no byte of the new attempt moved yet.  The vectorized
+        driver reports all ranks of an attempt in one call.
         """
         track = self._tracks.setdefault(id(collector), _Track())
         if track.calls % collector.n_ranks == 0:
@@ -151,7 +153,7 @@ class ConservationAuditor:
                 collector.shuffle_intra_node_bytes
                 + collector.shuffle_inter_node_bytes
             )
-        track.calls += 1
+        track.calls += n
 
     def on_io_extent(self, collector, offset: int, length: int) -> None:
         """One file extent was read or written."""

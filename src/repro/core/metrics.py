@@ -8,9 +8,11 @@ quantities the paper argues about:
 * per-aggregator buffer memory (peak, mean, variance across aggregators) —
   the "memory pressure" and "memory variance" claims;
 * paged aggregator count — how often aggregation buffers spilled;
-* shuffle traffic split intra-node / inter-node / inter-group — MCIO's
-  invariant is zero inter-group bytes;
+* shuffle traffic split intra-node / inter-node;
 * round and request counts.
+
+The collector keeps plain numbers: ints, a peak-per-rank dict for the
+buffer and overcommit sizes and a set of paged ranks.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["StatsCollector", "CollectiveStats"]
 
@@ -49,7 +49,6 @@ class CollectiveStats:
     rounds_total: int
     shuffle_intra_node_bytes: int
     shuffle_inter_node_bytes: int
-    shuffle_inter_group_bytes: int
     n_groups: int = 1
     extra: dict = field(default_factory=dict)
     #: Which tier actually served the collective when the primary planner
@@ -204,7 +203,6 @@ class CollectiveStats:
             "rounds_total": self.rounds_total,
             "shuffle_intra_node_bytes": self.shuffle_intra_node_bytes,
             "shuffle_inter_node_bytes": self.shuffle_inter_node_bytes,
-            "shuffle_inter_group_bytes": self.shuffle_inter_group_bytes,
             "n_groups": self.n_groups,
             "extra": {
                 k: v for k, v in self.extra.items() if isinstance(v, _SCALARS)
@@ -254,7 +252,6 @@ class CollectiveStats:
             rounds_total=d["rounds_total"],
             shuffle_intra_node_bytes=d["shuffle_intra_node_bytes"],
             shuffle_inter_node_bytes=d["shuffle_inter_node_bytes"],
-            shuffle_inter_group_bytes=d["shuffle_inter_group_bytes"],
             n_groups=d.get("n_groups", 1),
             extra=dict(d.get("extra", {})),
             degraded_tier=d.get("degraded_tier"),
@@ -280,83 +277,45 @@ class CollectiveStats:
 class StatsCollector:
     """Mutable accumulator shared by all rank processes during one run.
 
-    All quantitative accounting lives in a
-    :class:`~repro.obs.metrics.MetricsRegistry` (one per collector unless
-    a shared one is injected); the legacy attribute surface
-    (``total_bytes``, ``shuffle_intra_node_bytes``, ...) is preserved as
-    read-only views over the registry, so :meth:`finalize` and every
-    live reader see the same numbers by construction.
-
-    Counters and gauges store the exact integers they are given — the
-    golden-trace suite compares collective summaries bit-for-bit.
+    Every counted quantity is a plain attribute that :meth:`finalize`
+    and live readers (the :class:`~repro.core.audit.ConservationAuditor`)
+    read directly, so both see the same numbers by construction.
+    Counters keep the exact integers they are given — the golden-trace
+    suite compares collective summaries bit-for-bit.
     """
 
-    def __init__(
-        self,
-        strategy: str,
-        op: str,
-        n_ranks: int,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, strategy: str, op: str, n_ranks: int):
         self.strategy = strategy
         self.op = op
         self.n_ranks = n_ranks
-        #: Backing store for all counted/gauged quantities.  Injecting a
-        #: shared registry merges accounting across collectors (the
-        #: instruments are get-or-create), so per-operation summaries
-        #: want the default fresh registry.
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._c_io_bytes = self.registry.counter(
-            "io_bytes_total", "bytes moved to/from the file system"
-        )
-        self._c_shuffle = self.registry.counter(
-            "shuffle_bytes_total",
-            "shuffle traffic by locality",
-            labelnames=("path",),
-        )
-        self._c_rounds = self.registry.counter(
-            "shuffle_rounds_total", "aggregator round executions"
-        )
-        self._c_failovers = self.registry.counter(
-            "failovers_total", "mid-operation aggregator failovers"
-        )
-        self._g_agg_buffer = self.registry.gauge(
-            "agg_buffer_bytes",
-            "peak aggregation-buffer bytes per aggregator rank",
-            labelnames=("rank",),
-        )
-        self._g_agg_overcommit = self.registry.gauge(
-            "agg_overcommit_bytes",
-            "peak host-memory overcommit per aggregator rank",
-            labelnames=("rank",),
-        )
-        self._g_agg_paged = self.registry.gauge(
-            "agg_paged",
-            "1 for aggregator ranks whose buffers spilled to paging",
-            labelnames=("rank",),
-        )
-        self._h_shuffle_msg = self.registry.histogram(
-            "shuffle_message_bytes",
-            "per-message shuffle payload sizes",
-            labelnames=("path",),
-        )
-        self._c_leases = self.registry.counter(
-            "leases_total",
-            "remote-memory lease lifecycle events",
-            labelnames=("event",),
-        )
-        self._c_borrow_bytes = self.registry.counter(
-            "borrow_bytes_total",
-            "bytes staged to/fetched from leased remote buffers",
-        )
-        self._c_borrow_fallbacks = self.registry.counter(
-            "borrow_fallbacks_total",
-            "mid-collective borrow aborts degraded back to remerge",
-        )
-        self._c_vec_refusals = self.registry.counter(
-            "vectorized_refusals_total",
-            "collectives that refused vectorization and ran per-rank",
-        )
+        #: Bytes moved to/from the file system.
+        self.total_bytes = 0
+        #: Aggregator round executions.
+        self.rounds_total = 0
+        #: Aggregator failovers performed mid-operation.
+        self.failovers = 0
+        #: Shuffle bytes that stayed on / left their sender's node.
+        self.shuffle_intra_node_bytes = 0
+        self.shuffle_inter_node_bytes = 0
+        #: Peak aggregation-buffer bytes per aggregator rank.
+        self.agg_buffer_bytes: dict[int, int] = {}
+        #: Peak host-memory overcommit per aggregator rank.
+        self.agg_overcommit_bytes: dict[int, int] = {}
+        #: Ranks whose aggregation buffers spilled to paging.
+        self.paged_aggregators: set[int] = set()
+        #: Remote-memory lease lifecycle events (releases are not part
+        #: of :class:`CollectiveStats`).
+        self.leases_granted = 0
+        self.leases_renewed = 0
+        self.leases_released = 0
+        self.leases_revoked = 0
+        self.leases_expired = 0
+        #: Bytes staged to/fetched from leased remote buffers.
+        self.borrow_bytes = 0
+        #: Mid-collective borrow aborts degraded back to remerge.
+        self.borrow_fallbacks = 0
+        #: Collectives that refused vectorization and ran per-rank.
+        self.vectorized_refusals = 0
         #: Execution path that served this collective (DESIGN.md §11).
         self.execution_mode = "per-rank"
         self.start_time: Optional[float] = None
@@ -377,84 +336,6 @@ class StatsCollector:
         self.auditor = None
 
     # ------------------------------------------------------------------
-    # registry views (the legacy attribute surface)
-    # ------------------------------------------------------------------
-    @property
-    def total_bytes(self) -> int:
-        """Bytes moved to/from the file system so far."""
-        return self._c_io_bytes.value()
-
-    @property
-    def rounds_total(self) -> int:
-        """Aggregator round executions so far."""
-        return self._c_rounds.value()
-
-    @property
-    def shuffle_intra_node_bytes(self) -> int:
-        """Shuffle bytes that stayed on their sender's node."""
-        return self._c_shuffle.value(path="intra_node")
-
-    @property
-    def shuffle_inter_node_bytes(self) -> int:
-        """Shuffle bytes that crossed nodes."""
-        return self._c_shuffle.value(path="inter_node")
-
-    @property
-    def shuffle_inter_group_bytes(self) -> int:
-        """Shuffle bytes that crossed group boundaries (MCIO: zero)."""
-        return self._c_shuffle.value(path="inter_group")
-
-    @property
-    def failovers(self) -> int:
-        """Aggregator failovers performed so far."""
-        return self._c_failovers.value()
-
-    @property
-    def agg_buffer_bytes(self) -> dict[int, int]:
-        """Peak aggregation-buffer bytes per aggregator rank."""
-        return {rank: v for (rank,), v in self._g_agg_buffer.values().items()}
-
-    @property
-    def agg_overcommit_bytes(self) -> dict[int, int]:
-        """Peak host-memory overcommit per aggregator rank."""
-        return {
-            rank: v for (rank,), v in self._g_agg_overcommit.values().items()
-        }
-
-    @property
-    def paged_aggregators(self) -> set[int]:
-        """Ranks whose aggregation buffers spilled to paging."""
-        return {rank for (rank,) in self._g_agg_paged.values()}
-
-    @property
-    def leases_granted(self) -> int:
-        return self._c_leases.value(event="granted")
-
-    @property
-    def leases_renewed(self) -> int:
-        return self._c_leases.value(event="renewed")
-
-    @property
-    def leases_revoked(self) -> int:
-        return self._c_leases.value(event="revoked")
-
-    @property
-    def leases_expired(self) -> int:
-        return self._c_leases.value(event="expired")
-
-    @property
-    def borrow_bytes(self) -> int:
-        return self._c_borrow_bytes.value()
-
-    @property
-    def borrow_fallbacks(self) -> int:
-        return self._c_borrow_fallbacks.value()
-
-    @property
-    def vectorized_refusals(self) -> int:
-        return self._c_vec_refusals.value()
-
-    # ------------------------------------------------------------------
     def mark_start(self, now: float) -> None:
         """Record the earliest entry time across ranks."""
         if self.start_time is None or now < self.start_time:
@@ -469,28 +350,30 @@ class StatsCollector:
         self, rank: int, buffer_bytes: int, paged: bool, overcommit_bytes: int = 0
     ) -> None:
         """Register an aggregator's buffer commitment."""
-        self._g_agg_buffer.set_max(buffer_bytes, rank=rank)
-        self._g_agg_overcommit.set_max(int(overcommit_bytes), rank=rank)
+        held = self.agg_buffer_bytes.get(rank)
+        if held is None or buffer_bytes > held:
+            self.agg_buffer_bytes[rank] = buffer_bytes
+        overcommit_bytes = int(overcommit_bytes)
+        held = self.agg_overcommit_bytes.get(rank)
+        if held is None or overcommit_bytes > held:
+            self.agg_overcommit_bytes[rank] = overcommit_bytes
         if paged:
-            self._g_agg_paged.set(1, rank=rank)
+            self.paged_aggregators.add(rank)
 
-    def record_shuffle(
-        self, nbytes: int, same_node: bool, same_group: bool = True
-    ) -> None:
-        """Account one shuffle message."""
-        path = "intra_node" if same_node else "inter_node"
-        self._c_shuffle.inc(nbytes, path=path)
-        self._h_shuffle_msg.observe(nbytes, path=path)
-        if not same_group:
-            self._c_shuffle.inc(nbytes, path="inter_group")
+    def record_shuffle(self, nbytes: int, same_node: bool) -> None:
+        """Account shuffle bytes (one message, or a node's batch of them)."""
+        if same_node:
+            self.shuffle_intra_node_bytes += nbytes
+        else:
+            self.shuffle_inter_node_bytes += nbytes
 
     def record_rounds(self, rounds: int) -> None:
         """Add an aggregator's executed round count."""
-        self._c_rounds.inc(rounds)
+        self.rounds_total += rounds
 
     def record_bytes(self, nbytes: int) -> None:
         """Add bytes moved to/from the file system."""
-        self._c_io_bytes.inc(nbytes)
+        self.total_bytes += nbytes
 
     def set_tier(self, tier: Optional[str]) -> None:
         """Record the degradation tier that served the collective."""
@@ -498,7 +381,7 @@ class StatsCollector:
 
     def record_failover(self, count: int = 1) -> None:
         """Count aggregator failovers performed during the run."""
-        self._c_failovers.inc(count)
+        self.failovers += count
 
     def record_plan_cache(
         self, cached: bool, cache_stats=None, tree_queries: int = 0
@@ -513,15 +396,16 @@ class StatsCollector:
 
     def record_lease(self, event: str) -> None:
         """Count one lease lifecycle event (granted/renewed/...)."""
-        self._c_leases.inc(1, event=event)
+        name = f"leases_{event}"
+        setattr(self, name, getattr(self, name) + 1)
 
     def record_borrow_bytes(self, nbytes: int) -> None:
         """Add bytes moved to/from a leased remote buffer."""
-        self._c_borrow_bytes.inc(nbytes)
+        self.borrow_bytes += nbytes
 
     def record_borrow_fallback(self) -> None:
         """Count one mid-collective borrow abort (degrade to remerge)."""
-        self._c_borrow_fallbacks.inc(1)
+        self.borrow_fallbacks += 1
 
     def record_execution_mode(self, mode: str) -> None:
         """Record which execution path served this collective."""
@@ -529,40 +413,17 @@ class StatsCollector:
 
     def record_vectorized_refusal(self, reason: str) -> None:
         """Count a refused vectorization and keep the why in ``extra``."""
-        self._c_vec_refusals.inc(1)
+        self.vectorized_refusals += 1
         self.extra["vectorized_refusal"] = reason
 
-    def record_attempts(self, n: int) -> None:
-        """Bulk form of :meth:`record_attempt` for node-level execution.
+    def record_attempt(self, n: int = 1) -> None:
+        """Notify the auditor `n` ranks entered an execution attempt.
 
-        The vectorized driver enters one execution attempt on behalf of
-        all ``n`` ranks at once; the auditor's per-``n_ranks`` snapshot
-        arithmetic must see the same call count as the per-rank path.
+        The per-rank path reports each rank; the vectorized driver enters
+        the attempt on behalf of all ranks at once.
         """
-        if self.auditor is None:
-            return
-        for _ in range(n):
-            self.auditor.on_attempt(self)
-
-    def record_shuffle_bulk(
-        self, nbytes: int, same_node: bool, same_group: bool = True
-    ) -> None:
-        """Account a whole node-group's shuffle traffic in one call.
-
-        Byte counters match a message-by-message accounting exactly; the
-        per-message size histogram sees one aggregate observation (it is
-        not part of :class:`CollectiveStats`).
-        """
-        path = "intra_node" if same_node else "inter_node"
-        self._c_shuffle.inc(nbytes, path=path)
-        self._h_shuffle_msg.observe(nbytes, path=path)
-        if not same_group:
-            self._c_shuffle.inc(nbytes, path="inter_group")
-
-    def record_attempt(self) -> None:
-        """Notify the auditor a rank entered an execution attempt."""
         if self.auditor is not None:
-            self.auditor.on_attempt(self)
+            self.auditor.on_attempt(self, n)
 
     def record_io_extent(self, offset: int, length: int) -> None:
         """Report one file-system extent touched (auditor bookkeeping)."""
@@ -600,7 +461,6 @@ class StatsCollector:
             rounds_total=self.rounds_total,
             shuffle_intra_node_bytes=self.shuffle_intra_node_bytes,
             shuffle_inter_node_bytes=self.shuffle_inter_node_bytes,
-            shuffle_inter_group_bytes=self.shuffle_inter_group_bytes,
             n_groups=self.n_groups,
             extra=dict(self.extra),
             degraded_tier=self.degraded_tier,

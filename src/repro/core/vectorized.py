@@ -204,7 +204,7 @@ def run_vectorized_collective(
         received = 0
         for node_id, sizes in traffic:
             nbytes = sum(sizes)
-            stats.record_shuffle_bulk(nbytes, same_node=node_id == agg_node.node_id)
+            stats.record_shuffle(nbytes, same_node=node_id == agg_node.node_id)
             yield from network.batched_transfer(
                 nodes[node_id], agg_node, sizes, paged_dst=paged_wire
             )
@@ -231,7 +231,7 @@ def run_vectorized_collective(
             return
         yield from agg_node.memcopy(total_read, paged=paged)
         for node_id, sizes in traffic:
-            stats.record_shuffle_bulk(
+            stats.record_shuffle(
                 sum(sizes), same_node=node_id == agg_node.node_id
             )
             yield from network.batched_transfer(
@@ -243,7 +243,7 @@ def run_vectorized_collective(
         yield env.sleep(meta_t)
         yield env.sleep(mem_t)
         stats.mark_start(env.now)
-        stats.record_attempts(n_ranks)
+        stats.record_attempt(n_ranks)
         if tracer.enabled:
             tracer.begin(
                 "collective", f"collective.{op}", 0, 0,

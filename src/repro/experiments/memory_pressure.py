@@ -8,8 +8,10 @@ workload and memory landscape and reports:
 * per-aggregator peak buffer memory (mean / max);
 * the spread (std-dev) of buffer memory across aggregators;
 * paged-aggregator counts;
-* shuffle traffic split intra-node / inter-node / inter-group (MCIO's
-  inter-group bytes must be exactly zero).
+* shuffle traffic split intra-node / inter-node;
+* traffic containment, checked on MCIO's plan: the group regions are
+  disjoint and every file domain lies inside its group's region, so
+  every domain's senders are members of its group.
 
 Run as a script::
 
@@ -18,8 +20,9 @@ Run as a script::
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.cluster import MIB, ross13_testbed
 from repro.core import (
@@ -29,12 +32,42 @@ from repro.core import (
     TwoPhaseCollectiveIO,
     TwoPhaseConfig,
 )
+from repro.core.engine import ExecutionPlan
+from repro.core.group_division import AggregationGroup, divide_groups
 from repro.workloads import CollPerfWorkload
 
 from .harness import Platform, run_collective
 from .report import format_table
 
-__all__ = ["MemoryPressureResult", "run", "main"]
+__all__ = ["MemoryPressureResult", "containment_issues", "run", "main"]
+
+
+def containment_issues(
+    groups: Sequence[AggregationGroup], plan: ExecutionPlan
+) -> list[str]:
+    """Check that `plan` keeps shuffle traffic inside its groups.
+
+    The group regions must be pairwise disjoint, and every domain's
+    extent must lie inside the region of the group it names.  A domain's
+    senders are then ranks with bytes in that region, i.e. members of
+    the group.
+    """
+    issues = []
+    regions = sorted((g.region.offset, g.region.end, g.group_id) for g in groups)
+    for (_, end, a), (start, _, b) in zip(regions, regions[1:]):
+        if start < end:
+            issues.append(f"group regions {a} and {b} overlap")
+    by_id = {g.group_id: g for g in groups}
+    for did, domain in enumerate(plan.domains):
+        group = by_id[domain.group_id]
+        ext = domain.extent
+        if ext.offset < group.region.offset or ext.end > group.region.end:
+            issues.append(
+                f"domain {did} [{ext.offset}, {ext.end}) leaves group "
+                f"{group.group_id}'s region "
+                f"[{group.region.offset}, {group.region.end})"
+            )
+    return issues
 
 
 @dataclass
@@ -43,6 +76,9 @@ class MemoryPressureResult:
 
     baseline: CollectiveStats
     mcio: CollectiveStats
+    #: MCIO's aggregation groups and the plan it executed.
+    groups: list[AggregationGroup]
+    plan: ExecutionPlan
 
     def rows(self) -> list[tuple[str, str, str]]:
         """Metric rows for the report table."""
@@ -81,11 +117,6 @@ class MemoryPressureResult:
                 mib(b.shuffle_inter_node_bytes),
                 mib(m.shuffle_inter_node_bytes),
             ),
-            (
-                "inter-group shuffle (MiB)",
-                mib(b.shuffle_inter_group_bytes),
-                mib(m.shuffle_inter_group_bytes),
-            ),
             ("groups", str(b.n_groups), str(m.n_groups)),
             (
                 "write bandwidth (MiB/s)",
@@ -104,10 +135,8 @@ class MemoryPressureResult:
 
     def check_claims(self) -> list[str]:
         """Validate the poster's qualitative claims; returns violations."""
-        issues = []
         b, m = self.baseline, self.mcio
-        if m.shuffle_inter_group_bytes != 0:
-            issues.append("MCIO leaked shuffle traffic across groups")
+        issues = containment_issues(self.groups, self.plan)
         if m.paged_aggregators > b.paged_aggregators:
             issues.append("MCIO paged more aggregators than the baseline")
         if m.overcommit_mean > b.overcommit_mean:
@@ -156,12 +185,27 @@ def run(
                 platform.comm, platform.pfs,
                 replace(template, cb_buffer_size=buffer_mib * MIB),
             )
+            # the plan the collective will execute: same views, same
+            # memory snapshot (nothing is allocated before the run)
+            cfg = engine.config
+            plan = engine.plan(
+                patterns,
+                {n.node_id: n.memory.free_available for n in platform.cluster.nodes},
+            )
+            groups = divide_groups(
+                patterns,
+                platform.comm.placement_array,
+                cfg.msg_group,
+                stripe_size=platform.pfs.layout.stripe_size if cfg.stripe_align else 0,
+            )
         stats[strategy] = run_collective(platform, engine, patterns, ops=("write",))[0]
-    return MemoryPressureResult(baseline=stats["two-phase"], mcio=stats["mcio"])
+    return MemoryPressureResult(
+        baseline=stats["two-phase"], mcio=stats["mcio"], groups=groups, plan=plan
+    )
 
 
 def main() -> None:
-    """CLI entry point."""
+    """CLI entry point; exits 1 when a claim check fails."""
     result = run()
     print(result.render())
     issues = result.check_claims()
@@ -169,8 +213,8 @@ def main() -> None:
         print("\nCLAIM VIOLATIONS:")
         for issue in issues:
             print(f"  - {issue}")
-    else:
-        print("\nclaim checks passed")
+        sys.exit(1)
+    print("\nclaim checks passed")
 
 
 if __name__ == "__main__":

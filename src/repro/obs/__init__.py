@@ -1,10 +1,9 @@
 """repro.obs — observability for collective I/O runs.
 
 Structured tracing (:class:`Tracer`, sim-time spans/instants in a
-bounded ring buffer), a labelled :class:`MetricsRegistry`
-(counters/gauges/histograms that :class:`~repro.core.metrics.StatsCollector`
-folds its summary from), and exporters to Chrome/Perfetto
-``trace_event`` JSON and flat JSONL.  ``python -m repro.obs.report``
+bounded ring buffer) and exporters to Chrome/Perfetto ``trace_event``
+JSON and flat JSONL.  Collective counters are not kept here: they are
+plain fields of :class:`~repro.core.metrics.StatsCollector`.  ``python -m repro.obs.report``
 prints a per-phase breakdown of an exported trace.
 
 Quick start::
@@ -16,7 +15,6 @@ Quick start::
     write_chrome(tracer, "trace.json")   # load in ui.perfetto.dev
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import (
     NULL_TRACER,
     PID_KERNEL,
@@ -30,10 +28,6 @@ from .tracer import (
 from .export import to_chrome, write_chrome, write_jsonl
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "PID_KERNEL",

@@ -49,7 +49,6 @@ def _stats(tier=None, intra=0, inter=0) -> CollectiveStats:
         rounds_total=1,
         shuffle_intra_node_bytes=intra,
         shuffle_inter_node_bytes=inter,
-        shuffle_inter_group_bytes=0,
         degraded_tier=tier,
     )
 
@@ -113,6 +112,19 @@ class TestAttemptDelimiting:
         coll.shuffle_inter_node_bytes = 999  # partial, then aborted
         for _ in range(4):  # attempt 1 (post-abort barrier)
             auditor.on_attempt(coll)
+        coll.shuffle_inter_node_bytes = 999 + 4096
+        auditor.on_finalize(coll, _stats(tier="remerge"))
+        rec = auditor.records[-1]
+        assert rec.attempts == 2
+        assert rec.final_attempt_shuffle == 4096
+
+    def test_all_ranks_in_one_call_snapshot_like_per_rank_calls(self):
+        """The vectorized driver reports a whole attempt at once."""
+        auditor = ConservationAuditor()
+        coll = FakeCollector(n_ranks=4)
+        auditor.on_attempt(coll, 4)  # attempt 0
+        coll.shuffle_inter_node_bytes = 999
+        auditor.on_attempt(coll, 4)  # attempt 1
         coll.shuffle_inter_node_bytes = 999 + 4096
         auditor.on_finalize(coll, _stats(tier="remerge"))
         rec = auditor.records[-1]

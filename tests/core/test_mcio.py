@@ -128,7 +128,8 @@ class TestPlanningBehaviour:
         stats = self.run_write(stack, engine, lambda r: serial_pattern(r, 500))
         # 12 ranks x 500 B = 6000 B over 3 nodes; msg_group 2000 -> 3 groups
         assert stats.n_groups == 3
-        assert stats.shuffle_inter_group_bytes == 0
+        total_shuffle = stats.shuffle_intra_node_bytes + stats.shuffle_inter_node_bytes
+        assert total_shuffle == 12 * 500
 
     def test_memory_aware_placement_avoids_starved_node(self):
         stack = make_stack(n_ranks=12, n_nodes=3)

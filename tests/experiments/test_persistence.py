@@ -45,6 +45,19 @@ def test_retired_stats_keys_still_load():
     assert stats_from_dict(d) == original
 
 
+def test_retired_cross_group_counter_still_loads():
+    """Documents written while stats carried the always-zero cross-group
+    shuffle counter still load; the key is simply ignored."""
+    retired = "shuffle_inter_group_bytes"
+    original = make_stats()
+    d = stats_to_dict(original)
+    assert retired not in d
+    d[retired] = 0
+    restored = stats_from_dict(d)
+    assert restored == original
+    assert not hasattr(restored, retired)
+
+
 def test_stats_dict_is_json_serializable():
     json.dumps(stats_to_dict(make_stats()))
 

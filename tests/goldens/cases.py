@@ -196,7 +196,6 @@ def stats_to_jsonable(stats: CollectiveStats) -> dict:
         "rounds_total": stats.rounds_total,
         "shuffle_intra_node_bytes": stats.shuffle_intra_node_bytes,
         "shuffle_inter_node_bytes": stats.shuffle_inter_node_bytes,
-        "shuffle_inter_group_bytes": stats.shuffle_inter_group_bytes,
         "n_groups": stats.n_groups,
         "degraded_tier": stats.degraded_tier,
         "io_retries": stats.io_retries,

@@ -102,7 +102,6 @@ EQUIVALENT_FIELDS = (
     "rounds_total",
     "shuffle_intra_node_bytes",
     "shuffle_inter_node_bytes",
-    "shuffle_inter_group_bytes",
     "n_groups",
     "degraded_tier",
     "io_retries",

@@ -1,162 +1,94 @@
-"""MetricsRegistry unit tests and the StatsCollector view contract."""
+"""StatsCollector keeps plain numbers; finalize() folds exactly those."""
 
 import pytest
 
 from repro.core.metrics import StatsCollector
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
-class TestCounter:
-    def test_inc_and_total(self):
-        c = Counter("reqs", labelnames=("kind",))
-        c.inc(2, kind="read")
-        c.inc(3, kind="read")
-        c.inc(5, kind="write")
-        assert c.value(kind="read") == 5
-        assert c.value(kind="write") == 5
-        assert c.total() == 10
-
-    def test_counter_rejects_negative(self):
-        c = Counter("reqs")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_integer_exactness(self):
-        """Integral increments stay exact ints (golden comparisons)."""
-        c = Counter("b")
-        c.inc(2**60)
-        c.inc(1)
-        assert c.value() == 2**60 + 1
-        assert isinstance(c.value(), int)
-
-    def test_label_mismatch_rejected(self):
-        c = Counter("reqs", labelnames=("kind",))
-        with pytest.raises(ValueError):
-            c.inc(1)
-        with pytest.raises(ValueError):
-            c.inc(1, kind="read", extra="x")
+def _collector(n_ranks=4):
+    c = StatsCollector("mcio", "write", n_ranks=n_ranks)
+    c.mark_start(0.0)
+    c.mark_end(1.0)
+    return c
 
 
-class TestGauge:
-    def test_set_and_add(self):
-        g = Gauge("depth")
-        g.set(4)
-        g.add(-1)
-        assert g.value() == 3
-
-    def test_set_max_merges_peaks(self):
-        g = Gauge("peak", labelnames=("rank",))
-        g.set_max(100, rank=1)
-        g.set_max(50, rank=1)
-        g.set_max(200, rank=1)
-        assert g.value(rank=1) == 200
-
-    def test_default(self):
-        g = Gauge("x")
-        assert g.value(default=7) == 7
-
-
-class TestHistogram:
-    def test_bucketing(self):
-        h = Histogram("sz", buckets=(10, 100))
-        for v in (1, 10, 11, 100, 101, 5000):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["counts"] == [2, 2, 2]  # <=10, <=100, +inf
-        assert snap["count"] == 6
-        assert snap["sum"] == 1 + 10 + 11 + 100 + 101 + 5000
-
-    def test_empty_snapshot(self):
-        h = Histogram("sz", buckets=(1,))
-        assert h.snapshot() == {"counts": [0, 0], "sum": 0, "count": 0}
-
-    def test_bucket_validation(self):
-        with pytest.raises(ValueError):
-            Histogram("sz", buckets=())
-        with pytest.raises(ValueError):
-            Histogram("sz", buckets=(1, 1))
-
-
-class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry()
-        a = reg.counter("reqs", labelnames=("kind",))
-        b = reg.counter("reqs", labelnames=("kind",))
-        assert a is b
-        assert len(reg) == 1
-        assert "reqs" in reg
-
-    def test_kind_conflict_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-
-    def test_label_conflict_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x", labelnames=("a",))
-        with pytest.raises(ValueError):
-            reg.counter("x", labelnames=("b",))
-
-    def test_collect_shape(self):
-        import json
-
-        reg = MetricsRegistry()
-        reg.counter("reqs", "requests", labelnames=("kind",)).inc(3, kind="r")
-        reg.gauge("depth").set(2)
-        reg.histogram("sz", buckets=(10,)).observe(4)
-        doc = reg.collect()
-        json.dumps(doc)  # plain JSON types throughout
-        assert doc["reqs"]["kind"] == "counter"
-        assert doc["reqs"]["series"] == [{"labels": {"kind": "r"}, "value": 3}]
-        assert doc["depth"]["series"][0]["value"] == 2
-        assert doc["sz"]["series"][0]["counts"] == [1, 0]
-
-
-class TestStatsCollectorView:
-    """The collector's legacy attributes are views over its registry."""
-
-    def test_views_match_registry(self):
-        c = StatsCollector("mcio", "write", n_ranks=4)
+class TestFinalize:
+    def test_finalize_reads_the_live_fields(self):
+        c = _collector()
         c.record_bytes(1000)
         c.record_bytes(24)
-        c.record_shuffle(500, same_node=True)
-        c.record_shuffle(300, same_node=False)
-        c.record_shuffle(200, same_node=False, same_group=False)
         c.record_rounds(3)
         c.record_failover()
-        c.record_aggregator(2, 4096, paged=True, overcommit_bytes=128)
-        c.record_aggregator(2, 1024, paged=False)
-
-        assert c.total_bytes == 1024
-        assert c.shuffle_intra_node_bytes == 500
-        assert c.shuffle_inter_node_bytes == 500
-        assert c.shuffle_inter_group_bytes == 200
-        assert c.rounds_total == 3
-        assert c.failovers == 1
-        assert c.agg_buffer_bytes == {2: 4096}  # peak, not last
-        assert c.agg_overcommit_bytes == {2: 128}
-        assert c.paged_aggregators == {2}
-
-        reg = c.registry
-        assert reg.counter("io_bytes_total").value() == 1024
-        assert reg.get("shuffle_message_bytes").snapshot(path="intra_node")[
-            "count"
-        ] == 1
-
-    def test_finalize_folds_from_registry(self):
-        c = StatsCollector("mcio", "write", n_ranks=4)
-        c.mark_start(0.0)
-        c.mark_end(1.0)
-        c.record_bytes(77)
-        c.record_aggregator(1, 10, paged=False)
+        c.record_failover(2)
+        c.record_lease("granted")
+        c.record_lease("renewed")
+        c.record_lease("released")
+        c.record_borrow_bytes(64)
+        c.record_borrow_fallback()
+        c.record_vectorized_refusal("faults")
         stats = c.finalize()
-        assert stats.total_bytes == 77
-        assert stats.aggregator_ranks == (1,)
-        assert stats.agg_buffer_bytes == {1: 10}
+        assert c.total_bytes == stats.total_bytes == 1024
+        assert c.rounds_total == stats.rounds_total == 3
+        assert c.failovers == stats.failovers == 3
+        assert (stats.leases_granted, stats.leases_renewed) == (1, 1)
+        assert (stats.leases_revoked, stats.leases_expired) == (0, 0)
+        assert stats.borrow_bytes == 64
+        assert stats.borrow_fallbacks == 1
+        assert stats.vectorized_refusals == 1
+        assert stats.extra["vectorized_refusal"] == "faults"
 
-    def test_injected_registry_is_used(self):
-        reg = MetricsRegistry()
-        c = StatsCollector("mcio", "write", n_ranks=2, registry=reg)
-        c.record_bytes(5)
-        assert reg.counter("io_bytes_total").value() == 5
+    def test_buffer_and_overcommit_keep_the_peak(self):
+        c = _collector()
+        c.record_aggregator(2, 4096, paged=False, overcommit_bytes=128)
+        c.record_aggregator(2, 1024, paged=False, overcommit_bytes=512)
+        c.record_aggregator(2, 2048, paged=False, overcommit_bytes=0)
+        c.record_aggregator(5, 10, paged=False)
+        stats = c.finalize()
+        assert stats.agg_buffer_bytes == {2: 4096, 5: 10}  # peak, not last
+        assert stats.agg_overcommit_bytes == {2: 512, 5: 0}
+        assert stats.aggregator_ranks == (2, 5)
+        assert stats.n_aggregators == 2
+        assert stats.agg_memory_peak == 4096
+
+    def test_paged_rank_set(self):
+        c = _collector()
+        c.record_aggregator(1, 10, paged=True)
+        c.record_aggregator(1, 20, paged=False)  # paging is sticky
+        c.record_aggregator(3, 10, paged=True)
+        c.record_aggregator(4, 10, paged=False)
+        assert c.paged_aggregators == {1, 3}
+        assert c.finalize().paged_aggregators == 2
+
+    def test_split_shuffle_totals(self):
+        c = _collector()
+        c.record_shuffle(500, same_node=True)
+        c.record_shuffle(300, same_node=False)
+        c.record_shuffle(200, same_node=False)
+        stats = c.finalize()
+        assert stats.shuffle_intra_node_bytes == 500
+        assert stats.shuffle_inter_node_bytes == 500
+
+    def test_integer_exactness(self):
+        """Sums stay exact Python ints (goldens compare bit for bit)."""
+        c = _collector()
+        c.record_bytes(2**60)
+        c.record_bytes(1)
+        c.record_shuffle(2**60, same_node=False)
+        c.record_shuffle(1, same_node=False)
+        stats = c.finalize()
+        for value in (stats.total_bytes, stats.shuffle_inter_node_bytes):
+            assert value == 2**60 + 1
+            assert type(value) is int
+
+    def test_unknown_lease_event_rejected(self):
+        c = _collector()
+        with pytest.raises(AttributeError):
+            c.record_lease("borrowed")
+
+    def test_registry_parameter_rejected(self):
+        with pytest.raises(TypeError):
+            StatsCollector("mcio", "write", n_ranks=2, registry=object())
+
+    def test_finalize_needs_start_and_end(self):
+        with pytest.raises(RuntimeError):
+            StatsCollector("mcio", "write", n_ranks=2).finalize()
