@@ -37,6 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.borrow import LEND_HEADROOM
 from repro.core.config import MCIOConfig
 from repro.core.filedomain import FileDomain
 from repro.core.partition_tree import PartitionTree
@@ -248,19 +249,18 @@ def _find_lender(
     hosts: Mapping[int, "_HostState"],
     nominal: int,
     requirement: int,
-    config: MCIOConfig,
 ):
     """Borrow placement for a leaf none of whose hosts can buffer it.
 
     The aggregator runs on the open candidate host with the most
     remaining memory (it still does the CPU work and the PFS I/O); the
     nominal buffer is reserved on the memory-richest *other* node that
-    can cover ``requirement + lend_headroom``.  Returns
+    can cover ``requirement + LEND_HEADROOM``.  Returns
     ``(agg_host, lender_node, buffer)`` or None when no lender
     qualifies; the lender reservation is recorded in `hosts`.
     """
     agg_host = max(open_hosts, key=lambda node: (hosts[node].remaining, -node))
-    need = requirement + config.lend_headroom
+    need = requirement + LEND_HEADROOM
     lenders = [
         node
         for node, state in hosts.items()
@@ -365,7 +365,7 @@ def _try_assign(
                 and open_hosts
             ):
                 borrowed = _find_lender(
-                    domain, open_hosts, hosts, nominal, requirement, config
+                    domain, open_hosts, hosts, nominal, requirement
                 )
             if config.adaptive_buffer and adaptive:
                 pool = adaptive

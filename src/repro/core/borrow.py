@@ -37,6 +37,17 @@ from __future__ import annotations
 
 __all__ = ["BorrowDegraded", "BorrowSession"]
 
+#: Grant attempts beyond the first before a borrower gives up and the
+#: collective degrades (acquisition under contention).
+LEASE_RETRY_LIMIT = 4
+#: Exponential backoff between grant retries, sim-seconds:
+#: ``min(LEASE_BACKOFF_CAP, LEASE_BACKOFF_BASE * 2**attempt)``.
+LEASE_BACKOFF_BASE = 1e-4
+LEASE_BACKOFF_CAP = 5e-3
+#: Bytes of uncommitted memory a lender must keep *beyond* the leased
+#: amount (the ledger's ``headroom``); 0 lends everything uncommitted.
+LEND_HEADROOM = 0
+
 
 class BorrowDegraded(RuntimeError):
     """The collective must abandon its borrowed plan and re-run degraded.
@@ -98,9 +109,10 @@ def acquire_leases(run, session: BorrowSession):
     """Process generator: this rank grants its borrowed domains' leases.
 
     Retries with capped exponential backoff
-    (``min(cap, base * 2**attempt)``) up to ``lease_retry_limit`` extra
-    attempts; exhaustion is recorded on the shared session and resolved
-    collectively after the post-acquisition barrier.
+    (``min(LEASE_BACKOFF_CAP, LEASE_BACKOFF_BASE * 2**attempt)``) up to
+    :data:`LEASE_RETRY_LIMIT` extra attempts; exhaustion is recorded on
+    the shared session and resolved collectively after the
+    post-acquisition barrier.
     """
     ctx = run.ctx
     env = ctx.env
@@ -122,13 +134,11 @@ def acquire_leases(run, session: BorrowSession):
             lease = session.ledger.grant(
                 domain.lender_node, ctx.rank, domain.buffer_bytes,
                 now=env.now, term=cfg.lease_term,
-                headroom=cfg.lend_headroom, tenant=session.tenant,
+                headroom=LEND_HEADROOM, tenant=session.tenant,
             )
-            if lease is not None or attempts >= cfg.lease_retry_limit:
+            if lease is not None or attempts >= LEASE_RETRY_LIMIT:
                 break
-            delay = min(
-                cfg.lease_backoff_cap, cfg.lease_backoff_base * (2 ** attempts)
-            )
+            delay = min(LEASE_BACKOFF_CAP, LEASE_BACKOFF_BASE * (2 ** attempts))
             attempts += 1
             yield env.sleep(delay)
         if tracer.enabled:

@@ -51,14 +51,13 @@ class TwoPhaseConfig:
     cb_nodes:
         Number of aggregators; ``None`` = ROMIO default of exactly one
         process per node.
-    stripe_align:
-        Align file-domain boundaries down to stripe boundaries, avoiding
-        two aggregators splitting one stripe (lock contention in Lustre).
+
+    File domains are always stripe-aligned
+    (:data:`~repro.core.two_phase.STRIPE_ALIGN`).
     """
 
     cb_buffer_size: int = 16 * MIB
     cb_nodes: Optional[int] = None
-    stripe_align: bool = True
 
     def __post_init__(self) -> None:
         _check_common(self.cb_buffer_size)
@@ -88,8 +87,6 @@ class MCIOConfig:
         Nominal aggregation buffer per aggregator, bytes — the quantity
         the paper's evaluation sweeps.  The effective buffer of a domain
         is ``min(cb_buffer_size, domain bytes)``.
-    stripe_align:
-        Align bisection cuts to stripe boundaries.
     allow_paged_fallback:
         If no host in a group can satisfy the memory requirement even
         after remerging, place the aggregator on the best host anyway
@@ -148,16 +145,8 @@ class MCIOConfig:
     lease_term:
         Sim-seconds a granted lease stays valid before it must be
         renewed; the borrower renews at every round boundary once less
-        than half the term remains.
-    lease_retry_limit:
-        Grant attempts beyond the first before the borrower gives up
-        and the collective degrades (acquisition under contention).
-    lease_backoff_base / lease_backoff_cap:
-        Exponential backoff between grant retries:
-        ``min(cap, base * 2**attempt)`` sim-seconds.
-    lend_headroom:
-        Bytes of uncommitted memory a lender must retain *beyond* the
-        leased amount, protecting the lender's own workload.
+        than half the term remains.  Grant retries and the lender's
+        headroom are fixed (:mod:`repro.core.borrow`).
     execution_mode:
         How collectives are simulated (DESIGN.md §11):
 
@@ -166,11 +155,11 @@ class MCIOConfig:
           releases);
         * ``"vectorized"`` — co-located ranks are folded into one
           node-level process carrying numpy-backed per-rank accounting.
-          The driver still *refuses* vectorization per collective
-          whenever faults, borrow leases, failed hosts, or a live data
-          plane demand per-rank behaviour, falling back to per-rank
-          coroutines and counting the refusal in
-          :attr:`~repro.core.metrics.CollectiveStats.vectorized_refusals`.
+          :func:`~repro.core.path.resolve_path` still *refuses*
+          vectorization per collective whenever faults, borrow leases,
+          failed hosts, or a live data plane demand per-rank behaviour;
+          the collective then runs per-rank and the refusal is recorded
+          in :attr:`~repro.core.metrics.CollectiveStats.path`.
 
         Process parallelism lives one level up, across independent
         sweep cells (``--jobs``, DESIGN.md §12), never inside a
@@ -182,7 +171,6 @@ class MCIOConfig:
     mem_min: int = 32 * MIB
     nah: int = 2
     cb_buffer_size: int = 16 * MIB
-    stripe_align: bool = True
     allow_paged_fallback: bool = True
     memory_oblivious: bool = False
     adaptive_buffer: bool = True
@@ -192,10 +180,6 @@ class MCIOConfig:
     plan_cache: bool = False
     placement_policy: PlacementPolicy = "remerge"
     lease_term: float = 1.0
-    lease_retry_limit: int = 4
-    lease_backoff_base: float = 1e-4
-    lease_backoff_cap: float = 5e-3
-    lend_headroom: int = 0
     execution_mode: ExecutionMode = "per-rank"
 
     def __post_init__(self) -> None:
@@ -216,13 +200,5 @@ class MCIOConfig:
             raise ValueError(f"bad placement_policy {self.placement_policy!r}")
         if self.lease_term <= 0:
             raise ValueError("lease_term must be > 0")
-        if self.lease_retry_limit < 0:
-            raise ValueError("lease_retry_limit must be >= 0")
-        if self.lease_backoff_base <= 0 or self.lease_backoff_cap <= 0:
-            raise ValueError("lease backoff parameters must be > 0")
-        if self.lease_backoff_cap < self.lease_backoff_base:
-            raise ValueError("lease_backoff_cap must be >= lease_backoff_base")
-        if self.lend_headroom < 0:
-            raise ValueError("lend_headroom must be >= 0")
         if self.execution_mode not in ("per-rank", "vectorized"):
             raise ValueError(f"bad execution_mode {self.execution_mode!r}")

@@ -259,9 +259,15 @@ def execute_collective(
     payload: Optional[np.ndarray] = None,
     failover_config=None,
     borrow=None,
-    pipelined: bool = False,
 ):
     """Process generator: one rank's role in a planned collective op.
+
+    The driver is the collective's path decision,
+    ``stats.path.driver``: ``"pipelined"`` overlaps each window's
+    shuffle with the previous window's PFS service inside the planned
+    buffers (:func:`_run_pipelined`, which also drains and re-arms
+    failover when a host fails mid-run); anything else runs ROMIO's
+    lockstep rounds.
 
     Parameters
     ----------
@@ -290,26 +296,12 @@ def execute_collective(
         fault-free timing is unchanged.
     borrow:
         A :class:`~repro.core.borrow.BorrowSession` when the plan
-        contains lender-backed domains, else None.  Forces the lockstep
-        runner (the lease protocol needs round boundaries).  Lease
+        contains lender-backed domains, else None.  Needs the lockstep
+        driver (the lease protocol needs round boundaries).  Lease
         acquisition runs before round 0; an acquisition failure or a
         mid-run unsound lease raises
         :class:`~repro.core.borrow.BorrowDegraded` on every rank after
         local teardown — the caller re-plans without borrowing.
-    pipelined:
-        Overlap the shuffle stage of window t with the PFS-service
-        stage of window t-1 (write: window t-1 drains to the OSTs
-        behind the next exchange; read: window t+1 prefetches from the
-        OSTs behind the current scatter), double-buffering inside each
-        *planned* aggregation buffer as two half-sized slots — no
-        memory beyond the plan's budget is ever committed.  Same
-        bytes, same nominal round accounting, shorter critical path.
-        Falls back to the exact blocking path — with
-        the reason recorded in ``stats.extra["pipeline_fallback"]`` —
-        when hosts are already failed or the plan borrows remote
-        memory; a failure landing *mid*-pipeline drains the in-flight
-        windows at the next round boundary and hands the remaining
-        rounds to the lockstep path with `failover_config` re-armed.
 
     Returns
     -------
@@ -317,16 +309,7 @@ def execute_collective(
     """
     if op not in ("write", "read"):
         raise ValueError(f"op must be 'write' or 'read', got {op!r}")
-    if pipelined:
-        # the overlapped path needs healthy hosts and local buffers to
-        # start; it handles failures *arising* mid-run itself (drain,
-        # then lockstep + failover), but never starts degraded
-        if borrow is not None:
-            pipelined = False
-            stats.extra["pipeline_fallback"] = "borrow-lease"
-        elif comm.cluster.any_failed:
-            pipelined = False
-            stats.extra["pipeline_fallback"] = "failed-nodes"
+    pipelined = stats.path.driver == "pipelined"
     env = ctx.env
     stats.mark_start(env.now)
     stats.record_attempt()
@@ -342,7 +325,7 @@ def execute_collective(
     if tracer.enabled:
         tracer.begin(
             "collective", f"collective.{op}", pid, ctx.rank,
-            strategy=stats.strategy, seq=op_seq, granularity="round",
+            strategy=stats.strategy, seq=op_seq, path=stats.path.driver,
         )
     try:
         # allocate this rank's aggregation buffers for the whole operation

@@ -34,14 +34,14 @@ from repro.core.aggregator_selection import PlacementError, place_aggregators
 from repro.core.borrow import BorrowDegraded, BorrowSession
 from repro.core.config import MCIOConfig
 from repro.core.engine import ExecutionPlan, execute_collective
-from repro.core.filedomain import FileDomain, even_domains
 from repro.core.group_division import divide_groups
 from repro.core.metrics import CollectiveStats, StatsCollector
 from repro.core.partition_tree import PartitionTree
+from repro.core.path import resolve_path
 from repro.core.pattern_array import FileViewIndex, FileViews, file_views
 from repro.core.plan_cache import PlanCache
 from repro.core.request import AccessPattern
-from repro.core.two_phase import default_aggregators
+from repro.core.two_phase import STRIPE_ALIGN, default_aggregators, even_plan
 from repro.mpi.comm import RankContext, SimComm
 from repro.obs.tracer import PID_PLANNER
 from repro.pfs.filesystem import ParallelFileSystem
@@ -129,12 +129,9 @@ class MemoryConsciousCollectiveIO:
         #: not collide with it.
         self._seq_floor = 0
         #: Fault injectors wired via :meth:`watch_faults`; a non-empty
-        #: schedule on any of them makes the planner refuse vectorization.
+        #: schedule on any of them refuses vectorization
+        #: (:func:`~repro.core.path.resolve_path`).
         self._fault_injectors: list = []
-        #: One-shot refusal reason consumed by the next collector built:
-        #: set by the vectorized driver right before it falls back to the
-        #: per-rank path, so the fallback's stats carry the refusal.
-        self._pending_vec_refusal: Optional[str] = None
         #: Per-operation state, keyed by sequence number and dropped by
         #: the last rank out: the gathered views' index, the plan, the
         #: collector.
@@ -276,7 +273,7 @@ class MemoryConsciousCollectiveIO:
             nbytes=16,
         )
         views, plan, stats, borrow = self._prepare(seq, patterns, mem_state, op)
-        if plan is None:
+        if stats.path.driver == "independent":
             # last tier of the fallback chain: uncoordinated independent I/O
             result = yield from self._independent_tier(ctx, pattern, payload, op, stats)
         else:
@@ -315,7 +312,9 @@ class MemoryConsciousCollectiveIO:
                 views, memory_available, frozenset(failed_nodes)
             )
             self._plans[seq] = plan
-            self._stats[seq] = self._make_collector(op, plan, tier, reason, cached)
+            stats = self._make_collector(op, plan, tier, reason, cached)
+            stats.path = resolve_path(self, plan)
+            self._stats[seq] = stats
             borrowed = plan is not None and any(
                 d.lender_node is not None for d in plan.domains
             )
@@ -349,10 +348,6 @@ class MemoryConsciousCollectiveIO:
             collector.extra["fallback_reason"] = reason
         if self.auditor is not None:
             collector.auditor = self.auditor
-        pending = self._pending_vec_refusal
-        if pending is not None:
-            self._pending_vec_refusal = None
-            collector.record_vectorized_refusal(pending)
         return collector
 
     def _plan_or_reuse(self, patterns, memory_available, failed_nodes):
@@ -370,7 +365,7 @@ class MemoryConsciousCollectiveIO:
             return entry, False
         for node in self.comm.cluster.nodes:
             memory_available.setdefault(node.node_id, node.memory.free_available)
-        stripe = self.pfs.layout.stripe_size if self.config.stripe_align else 0
+        stripe = self.pfs.layout.stripe_size if STRIPE_ALIGN else 0
         key = cache.signature(
             patterns, self.config, failed_nodes, stripe,
             lease_digest=self.comm.cluster.memory_ledger.digest(
@@ -514,30 +509,17 @@ class MemoryConsciousCollectiveIO:
     def _two_phase_plan(
         self, views: FileViews, failed_nodes: frozenset
     ) -> Optional[ExecutionPlan]:
-        """ROMIO-style even plan restricted to live hosts, or None."""
-        if not views.any_active:
-            return ExecutionPlan((), (), n_groups=1)
-        lo, hi = views.bounds()
+        """ROMIO-style even plan restricted to live hosts, or None when
+        there is data but no live host to aggregate it."""
         aggs = [
             r
             for r in default_aggregators(self.comm.placement)
             if self.comm.placement[r] not in failed_nodes
         ]
-        if not aggs:
+        if not aggs and views.any_active:
             return None
-        stripe = self.pfs.layout.stripe_size if self.config.stripe_align else 0
-        extents = even_domains(lo, hi, len(aggs), stripe_size=stripe)
-        domains = [
-            FileDomain(
-                extent=ext,
-                aggregator_rank=aggs[i],
-                buffer_bytes=self.config.cb_buffer_size,
-                paged=False,
-                group_id=0,
-            )
-            for i, ext in enumerate(extents)
-        ]
-        return ExecutionPlan.build(domains, views, n_groups=1)
+        stripe = self.pfs.layout.stripe_size if STRIPE_ALIGN else 0
+        return even_plan(views, aggs, self.config.cb_buffer_size, stripe)
 
     # ------------------------------------------------------------------
     def plan(
@@ -555,7 +537,7 @@ class MemoryConsciousCollectiveIO:
         (when given) overrides the engine's parameters for this plan.
         """
         cfg = self.config if config is None else config
-        stripe = self.pfs.layout.stripe_size if cfg.stripe_align else 0
+        stripe = self.pfs.layout.stripe_size if STRIPE_ALIGN else 0
         views = file_views(patterns)
         self.last_plan_tree_queries = 0
         # Planning costs no simulated time: its spans sit at the current

@@ -17,10 +17,12 @@ buffer and overcommit sizes and a set of paged ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
+
+from repro.core.path import PathDecision
 
 __all__ = ["StatsCollector", "CollectiveStats"]
 
@@ -81,13 +83,14 @@ class CollectiveStats:
     borrow_bytes: int = 0
     #: Mid-collective borrow aborts that degraded the run back to remerge.
     borrow_fallbacks: int = 0
-    #: How this collective was simulated: ``"per-rank"`` coroutines (the
-    #: reference) or the node-level ``"vectorized"`` path (DESIGN.md §11).
-    execution_mode: str = "per-rank"
-    #: Times vectorization was requested but refused for this collective
-    #: (faults/borrow/failover demanded per-rank behaviour); the refusal
-    #: reason lands in ``extra["vectorized_refusal"]``.
-    vectorized_refusals: int = 0
+    #: Which driver ran this collective and every refusal on the way
+    #: (:func:`~repro.core.path.resolve_path`).
+    path: PathDecision = PathDecision()
+
+    @property
+    def execution_mode(self) -> str:
+        """``"vectorized"`` (node-level driver) or ``"per-rank"``."""
+        return "vectorized" if self.path.driver == "vectorized" else "per-rank"
 
     @property
     def bandwidth(self) -> float:
@@ -185,46 +188,19 @@ class CollectiveStats:
         ``extra`` is filtered to scalar values — runtime objects stashed
         there (trees, plans) are not representable and are dropped.
         """
-        return {
-            "strategy": self.strategy,
-            "op": self.op,
-            "total_bytes": self.total_bytes,
-            "elapsed": self.elapsed,
-            "n_ranks": self.n_ranks,
-            "n_aggregators": self.n_aggregators,
-            "aggregator_ranks": list(self.aggregator_ranks),
-            "agg_buffer_bytes": {
-                str(k): v for k, v in self.agg_buffer_bytes.items()
-            },
-            "agg_overcommit_bytes": {
-                str(k): v for k, v in self.agg_overcommit_bytes.items()
-            },
-            "paged_aggregators": self.paged_aggregators,
-            "rounds_total": self.rounds_total,
-            "shuffle_intra_node_bytes": self.shuffle_intra_node_bytes,
-            "shuffle_inter_node_bytes": self.shuffle_inter_node_bytes,
-            "n_groups": self.n_groups,
-            "extra": {
-                k: v for k, v in self.extra.items() if isinstance(v, _SCALARS)
-            },
-            "degraded_tier": self.degraded_tier,
-            "io_retries": self.io_retries,
-            "io_abandons": self.io_abandons,
-            "failovers": self.failovers,
-            "plan_cached": self.plan_cached,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "plan_cache_invalidations": self.plan_cache_invalidations,
-            "planning_tree_queries": self.planning_tree_queries,
-            "leases_granted": self.leases_granted,
-            "leases_renewed": self.leases_renewed,
-            "leases_revoked": self.leases_revoked,
-            "leases_expired": self.leases_expired,
-            "borrow_bytes": self.borrow_bytes,
-            "borrow_fallbacks": self.borrow_fallbacks,
-            "execution_mode": self.execution_mode,
-            "vectorized_refusals": self.vectorized_refusals,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "extra":
+                value = {k: v for k, v in value.items() if isinstance(v, _SCALARS)}
+            elif isinstance(value, dict):
+                value = {str(k): v for k, v in value.items()}
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, PathDecision):
+                value = {"driver": value.driver, "refusals": list(value.refusals)}
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_json(cls, d: dict) -> "CollectiveStats":
@@ -234,44 +210,24 @@ class CollectiveStats:
         defaults, so documents written before a field existed still load;
         keys of retired fields are ignored.
         """
-        return cls(
-            strategy=d["strategy"],
-            op=d["op"],
-            total_bytes=d["total_bytes"],
-            elapsed=d["elapsed"],
-            n_ranks=d["n_ranks"],
-            n_aggregators=d["n_aggregators"],
-            aggregator_ranks=tuple(d["aggregator_ranks"]),
-            agg_buffer_bytes={
-                int(k): v for k, v in d["agg_buffer_bytes"].items()
-            },
-            agg_overcommit_bytes={
-                int(k): v for k, v in d.get("agg_overcommit_bytes", {}).items()
-            },
-            paged_aggregators=d["paged_aggregators"],
-            rounds_total=d["rounds_total"],
-            shuffle_intra_node_bytes=d["shuffle_intra_node_bytes"],
-            shuffle_inter_node_bytes=d["shuffle_inter_node_bytes"],
-            n_groups=d.get("n_groups", 1),
-            extra=dict(d.get("extra", {})),
-            degraded_tier=d.get("degraded_tier"),
-            io_retries=d.get("io_retries", 0),
-            io_abandons=d.get("io_abandons", 0),
-            failovers=d.get("failovers", 0),
-            plan_cached=d.get("plan_cached", False),
-            plan_cache_hits=d.get("plan_cache_hits", 0),
-            plan_cache_misses=d.get("plan_cache_misses", 0),
-            plan_cache_invalidations=d.get("plan_cache_invalidations", 0),
-            planning_tree_queries=d.get("planning_tree_queries", 0),
-            leases_granted=d.get("leases_granted", 0),
-            leases_renewed=d.get("leases_renewed", 0),
-            leases_revoked=d.get("leases_revoked", 0),
-            leases_expired=d.get("leases_expired", 0),
-            borrow_bytes=d.get("borrow_bytes", 0),
-            borrow_fallbacks=d.get("borrow_fallbacks", 0),
-            execution_mode=d.get("execution_mode", "per-rank"),
-            vectorized_refusals=d.get("vectorized_refusals", 0),
-        )
+        kwargs = {"agg_overcommit_bytes": {}}
+        for f in fields(cls):
+            if f.name not in d:
+                continue
+            value = d[f.name]
+            if f.name in ("agg_buffer_bytes", "agg_overcommit_bytes"):
+                value = {int(k): v for k, v in value.items()}
+            elif f.name == "aggregator_ranks":
+                value = tuple(value)
+            elif f.name == "extra":
+                value = dict(value)
+            elif f.name == "path":
+                value = PathDecision(value["driver"], tuple(value["refusals"]))
+            kwargs[f.name] = value
+        if "path" not in d and d.get("execution_mode") == "vectorized":
+            # documents from before the decision record kept only the mode
+            kwargs["path"] = PathDecision("vectorized")
+        return cls(**kwargs)
 
 
 class StatsCollector:
@@ -314,10 +270,8 @@ class StatsCollector:
         self.borrow_bytes = 0
         #: Mid-collective borrow aborts degraded back to remerge.
         self.borrow_fallbacks = 0
-        #: Collectives that refused vectorization and ran per-rank.
-        self.vectorized_refusals = 0
-        #: Execution path that served this collective (DESIGN.md §11).
-        self.execution_mode = "per-rank"
+        #: Driver decision for this collective (DESIGN.md §11).
+        self.path = PathDecision()
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
         self.n_groups = 1
@@ -407,15 +361,6 @@ class StatsCollector:
         """Count one mid-collective borrow abort (degrade to remerge)."""
         self.borrow_fallbacks += 1
 
-    def record_execution_mode(self, mode: str) -> None:
-        """Record which execution path served this collective."""
-        self.execution_mode = mode
-
-    def record_vectorized_refusal(self, reason: str) -> None:
-        """Count a refused vectorization and keep the why in ``extra``."""
-        self.vectorized_refusals += 1
-        self.extra["vectorized_refusal"] = reason
-
     def record_attempt(self, n: int = 1) -> None:
         """Notify the auditor `n` ranks entered an execution attempt.
 
@@ -447,44 +392,23 @@ class StatsCollector:
         """Fold into an immutable summary."""
         if self.start_time is None or self.end_time is None:
             raise RuntimeError("run was never marked started/ended")
-        final = CollectiveStats(
-            strategy=self.strategy,
-            op=self.op,
-            total_bytes=self.total_bytes,
-            elapsed=self.end_time - self.start_time,
-            n_ranks=self.n_ranks,
-            n_aggregators=len(self.agg_buffer_bytes),
-            aggregator_ranks=tuple(sorted(self.agg_buffer_bytes)),
-            agg_buffer_bytes=dict(self.agg_buffer_bytes),
-            agg_overcommit_bytes=dict(self.agg_overcommit_bytes),
-            paged_aggregators=len(self.paged_aggregators),
-            rounds_total=self.rounds_total,
-            shuffle_intra_node_bytes=self.shuffle_intra_node_bytes,
-            shuffle_inter_node_bytes=self.shuffle_inter_node_bytes,
-            n_groups=self.n_groups,
-            extra=dict(self.extra),
-            degraded_tier=self.degraded_tier,
-            io_retries=(
-                self._pfs.io_retries - self._pfs_retries0 if self._pfs else 0
-            ),
-            io_abandons=(
-                self._pfs.io_abandons - self._pfs_abandons0 if self._pfs else 0
-            ),
-            failovers=self.failovers,
-            plan_cached=self.plan_cached,
-            plan_cache_hits=self.plan_cache_hits,
-            plan_cache_misses=self.plan_cache_misses,
-            plan_cache_invalidations=self.plan_cache_invalidations,
-            planning_tree_queries=self.planning_tree_queries,
-            leases_granted=self.leases_granted,
-            leases_renewed=self.leases_renewed,
-            leases_revoked=self.leases_revoked,
-            leases_expired=self.leases_expired,
-            borrow_bytes=self.borrow_bytes,
-            borrow_fallbacks=self.borrow_fallbacks,
-            execution_mode=self.execution_mode,
-            vectorized_refusals=self.vectorized_refusals,
-        )
+        pfs = self._pfs
+        derived = {
+            "elapsed": self.end_time - self.start_time,
+            "n_aggregators": len(self.agg_buffer_bytes),
+            "aggregator_ranks": tuple(sorted(self.agg_buffer_bytes)),
+            "agg_buffer_bytes": dict(self.agg_buffer_bytes),
+            "agg_overcommit_bytes": dict(self.agg_overcommit_bytes),
+            "paged_aggregators": len(self.paged_aggregators),
+            "extra": dict(self.extra),
+            "io_retries": pfs.io_retries - self._pfs_retries0 if pfs else 0,
+            "io_abandons": pfs.io_abandons - self._pfs_abandons0 if pfs else 0,
+        }
+        # every other summary field is the collector's same-named number
+        final = CollectiveStats(**{
+            f.name: derived[f.name] if f.name in derived else getattr(self, f.name)
+            for f in fields(CollectiveStats)
+        })
         if self.auditor is not None:
             self.auditor.on_finalize(self, final)
         return final

@@ -37,17 +37,13 @@ in-flight epoch — the executor's own degradation machinery (drain, then
 lockstep + failover, then the MCIO → two-phase → independent chain)
 carries it to completion — it only forces the re-plan afterwards.
 
-Refusal seams
+Path decision
 -------------
-The replay runs per-rank coroutines, so engines configured for the
-vectorized driver record a vectorization refusal (reason
-``"persistent-collective"``) on each epoch's stats, mirroring that
-driver's own refusal contract.  Epochs that cannot be replayed
-safely are *delegated* whole to the engine's blocking entry point with
-the reason recorded on the handle: plans carrying borrow leases
-(``"borrow-lease"`` — lease acquisition is a per-operation protocol) and
-engines without the planning hooks (``"engine-unsupported"``, e.g. the
-two-phase baseline).
+Each epoch asks :func:`~repro.core.path.resolve_path` once, after
+planning, how to replay; ``stats.path`` records the answer.  Epochs
+that cannot be replayed safely (borrow leases, engines without the
+planning hooks) are *delegated* whole to the engine's blocking entry
+point, whose stats then carry the ``"persistent:<reason>"`` refusal.
 """
 
 from __future__ import annotations
@@ -58,15 +54,9 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["PersistentCollective"]
+from repro.core.path import hand_over, resolve_path
 
-#: Engine attributes the managed replay path requires.
-_ENGINE_HOOKS = (
-    "_plan_or_reuse",
-    "_make_collector",
-    "_independent_tier",
-    "add_invalidation_listener",
-)
+__all__ = ["PersistentCollective"]
 
 _pc_ids = itertools.count()
 
@@ -75,7 +65,8 @@ class _Epoch:
     """Shared per-timestep state (one instance across all ranks)."""
 
     __slots__ = (
-        "index", "gen", "replan", "planned", "stats", "delegated", "finishers",
+        "index", "gen", "replan", "planned", "decision", "stats",
+        "returned", "finishers",
     )
 
     def __init__(self, index: int, gen: int, replan: bool):
@@ -86,8 +77,11 @@ class _Epoch:
         self.gen = gen
         self.replan = replan
         self.planned = False
+        #: Resolved once, by the first rank past planning.
+        self.decision = None
         self.stats = None
-        self.delegated: Optional[str] = None
+        #: Ranks back from a delegated blocking call.
+        self.returned = 0
         self.finishers = 0
 
 
@@ -117,7 +111,7 @@ class PersistentCollective:
         self.pc_id = next(_pc_ids)
         #: Whether the engine exposes the planning hooks the managed
         #: replay needs; without them every epoch delegates.
-        self.managed = all(hasattr(self.engine, h) for h in _ENGINE_HOOKS)
+        self.managed = not resolve_path(self.engine, replay=True).delegated
         # frozen plan state
         self._plan = None
         self._tier = None
@@ -132,7 +126,6 @@ class PersistentCollective:
         self.replans = 0
         #: Epochs delegated whole to the blocking engine path.
         self.delegations = 0
-        self.last_delegation: Optional[str] = None
         self._epochs: dict[int, _Epoch] = {}
         self._rank_epoch: dict[int, int] = {}
         #: rank -> (process, epoch) of the outstanding start.
@@ -174,7 +167,7 @@ class PersistentCollective:
         self._rank_epoch[rank] = e + 1
         ep = self._epochs.get(e)
         if ep is None:
-            ep = _Epoch(e, self._inval_gen, replan=not self.managed or self.stale)
+            ep = _Epoch(e, self._inval_gen, replan=self.managed and self.stale)
             self._epochs[e] = ep
         pattern = self.file.view(ctx)
         proc = ctx.spawn(
@@ -225,12 +218,6 @@ class PersistentCollective:
         from repro.core.pattern_array import FileViewIndex
 
         engine, comm = self.engine, self.comm
-        if not self.managed:
-            return (
-                yield from self._delegate(
-                    ctx, ep, pattern, payload, "engine-unsupported"
-                )
-            )
         if ep.replan:
             # same coordination preamble as a fresh blocking collective;
             # frozen epochs skip both allgathers entirely
@@ -266,21 +253,20 @@ class PersistentCollective:
                 self._cached = cached
                 self._plan_gen = ep.gen
                 self.replans += 1
-        views = self._views
-        plan = self._plan
-        if plan is not None and any(d.lender_node is not None for d in plan.domains):
-            # borrow leases are a per-operation protocol (acquire/renew/
-            # release); a frozen replay cannot hold them across epochs
-            return (
-                yield from self._delegate(ctx, ep, pattern, payload, "borrow-lease")
+        if ep.decision is None:
+            ep.decision = resolve_path(
+                engine, self._plan, replay=True, overlap=self.overlap
             )
+            if ep.decision.delegated:
+                self.delegations += 1
+        if ep.decision.delegated:
+            return (yield from self._delegate(ctx, ep, pattern, payload))
         if ep.stats is None:
-            if engine.config.execution_mode == "vectorized":
-                engine._pending_vec_refusal = "persistent-collective"
             stats = engine._make_collector(
-                self.op, plan, self._tier, self._reason,
+                self.op, self._plan, self._tier, self._reason,
                 cached=self._cached if ep.replan else True,
             )
+            stats.path = ep.decision
             stats.extra["persistent"] = self.pc_id
             stats.extra["persistent_epoch"] = ep.index
             stats.extra["persistent_replanned"] = ep.replan
@@ -288,7 +274,7 @@ class PersistentCollective:
         stats = ep.stats
         if self.op == "read" and payload is None and engine.pfs.datastore is not None:
             payload = np.zeros(pattern.nbytes, dtype=np.uint8)
-        if plan is None:
+        if ep.decision.driver == "independent":
             # last tier of the fallback chain, same as the blocking path
             result = yield from engine._independent_tier(
                 ctx, pattern, payload, self.op, stats
@@ -297,18 +283,19 @@ class PersistentCollective:
             return result
         return (
             yield from execute_collective(
-                ctx, comm, engine.pfs, plan, views, stats, self.op,
+                ctx, comm, engine.pfs, self._plan, self._views, stats, self.op,
                 ("pc", self.pc_id, ep.index),
                 payload=payload,
                 failover_config=engine.config if engine.config.failover else None,
-                pipelined=self.overlap,
             )
         )
 
-    def _delegate(self, ctx, ep: _Epoch, pattern, payload, reason: str):
-        if ep.delegated is None:
-            ep.delegated = reason
-            self.delegations += 1
-            self.last_delegation = reason
+    def _delegate(self, ctx, ep: _Epoch, pattern, payload):
         fn = self.engine.write if self.op == "write" else self.engine.read
-        return (yield from fn(ctx, pattern, payload))
+        result = yield from fn(ctx, pattern, payload)
+        ep.returned += 1
+        if ep.returned == self.comm.size:
+            # the last rank back finalized the blocking run's stats on its
+            # way out, and no other collective can finish without it
+            hand_over(self.engine.history[-1], ep.decision)
+        return result

@@ -5,8 +5,8 @@ Planning (memory-oblivious, as in ROMIO):
 * aggregators: exactly one process per compute node by default
   (``cb_nodes`` overrides the count);
 * the aggregate file region ``[min offset, max end)`` is split into
-  *even* contiguous file domains, one per aggregator, optionally
-  stripe-aligned;
+  *even* contiguous file domains, one per aggregator, stripe-aligned
+  (:data:`STRIPE_ALIGN`);
 * every aggregator uses the same fixed collective buffer
   (``cb_buffer_size``) regardless of its host's available memory — the
   memory-pressure failure mode the paper targets.
@@ -24,12 +24,18 @@ from repro.core.config import TwoPhaseConfig
 from repro.core.engine import ExecutionPlan, execute_collective
 from repro.core.filedomain import FileDomain, even_domains
 from repro.core.metrics import CollectiveStats, StatsCollector
-from repro.core.pattern_array import FileViewIndex, file_views
+from repro.core.path import resolve_path
+from repro.core.pattern_array import FileViewIndex, FileViews, file_views
 from repro.core.request import AccessPattern
 from repro.mpi.comm import RankContext, SimComm
 from repro.pfs.filesystem import ParallelFileSystem
 
-__all__ = ["TwoPhaseCollectiveIO", "default_aggregators"]
+__all__ = ["TwoPhaseCollectiveIO", "default_aggregators", "even_plan"]
+
+#: Align file-domain boundaries (even splits and MCIO's bisection cuts)
+#: down to stripe boundaries, so no two aggregators split one stripe
+#: (lock contention in Lustre).
+STRIPE_ALIGN = True
 
 
 def default_aggregators(
@@ -59,6 +65,28 @@ def default_aggregators(
         aggs.append(ranks[depth % len(ranks)])
         i += 1
     return aggs[:count]
+
+
+def even_plan(
+    views: FileViews, aggs: Sequence[int], buffer_bytes: int, stripe: int
+) -> ExecutionPlan:
+    """ROMIO's even split of ``[min offset, max end)``, one domain per
+    aggregator in `aggs`, each with the same buffer, never paged."""
+    if not views.any_active:
+        return ExecutionPlan((), (), n_groups=1)
+    lo, hi = views.bounds()
+    extents = even_domains(lo, hi, len(aggs), stripe_size=stripe)
+    domains = [
+        FileDomain(
+            extent=ext,
+            aggregator_rank=aggs[i],
+            buffer_bytes=buffer_bytes,
+            paged=False,
+            group_id=0,
+        )
+        for i, ext in enumerate(extents)
+    ]
+    return ExecutionPlan.build(domains, views, n_groups=1)
 
 
 class TwoPhaseCollectiveIO:
@@ -135,9 +163,10 @@ class TwoPhaseCollectiveIO:
         on every rank)."""
         if seq not in self._plans:
             views = self._views[seq] = FileViewIndex(patterns)
-            self._plans[seq] = self.plan(views)
+            plan = self._plans[seq] = self.plan(views)
             collector = StatsCollector(self.name, op, n_ranks=self.comm.size)
-            collector.n_groups = self._plans[seq].n_groups
+            collector.n_groups = plan.n_groups
+            collector.path = resolve_path(self, plan)
             collector.attach_pfs(self.pfs)
             if self.auditor is not None:
                 collector.auditor = self.auditor
@@ -160,21 +189,8 @@ class TwoPhaseCollectiveIO:
     # ------------------------------------------------------------------
     def plan(self, patterns: Sequence[AccessPattern]) -> ExecutionPlan:
         """Compute the baseline execution plan for the gathered views."""
-        views = file_views(patterns)
-        if not views.any_active:
-            return ExecutionPlan((), (), n_groups=1)
-        lo, hi = views.bounds()
         aggs = default_aggregators(self.comm.placement, self.config.cb_nodes)
-        stripe = self.pfs.layout.stripe_size if self.config.stripe_align else 0
-        extents = even_domains(lo, hi, len(aggs), stripe_size=stripe)
-        domains = [
-            FileDomain(
-                extent=ext,
-                aggregator_rank=aggs[i],
-                buffer_bytes=self.config.cb_buffer_size,
-                paged=False,  # the baseline does not know (or care)
-                group_id=0,
-            )
-            for i, ext in enumerate(extents)
-        ]
-        return ExecutionPlan.build(domains, views, n_groups=1)
+        stripe = self.pfs.layout.stripe_size if STRIPE_ALIGN else 0
+        return even_plan(
+            file_views(patterns), aggs, self.config.cb_buffer_size, stripe
+        )

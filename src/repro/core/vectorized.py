@@ -15,7 +15,7 @@ For any fault-free, lease-free, metadata-only collective the vectorized
 driver produces a :class:`~repro.core.metrics.CollectiveStats` whose
 deterministic accounting fields (bytes, rounds, aggregators, shuffle
 locality split, tiers, groups — everything except ``elapsed``, the
-plan-cache counters and the execution-mode fields themselves) are
+plan-cache counters and the path decision itself) are
 *identical* to the per-rank reference, and feeds the byte-conservation
 auditor the same attempt/extent stream.  ``tests/sim`` pins this with a
 differential harness; simulated time is pinned separately by the
@@ -24,18 +24,13 @@ vectorized golden traces.
 When the planner refuses
 ------------------------
 Per-rank coroutines are retained wherever genuinely per-rank behaviour
-could diverge.  :func:`run_vectorized_collective` refuses and falls
-back to the reference path (counting the refusal in
-``CollectiveStats.vectorized_refusals``) when:
-
-* a data plane is attached (payload bytes must really move),
-* any watched fault injector carries a non-empty schedule,
-* a node is currently failed (degraded-mode timing is per-rank),
-* remote-memory leases are outstanding, or the fresh plan itself
-  contains lender-backed domains (the borrow protocol is control flow
-  between rank coroutines),
-* the plan degraded all the way to the independent tier (uncoordinated
-  per-rank I/O has no node-level form).
+could diverge.  :func:`~repro.core.path.resolve_path` owns those rules
+(data plane, fault schedule, failed nodes, live leases, and after
+planning the independent tier and lender-backed domains).  This driver
+asks it once before planning and once with the plan; on a refusal it
+runs the reference per-rank path, whose stats carry its own decision
+with the ``"vectorized:<reason>"`` refusal in front
+(``CollectiveStats.path``).
 
 ``config.failover = True`` alone does **not** refuse: with no failed
 host the per-rank failover check adds no events, so the fault-free
@@ -44,42 +39,24 @@ schedule is unchanged — exactly the regime vectorization targets.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.engine import _round_extent
 from repro.core.filedomain import rounds_for
 from repro.core.metrics import CollectiveStats
+from repro.core.path import PathDecision, hand_over, resolve_path
 from repro.core.pattern_array import FileViews, file_views, group_by_host
 from repro.core.request import AccessPattern, window_union
 
-__all__ = ["run_vectorized_collective", "vectorization_refusal"]
-
-
-def vectorization_refusal(engine, payloads=None) -> Optional[str]:
-    """Why this collective cannot vectorize right now, or None.
-
-    Pre-plan checks only; the post-plan checks (independent tier,
-    lender-backed domains) live in :func:`run_vectorized_collective`
-    because they need the plan.
-    """
-    if engine.pfs.datastore is not None or payloads is not None:
-        return "data-plane"
-    if any(len(inj.schedule) > 0 for inj in engine._fault_injectors):
-        return "fault-schedule"
-    if engine.comm.cluster.any_failed:
-        return "failed-nodes"
-    if engine.comm.cluster.memory_ledger.outstanding > 0:
-        return "active-leases"
-    return None
+__all__ = ["run_vectorized_collective"]
 
 
 def _per_rank_fallback(
-    engine, patterns, op: str, reason: str, payloads=None
+    engine, patterns, op: str, decision: PathDecision, payloads=None
 ) -> CollectiveStats:
-    """Run the reference per-rank path, tagging the refusal on its stats."""
-    engine._pending_vec_refusal = reason
+    """Run the reference per-rank path, then record the refusal on its stats."""
 
     def main(ctx):
         fn = engine.write if op == "write" else engine.read
@@ -87,7 +64,9 @@ def _per_rank_fallback(
         return (yield from fn(ctx, patterns[ctx.rank], payload))
 
     engine.comm.run_spmd(main)
-    return engine.history[-1]
+    final = engine.history[-1]
+    hand_over(final, decision)
+    return final
 
 
 def _meta_allgather_time(comm, views: FileViews) -> float:
@@ -156,7 +135,7 @@ def run_vectorized_collective(
     CollectiveStats
         The finalized stats, also appended to ``engine.history``.  When
         vectorization is refused the stats come from the per-rank
-        fallback and carry the refusal count/reason.
+        fallback, with the refusal first in ``stats.path.refusals``.
     """
     if op not in ("write", "read"):
         raise ValueError(f"op must be 'write' or 'read', got {op!r}")
@@ -164,9 +143,9 @@ def run_vectorized_collective(
     if len(patterns) != comm.size:
         raise ValueError("patterns length must equal communicator size")
 
-    reason = vectorization_refusal(engine, payloads)
-    if reason is not None:
-        return _per_rank_fallback(engine, patterns, op, reason, payloads)
+    decision = resolve_path(engine, vectorize=True, payloads=payloads)
+    if decision.driver != "vectorized":
+        return _per_rank_fallback(engine, patterns, op, decision, payloads)
 
     # plan exactly as the per-rank path's first-arriving rank would
     engine.plan_cache.tracer = comm.env.tracer
@@ -180,14 +159,15 @@ def run_vectorized_collective(
     (plan, tier, reason_txt), cached = engine._plan_or_reuse(
         views, memory_available, frozenset()
     )
-    if plan is None:
-        return _per_rank_fallback(engine, patterns, op, "independent-tier", payloads)
-    if any(d.lender_node is not None for d in plan.domains):
-        return _per_rank_fallback(engine, patterns, op, "lender-domains", payloads)
+    # the refused run plans again on its own, exactly as a plain
+    # per-rank run would
+    decision = resolve_path(engine, plan, vectorize=True, payloads=payloads)
+    if decision.driver != "vectorized":
+        return _per_rank_fallback(engine, patterns, op, decision, payloads)
 
     seq = engine._advance_seq()
     stats = engine._make_collector(op, plan, tier, reason_txt, cached)
-    stats.record_execution_mode("vectorized")
+    stats.path = decision
 
     env = comm.env
     network = comm.cluster.network
@@ -247,7 +227,7 @@ def run_vectorized_collective(
         if tracer.enabled:
             tracer.begin(
                 "collective", f"collective.{op}", 0, 0,
-                strategy=stats.strategy, seq=seq, granularity="vectorized",
+                strategy=stats.strategy, seq=seq, path=stats.path.driver,
             )
         allocs = []
         paged_flags: dict[int, bool] = {}

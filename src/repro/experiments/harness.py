@@ -31,6 +31,7 @@ from repro.core import (
     TwoPhaseCollectiveIO,
     TwoPhaseConfig,
 )
+from repro.core.path import vectorization_requested
 from repro.core.request import AccessPattern
 from repro.mpi import SimComm
 from repro.obs import Tracer
@@ -92,21 +93,18 @@ def run_collective(
 ) -> list[CollectiveStats]:
     """Run `ops` back to back on `platform` and return their stats.
 
-    MCIO engines configured with ``execution_mode="vectorized"``
-    dispatch to the node-level driver
-    (:func:`~repro.core.vectorized.run_vectorized_collective`), which
-    falls back to the per-rank path on its own whenever faults, leases
-    or the data plane demand per-rank coroutines.
+    Engines configured with ``execution_mode="vectorized"`` hand each
+    op to the node-level driver
+    (:func:`~repro.core.vectorized.run_vectorized_collective`), whose
+    path decision falls back to the per-rank path whenever faults,
+    leases or the data plane demand per-rank coroutines.
     """
     if len(patterns) != platform.comm.size:
         raise ValueError(
             f"{len(patterns)} patterns for {platform.comm.size} ranks"
         )
 
-    if (
-        isinstance(engine, MemoryConsciousCollectiveIO)
-        and engine.config.execution_mode == "vectorized"
-    ):
+    if vectorization_requested(engine):
         from repro.core.vectorized import run_vectorized_collective
 
         for op in ops:

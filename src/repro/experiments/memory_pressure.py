@@ -34,6 +34,7 @@ from repro.core import (
 )
 from repro.core.engine import ExecutionPlan
 from repro.core.group_division import AggregationGroup, divide_groups
+from repro.core.two_phase import STRIPE_ALIGN
 from repro.workloads import CollPerfWorkload
 
 from .harness import Platform, run_collective
@@ -187,7 +188,6 @@ def run(
             )
             # the plan the collective will execute: same views, same
             # memory snapshot (nothing is allocated before the run)
-            cfg = engine.config
             plan = engine.plan(
                 patterns,
                 {n.node_id: n.memory.free_available for n in platform.cluster.nodes},
@@ -195,8 +195,8 @@ def run(
             groups = divide_groups(
                 patterns,
                 platform.comm.placement_array,
-                cfg.msg_group,
-                stripe_size=platform.pfs.layout.stripe_size if cfg.stripe_align else 0,
+                engine.config.msg_group,
+                stripe_size=platform.pfs.layout.stripe_size if STRIPE_ALIGN else 0,
             )
         stats[strategy] = run_collective(platform, engine, patterns, ops=("write",))[0]
     return MemoryPressureResult(

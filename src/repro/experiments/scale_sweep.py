@@ -141,7 +141,7 @@ def run_point(
                 "nodes": n_nodes,
                 "op": op,
                 "execution_mode": stats.execution_mode,
-                "vectorized_refusals": stats.vectorized_refusals,
+                "vectorized_refusals": len(stats.path.reasons("vectorized")),
                 "n_aggregators": stats.n_aggregators,
                 "rounds_total": stats.rounds_total,
                 "total_bytes": stats.total_bytes,

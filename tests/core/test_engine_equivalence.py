@@ -128,6 +128,20 @@ def test_strategies_same_bytes_written_metric():
         assert engine.history[0].total_bytes == 4 * 300, engine.name
 
 
+def test_retired_config_fields_rejected():
+    """Knobs no caller ever moved off their defaults are module constants
+    now (``two_phase.STRIPE_ALIGN``, ``borrow.LEASE_*``/``LEND_HEADROOM``);
+    passing one is an error, not a silent no-op."""
+    with pytest.raises(TypeError):
+        TwoPhaseConfig(stripe_align=False)
+    for field in (
+        "stripe_align", "lease_retry_limit", "lease_backoff_base",
+        "lease_backoff_cap", "lend_headroom",
+    ):
+        with pytest.raises(TypeError):
+            MCIOConfig(**{field: 1})
+
+
 def test_bad_granularity_rejected():
     """Per-rank collectives have one shuffle timing model (lockstep
     rounds), so no layer takes a granularity knob any more."""

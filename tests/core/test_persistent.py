@@ -23,6 +23,7 @@ from repro.core import (
     MemoryConsciousCollectiveIO,
     TwoPhaseCollectiveIO,
 )
+from repro.core.path import PathDecision
 from repro.core.persistent import PersistentCollective
 from repro.mpi import SimFile, contiguous_view
 
@@ -181,13 +182,14 @@ def test_overlap_on_same_plan_same_bytes_not_slower():
 # ---------------------------------------------------------------------------
 # refusal and delegation seams
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("mode,key", [("vectorized", "vectorized_refusal")])
-def test_execution_mode_refusal_recorded(mode, key):
-    stack, engine, fh = make_file(small_config(execution_mode=mode))
+def test_execution_mode_refusal_recorded():
+    stack, engine, fh = make_file(small_config(execution_mode="vectorized"))
     run_write_loop(stack, fh, "persistent")
     for stats in engine.history:
-        assert stats.extra[key] == "persistent-collective"
-    # the refusal one-shot must not leak into later blocking operations
+        assert stats.path == PathDecision(
+            "lockstep", ("vectorized:persistent-collective",)
+        )
+    # the refusal must not leak into later blocking operations
     payloads = {r: rank_payload(r, 64) for r in range(N_RANKS)}
 
     def main(ctx):
@@ -195,7 +197,7 @@ def test_execution_mode_refusal_recorded(mode, key):
         yield from fh.write_all(ctx, payloads[ctx.rank].copy())
 
     stack.run_spmd(main)
-    assert engine.history[-1].extra.get(key) != "persistent-collective"
+    assert engine.history[-1].path == PathDecision("lockstep")
 
 
 def test_two_phase_engine_delegates_every_epoch():
@@ -206,7 +208,11 @@ def test_two_phase_engine_delegates_every_epoch():
     assert not pc.managed
     assert pc.replans == 0
     assert pc.delegations == STEPS
-    assert pc.last_delegation == "engine-unsupported"
+    assert len(engine.history) == STEPS
+    for stats in engine.history:
+        assert stats.path == PathDecision(
+            "lockstep", ("persistent:engine-unsupported",)
+        )
     for r in range(N_RANKS):
         got = stack.pfs.datastore.read(r * BLOCK, BLOCK)
         assert np.array_equal(got, step_bytes(r, STEPS - 1))
@@ -231,7 +237,11 @@ def test_borrow_lease_plans_delegate():
     # release traffic invalidates the frozen plan, forcing a re-plan
     assert pc.replans == STEPS
     assert pc.delegations == STEPS
-    assert pc.last_delegation == "borrow-lease"
+    assert len(engine.history) == STEPS
+    for stats in engine.history:
+        assert stats.path == PathDecision(
+            "lockstep", ("persistent:borrow-lease",)
+        )
     assert any(r.startswith("lease-") for r in pc.invalidations)
     for r in range(12):
         got = stack.pfs.datastore.read(r * 4 * KIB, 4 * KIB)

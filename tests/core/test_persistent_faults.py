@@ -15,6 +15,7 @@ from repro.core import (
     MCIOConfig,
     MemoryConsciousCollectiveIO,
 )
+from repro.core.path import PathDecision
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.mpi import SimFile, contiguous_view
 
@@ -126,7 +127,7 @@ def test_node_failure_mid_pipeline_drains_then_fails_over():
     assert pc.replans == 2
     assert any(r.startswith("fault-") for r in pc.invalidations)
     assert e1.extra["persistent_replanned"] is True
-    assert e1.extra.get("pipeline_fallback") == "failed-nodes"
+    assert e1.path == PathDecision("lockstep", ("pipelined:failed-nodes",))
     assert 0 not in {
         stack.comm.placement[a] for a in e1.aggregator_ranks
     }

@@ -74,12 +74,12 @@ def test_vectorized_golden_matrix_is_complete():
 
 def test_goldens_pin_both_paths():
     """The matrix must cover an accepted and a refused vectorization."""
-    modes = {rec["stats"]["execution_mode"] for rec in GOLDENS.values()}
-    assert modes == {"vectorized", "per-rank"}
-    refused = [r for r in GOLDENS.values() if r["stats"]["vectorized_refusals"]]
+    drivers = {rec["stats"]["path"]["driver"] for rec in GOLDENS.values()}
+    assert drivers == {"vectorized", "lockstep"}
+    refused = [r for r in GOLDENS.values() if r["stats"]["path"]["refusals"]]
     assert len(refused) == 2
     assert all(
-        r["stats"]["extra"]["vectorized_refusal"] == "lender-domains"
+        r["stats"]["path"]["refusals"] == ["vectorized:lender-domains"]
         for r in refused
     )
     assert all(r["stats"]["leases_granted"] > 0 for r in refused)

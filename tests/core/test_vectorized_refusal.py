@@ -3,9 +3,9 @@
 A collective with an active fault schedule, a currently failed node,
 outstanding remote-memory leases, a data plane, or a plan that needs
 lender-backed buffers cannot be simulated at node level without
-changing behaviour — the driver must refuse, fall back to per-rank
-coroutines, count the refusal in ``CollectiveStats.vectorized_refusals``
-and record the reason.  And the fallback itself must be *exactly* the
+changing behaviour — the path decision must refuse, fall back to
+per-rank coroutines and record ``"vectorized:<reason>"`` in
+``CollectiveStats.path``.  And the fallback itself must be *exactly* the
 run a plain per-rank engine would have produced.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MCIOConfig, MemoryConsciousCollectiveIO
+from repro.core.path import PathDecision
 from repro.core.request import AccessPattern
 from repro.core.vectorized import run_vectorized_collective
 from repro.faults import FaultEvent, FaultInjector, FaultSchedule
@@ -34,6 +35,11 @@ def patterns():
     return [AccessPattern.contiguous(r * 4096, 4096) for r in range(N_RANKS)]
 
 
+def refused(reason: str) -> PathDecision:
+    """The fallback ran lockstep after the node-level driver refused."""
+    return PathDecision("lockstep", (f"vectorized:{reason}",))
+
+
 def vec_config(**overrides) -> MCIOConfig:
     kwargs = dict(BASE, execution_mode="vectorized")
     kwargs.update(overrides)
@@ -45,9 +51,8 @@ class TestRefusalReasons:
         stack = make_stack(n_ranks=N_RANKS, with_data=True)
         engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, vec_config())
         stats = run_vectorized_collective(engine, patterns(), "write")
+        assert stats.path == refused("data-plane")
         assert stats.execution_mode == "per-rank"
-        assert stats.vectorized_refusals == 1
-        assert stats.extra["vectorized_refusal"] == "data-plane"
 
     def test_payloads_alone_refuse(self):
         """Even without a datastore, real payload buffers force per-rank."""
@@ -59,7 +64,7 @@ class TestRefusalReasons:
         stats = run_vectorized_collective(
             engine, patterns(), "write", payloads=payloads
         )
-        assert stats.extra["vectorized_refusal"] == "data-plane"
+        assert stats.path == refused("data-plane")
 
     def test_fault_schedule(self):
         stack = make_stack(n_ranks=N_RANKS, with_data=False)
@@ -70,8 +75,7 @@ class TestRefusalReasons:
         injector = FaultInjector(stack.env, stack.cluster, stack.pfs, schedule)
         engine.watch_faults(injector)
         stats = run_vectorized_collective(engine, patterns(), "write")
-        assert stats.execution_mode == "per-rank"
-        assert stats.extra["vectorized_refusal"] == "fault-schedule"
+        assert stats.path == refused("fault-schedule")
 
     def test_empty_fault_schedule_does_not_refuse(self):
         """Watching an injector with no events keeps vectorization on."""
@@ -82,8 +86,8 @@ class TestRefusalReasons:
         )
         engine.watch_faults(injector)
         stats = run_vectorized_collective(engine, patterns(), "write")
+        assert stats.path == PathDecision("vectorized")
         assert stats.execution_mode == "vectorized"
-        assert stats.vectorized_refusals == 0
 
     @pytest.mark.parametrize("failover", [False, True])
     def test_failed_node(self, failover):
@@ -96,8 +100,7 @@ class TestRefusalReasons:
         )
         stack.cluster.nodes[1].fail()
         stats = run_vectorized_collective(engine, patterns(), "write")
-        assert stats.execution_mode == "per-rank"
-        assert stats.extra["vectorized_refusal"] == "failed-nodes"
+        assert stats.path == refused("failed-nodes")
 
     def test_failover_config_alone_does_not_refuse(self):
         """failover=True with a healthy cluster stays vectorized — the
@@ -107,8 +110,7 @@ class TestRefusalReasons:
             stack.comm, stack.pfs, vec_config(failover=True)
         )
         stats = run_vectorized_collective(engine, patterns(), "write")
-        assert stats.execution_mode == "vectorized"
-        assert stats.vectorized_refusals == 0
+        assert stats.path == PathDecision("vectorized")
 
     def test_active_lease(self):
         stack = make_stack(n_ranks=N_RANKS, with_data=False)
@@ -119,8 +121,7 @@ class TestRefusalReasons:
         )
         assert lease is not None
         stats = run_vectorized_collective(engine, patterns(), "write")
-        assert stats.execution_mode == "per-rank"
-        assert stats.extra["vectorized_refusal"] == "active-leases"
+        assert stats.path == refused("active-leases")
         ledger.release(lease, now=float(stack.env.now))
 
     def test_lender_domains(self):
@@ -138,8 +139,7 @@ class TestRefusalReasons:
         )
         engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, config)
         stats = run_vectorized_collective(engine, patterns(), "write")
-        assert stats.execution_mode == "per-rank"
-        assert stats.extra["vectorized_refusal"] == "lender-domains"
+        assert stats.path == refused("lender-domains")
         assert stats.leases_granted > 0  # the fallback really borrowed
 
 
@@ -236,7 +236,7 @@ class TestModeSelection:
             platform.comm, platform.pfs, vec_config()
         )
         stats = run_collective(platform, engine, patterns(), ops=("write",))
-        assert stats[0].execution_mode == "vectorized"
+        assert stats[0].path == PathDecision("vectorized")
 
     @pytest.mark.parametrize("mode", ['auto', 'sharded'])
     def test_retired_modes_rejected(self, mode):
@@ -257,9 +257,8 @@ class TestModeSelection:
 
         stack.run_spmd(main)
         stats = engine.history[-1]
+        assert stats.path == PathDecision("lockstep")
         assert stats.execution_mode == "per-rank"
-        assert stats.vectorized_refusals == 0
-        assert "vectorized_refusal" not in stats.extra
 
     def test_bad_op_rejected(self):
         stack = make_stack(n_ranks=N_RANKS, with_data=False)
@@ -270,3 +269,18 @@ class TestModeSelection:
     def test_bad_execution_mode_rejected(self):
         with pytest.raises(ValueError, match="execution_mode"):
             MCIOConfig(execution_mode="warp", **BASE)
+
+
+class TestNoLeak:
+    def test_raising_fallback_leaves_no_refusal_behind(self):
+        """A refused collective that raises records nothing on the engine:
+        the next collective carries its own decision and no other."""
+        import numpy as np
+
+        stack = make_stack(n_ranks=N_RANKS, with_data=False)
+        engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, vec_config())
+        short = [np.zeros(10, dtype=np.uint8) for _ in range(N_RANKS)]
+        with pytest.raises(ValueError, match="payload"):
+            run_vectorized_collective(engine, patterns(), "write", payloads=short)
+        stats = run_vectorized_collective(engine, patterns(), "write")
+        assert stats.path == PathDecision("vectorized")

@@ -12,7 +12,7 @@ per-rank kernel:
 * ``borrow``: a memory-skewed cluster under ``placement_policy="borrow"``
   whose plan needs lender-backed buffers.  The driver must refuse
   (``lender-domains``) and fall back to per-rank coroutines running the
-  real borrow protocol; the golden pins the refusal accounting and the
+  real borrow protocol; the golden pins the path decision and the
   fallback's timing, so the refusal/fallback seam cannot silently drift.
 
 Runs are metadata-only (``with_data=False``) — the data plane itself is
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.core import MCIOConfig, MemoryConsciousCollectiveIO
 from repro.core.metrics import CollectiveStats
+from repro.core.path import PathDecision
 from repro.core.request import AccessPattern
 from repro.core.vectorized import run_vectorized_collective
 
@@ -43,9 +44,9 @@ class VectorizedCase:
     #: per-node available memory pinned before planning (None = default)
     memory_availability: tuple[int, ...] | None
     placement_policy: str
-    #: what the recorded run must have done — checked at generation time
-    expect_mode: str
-    expect_refusals: int
+    #: the path the recorded run must have taken — checked at generation
+    #: time
+    expect_path: PathDecision
 
 
 VEC_CASES = (
@@ -53,15 +54,13 @@ VEC_CASES = (
         name="remerge",
         memory_availability=None,
         placement_policy="remerge",
-        expect_mode="vectorized",
-        expect_refusals=0,
+        expect_path=PathDecision("vectorized"),
     ),
     VectorizedCase(
         name="borrow",
         memory_availability=(6000, 6000, 10**9),
         placement_policy="borrow",
-        expect_mode="per-rank",
-        expect_refusals=1,
+        expect_path=PathDecision("lockstep", ("vectorized:lender-domains",)),
     ),
 )
 
@@ -90,10 +89,12 @@ def make_vectorized_engine(stack, case: VectorizedCase):
 
 
 def vec_stats_to_jsonable(stats: CollectiveStats) -> dict:
-    """The kernel-golden stats form plus the execution-mode fields."""
+    """The kernel-golden stats form plus the path decision."""
     out = stats_to_jsonable(stats)
-    out["execution_mode"] = stats.execution_mode
-    out["vectorized_refusals"] = stats.vectorized_refusals
+    out["path"] = {
+        "driver": stats.path.driver,
+        "refusals": list(stats.path.refusals),
+    }
     # the borrow cell's fallback runs the real lease protocol — pin it
     out["leases_granted"] = stats.leases_granted
     out["leases_renewed"] = stats.leases_renewed
@@ -132,11 +133,10 @@ def run_vectorized_case(case: VectorizedCase, op: str) -> dict:
         stack.cluster.set_memory_availability(case.memory_availability)
     engine = make_vectorized_engine(stack, case)
     stats = run_vectorized_collective(engine, patterns, op)
-    assert stats.execution_mode == case.expect_mode, (
-        f"{case.name}/{op}: recorded run took the {stats.execution_mode} "
-        f"path, scenario expects {case.expect_mode}"
+    assert stats.path == case.expect_path, (
+        f"{case.name}/{op}: recorded run took {stats.path}, "
+        f"scenario expects {case.expect_path}"
     )
-    assert stats.vectorized_refusals == case.expect_refusals
     if case.name == "borrow":
         assert stats.leases_granted > 0, "borrow fallback never borrowed"
     return {

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.metrics import StatsCollector
+from repro.core.path import PathDecision
 
 
 def _collector(n_ranks=4):
@@ -25,7 +26,7 @@ class TestFinalize:
         c.record_lease("released")
         c.record_borrow_bytes(64)
         c.record_borrow_fallback()
-        c.record_vectorized_refusal("faults")
+        c.path = PathDecision("lockstep", ("vectorized:fault-schedule",))
         stats = c.finalize()
         assert c.total_bytes == stats.total_bytes == 1024
         assert c.rounds_total == stats.rounds_total == 3
@@ -34,8 +35,9 @@ class TestFinalize:
         assert (stats.leases_revoked, stats.leases_expired) == (0, 0)
         assert stats.borrow_bytes == 64
         assert stats.borrow_fallbacks == 1
-        assert stats.vectorized_refusals == 1
-        assert stats.extra["vectorized_refusal"] == "faults"
+        assert stats.path is c.path
+        assert stats.execution_mode == "per-rank"
+        assert "vectorized_refusal" not in stats.extra
 
     def test_buffer_and_overcommit_keep_the_peak(self):
         c = _collector()

@@ -24,6 +24,7 @@ import pathlib
 import pytest
 
 from repro.core import MCIOConfig
+from repro.core.path import PathDecision
 from repro.core.request import AccessPattern, StridedSegment
 
 from tests.goldens.cases import (
@@ -74,9 +75,8 @@ def test_stats_equivalent_on_golden_matrix(case_name, op):
     """Every golden cluster case: field-exact CollectiveStats equality."""
     case = CASES[case_name]
     (ref, vec, _, _), _ = run_case_differential(case, op)
-    assert ref.execution_mode == "per-rank"
-    assert vec.execution_mode == "vectorized"
-    assert vec.vectorized_refusals == 0
+    assert ref.path == PathDecision("lockstep")
+    assert vec.path == PathDecision("vectorized")
     assert_stats_equivalent(ref, vec)
 
 
@@ -109,8 +109,8 @@ def test_data_plane_fallback_is_bit_identical_to_goldens(case_name, op):
     With a datastore attached the driver must fall back to the per-rank
     path — and that fallback has to reproduce the recorded per-rank
     golden exactly: simulated clock, datastore image, and every stats
-    field.  The only permitted delta is the refusal annotation in
-    ``extra``.
+    field.  The refusal lives in the path decision, outside the golden
+    form.
     """
     import hashlib
 
@@ -152,18 +152,12 @@ def test_data_plane_fallback_is_bit_identical_to_goldens(case_name, op):
         payloads = None
 
     stats = run_vectorized_collective(engine, patterns, op, payloads=payloads)
-    assert stats.execution_mode == "per-rank"
-    assert stats.vectorized_refusals == 1
+    assert stats.path == PathDecision("lockstep", ("vectorized:data-plane",))
 
     image = np.asarray(stack.pfs.datastore.read(0, end), dtype=np.uint8)
     assert float(stack.env.now).hex() == stored["final_now_hex"]
     assert hashlib.sha256(image.tobytes()).hexdigest() == stored["datastore_sha256"]
-    got = stats_to_jsonable(engine.history[0])
-    want = dict(stored["stats"])
-    got_extra, want_extra = got.pop("extra"), want.pop("extra")
-    assert got == want
-    assert got_extra.pop("vectorized_refusal") == "data-plane"
-    assert got_extra == want_extra
+    assert stats_to_jsonable(engine.history[0]) == stored["stats"]
 
 
 #: Multi-group platform: 8 ranks on 4 nodes of 2 cores.
@@ -217,8 +211,7 @@ def test_multi_group_workloads_equivalent(name):
     ref, vec, ref_aud, vec_aud = run_differential(
         patterns, config, op=op, **MULTI_GROUP_SHAPE
     )
-    assert vec.execution_mode == "vectorized"
-    assert vec.vectorized_refusals == 0
+    assert vec.path == PathDecision("vectorized")
     assert vec.n_groups >= 2
     assert_stats_equivalent(ref, vec)
     ref_rec = ref_aud.verify(patterns)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MCIOConfig
+from repro.core.path import PathDecision
 from repro.core.request import AccessPattern, StridedSegment
 
 from tests.helpers import assert_stats_equivalent, run_differential
@@ -111,14 +112,11 @@ def test_vectorized_matches_per_rank(workload, config, memory_regime, op):
 
     # the vectorized path only falls back when the plan demands it
     # (lender-backed domains under "hybrid", or the independent tier)
-    if vec.execution_mode == "vectorized":
-        assert vec.vectorized_refusals == 0
-    else:
-        assert vec.vectorized_refusals == 1
-        assert vec.extra["vectorized_refusal"] in (
-            "lender-domains",
-            "independent-tier",
-        )
+    assert vec.path in (
+        PathDecision("vectorized"),
+        PathDecision("lockstep", ("vectorized:lender-domains",)),
+        PathDecision("independent", ("vectorized:independent-tier",)),
+    )
 
     # byte-conservation audit on both paths, with identical records
     active = [p for p in patterns if not p.empty]
