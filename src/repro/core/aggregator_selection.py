@@ -244,7 +244,6 @@ def _buffer_for(domain: Extent, state: "_HostState", config: MCIOConfig) -> int:
 
 
 def _find_lender(
-    domain: Extent,
     open_hosts: Mapping[int, Sequence[int]],
     hosts: Mapping[int, "_HostState"],
     nominal: int,
@@ -364,9 +363,7 @@ def _try_assign(
                 and config.placement_policy != "remerge"
                 and open_hosts
             ):
-                borrowed = _find_lender(
-                    domain, open_hosts, hosts, nominal, requirement
-                )
+                borrowed = _find_lender(open_hosts, hosts, nominal, requirement)
             if config.adaptive_buffer and adaptive:
                 pool = adaptive
                 best = max(pool, key=lambda node: (hosts[node].remaining, -node))

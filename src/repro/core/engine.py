@@ -24,7 +24,16 @@ iteration, so every rank advances through buffer rounds in lockstep; a
 slow aggregator (paged buffer, contended server) stalls *everyone* each
 round.  Every per-rank collective reproduces exactly that: the
 lockstep runner walks ``ntimes`` rounds behind a barrier each, and the
-pipelined runner walks half-sized sub-rounds the same way.
+pipelined runner walks half-sized sub-rounds the same way.  The barrier
+stands for the per-round count exchange, and a rank with nothing to
+exchange pays no host time for it: the collective's
+:class:`RoundIndex` lists each rank's busy rounds and their work, and
+a rank idle from round t to u-1 arrives at all of those barriers at once
+(:meth:`~repro.mpi.comm.SimComm.counted_barrier`) and wakes for the
+release of round u-1, in the order a barrier per round would have woken
+it.  A host failure wakes every sleeper at the next round boundary, so
+failover still sees every rank there; while a lease is live or a host is
+down, ranks take every round's barrier.
 
 Every rank exchanges its own shuffle messages here: one protocol, one
 message per (sender, aggregator, window).  Coalescing a node's traffic
@@ -34,6 +43,8 @@ the node-level driver (:mod:`repro.core.vectorized`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -74,51 +85,51 @@ class ExecutionPlan:
         # rank running this plan (the instance is shared across the
         # whole collective)
         object.__setattr__(self, "_windows", {})
-        # rank -> domains it sends to; built on the first per-rank lookup
-        # (the vectorized driver never asks, so never pays for it)
-        object.__setattr__(self, "_member_domains", None)
+        # round indexes, built on the first per-rank lookup (the
+        # vectorized driver never asks, so never pays for them)
+        object.__setattr__(self, "_rounds", {})
 
-    def _window(self, did: int, lo: int, hi: int, views: FileViews):
-        key = (did, lo, hi)
-        entry = self._windows.get(key)
-        if entry is None:
-            # windows lie inside their domain: only its senders can send
-            candidates = self.senders[did]
-            nbytes = views.bytes_in_many(candidates, lo, hi).tolist()
-            sizes = {r: n for r, n in zip(candidates, nbytes) if n}
-            entry = self._windows[key] = (list(sizes), sizes)
-        return entry
-
-    def window_senders(
+    def window(
         self, did: int, lo: int, hi: int, views: FileViews
-    ) -> list[int]:
-        """Ranks of ``senders[did]`` with bytes in ``[lo, hi)``, memoized.
+    ) -> tuple[list[int], dict[int, int]]:
+        """``(senders, sizes)`` of window ``[lo, hi)`` of domain `did`:
+        the ranks with bytes in it, ascending, and each one's byte count.
+        Memoized and shared by every rank; callers must not mutate it."""
+        key = (did, lo, hi)
+        if key not in self._windows:
+            self._memo_windows([key], views)
+        return self._windows[key]
 
-        Callers must treat the returned list as immutable — it is shared
-        across every rank of the collective.
+    def _memo_windows(self, windows, views: FileViews) -> None:
+        """Fill the :meth:`window` memo for many ``(did, lo, hi)`` at once.
+
+        One sweep over the views finds every window's senders, so a
+        window costs the ranks with bytes in it, not its domain's senders.
+        The windows are pairwise disjoint: they tile disjoint domains.
         """
-        return self._window(did, lo, hi, views)[0]
+        todo = [key for key in windows if key not in self._windows]
+        found = views.senders_in_each([(lo, hi) for _, lo, hi in todo])
+        for key, ranks in zip(todo, found):
+            nbytes = views.bytes_in_many(ranks, key[1], key[2]).tolist()
+            self._windows[key] = (list(ranks), dict(zip(ranks, nbytes)))
 
-    def window_bytes(
-        self, rank: int, did: int, lo: int, hi: int, views: FileViews
-    ) -> int:
-        """`rank`'s bytes in window ``[lo, hi)`` of domain `did` (0 when
-        it sends none), from the same memo: one view query per window
-        serves every rank's membership check and message size."""
-        return self._window(did, lo, hi, views)[1].get(rank, 0)
-
-    def member_domains(self, rank: int) -> tuple[int, ...]:
-        """Ascending ids of the domains `rank` sends to: the exact inverse
-        of ``senders``, indexed for every rank on the first call."""
-        index = self._member_domains
+    def round_index(
+        self,
+        views: FileViews,
+        half: bool = False,
+        domains: Optional[Sequence[FileDomain]] = None,
+    ) -> "RoundIndex":
+        """Every rank's work per round, built once and shared by every
+        rank of the collective.  `half` selects the pipelined runner's
+        half-sized windows; `domains` a failover's reassignment of the
+        plan's domains (extents and buffers never move)."""
+        key = (half, None if domains is None else tuple(domains))
+        index = self._rounds.get(key)
         if index is None:
-            lists: dict[int, list[int]] = {}
-            for did, ranks in enumerate(self.senders):
-                for r in ranks:
-                    lists.setdefault(r, []).append(did)
-            index = {r: tuple(dids) for r, dids in lists.items()}
-            object.__setattr__(self, "_member_domains", index)
-        return index.get(rank, ())
+            index = self._rounds[key] = RoundIndex.build(
+                self, self.domains if domains is None else domains, views, half
+            )
+        return index
 
     @classmethod
     def build(
@@ -165,13 +176,97 @@ class ExecutionPlan:
         )
 
 
-def _round_extent(domain: FileDomain, t: int) -> Optional[Extent]:
-    """Round `t`'s window of `domain`, or None past the domain's last round."""
-    lo = domain.extent.offset + t * domain.buffer_bytes
+def round_window(
+    domain: FileDomain, t: int, half: bool = False
+) -> Optional[Extent]:
+    """Window `t` of `domain`, or None past the domain's last one.
+
+    A window is one aggregation buffer of the domain, or with `half` one
+    of the pipelined runner's two half-slots inside it.
+    """
+    width = (domain.buffer_bytes + 1) // 2 if half else domain.buffer_bytes
+    lo = domain.extent.offset + t * width
     if lo >= domain.extent.end:
         return None
-    hi = min(domain.extent.end, lo + domain.buffer_bytes)
-    return Extent(lo, hi - lo)
+    return Extent(lo, min(domain.extent.end, lo + width) - lo)
+
+
+#: The entry of a rank with no work in any round.
+_IDLE: tuple = ((), (), ())
+
+
+class RoundIndex:
+    """Which rounds each rank works in, and on what.
+
+    ``ranks[r]`` is rank r's entry ``(dids, rounds, work)``: the
+    ascending ids of the domains it sends to or aggregates, its busy
+    rounds ascending, and for each busy round the work items
+    ``(did, window, aggregator?, nbytes)`` in spawn order — ascending
+    domain id, the aggregator role before the member exchange, as a walk
+    over every domain would spawn them.  Ranks without an entry never
+    work.  Windows are shared by every rank that works on them.
+    """
+
+    __slots__ = ("ranks", "worked", "half")
+
+    def __init__(self, ranks: dict, worked: int, half: bool):
+        self.ranks = ranks
+        #: Rounds below this have an aggregator with a window; past it
+        #: (when every domain is empty) nobody works.
+        self.worked = worked
+        self.half = half
+
+    def of(self, rank: int) -> tuple:
+        """`rank`'s entry."""
+        return self.ranks.get(rank, _IDLE)
+
+    @classmethod
+    def build(
+        cls,
+        plan: ExecutionPlan,
+        domains: Sequence[FileDomain],
+        views: FileViews,
+        half: bool,
+    ) -> "RoundIndex":
+        dids: dict[int, list[int]] = defaultdict(list)
+        # rank -> round -> items, appended in the walk's order: ascending
+        # domain id, the aggregator role first
+        work: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
+        windows = []
+        for domain in domains:
+            cuts = []
+            while (window := round_window(domain, len(cuts), half)) is not None:
+                cuts.append(window)
+            windows.append(cuts)
+        plan._memo_windows(
+            [
+                (did, w.offset, w.end)
+                for did, cuts in enumerate(windows)
+                for w in cuts
+            ],
+            views,
+        )
+        for did, domain in enumerate(domains):
+            agg = domain.aggregator_rank
+            dids[agg].append(did)
+            for r in plan.senders[did]:
+                mine = dids[r]
+                if not mine or mine[-1] != did:
+                    mine.append(did)
+            for t, window in enumerate(windows[did]):
+                work[agg][t].append((did, window, True, 0))
+                senders, sizes = plan.window(did, window.offset, window.end, views)
+                for r in senders:
+                    work[r][t].append((did, window, False, sizes[r]))
+        worked = max(map(len, windows), default=0)
+        ranks = {}
+        for rank, mine in dids.items():
+            rounds = work.get(rank, {})
+            busy = tuple(sorted(rounds))
+            ranks[rank] = (
+                tuple(mine), busy, tuple(tuple(rounds[t]) for t in busy)
+            )
+        return cls(ranks, worked, half)
 
 
 def _pack_payload(
@@ -203,7 +298,7 @@ class _RunContext:
     __slots__ = (
         "ctx", "comm", "pfs", "plan", "views", "stats", "op", "op_seq",
         "payload", "node", "domains", "allocs", "paged_flags",
-        "failover_config", "borrow", "walk",
+        "failover_config", "borrow", "index", "mine",
     )
 
     def __init__(self, ctx, comm, pfs, plan, views, stats, op, op_seq, payload):
@@ -226,25 +321,58 @@ class _RunContext:
         self.failover_config = None
         #: Active :class:`~repro.core.borrow.BorrowSession`, or None.
         self.borrow = None
-        #: Cached :func:`_walk` result; failover resets it to None.
-        self.walk: Optional[list[int]] = None
+        #: The collective's :class:`RoundIndex` for `domains`, and this
+        #: rank's entry of it; a failover move rebinds both.
+        self.index: Optional[RoundIndex] = None
+        self.mine: tuple = _IDLE
 
-
-def _walk(run: _RunContext) -> list[int]:
-    """Ascending ids of the domains this rank sends to or aggregates.
-
-    These are the only domains where a per-rank loop can spawn work, so
-    the loops visit nothing else; ascending order keeps spawn order (and
-    so the schedule) identical to a walk over every domain.
-    """
-    if run.walk is None:
-        rank = run.ctx.rank
-        mine = set(run.plan.member_domains(rank))
-        mine.update(
-            did for did, d in enumerate(run.domains) if d.aggregator_rank == rank
+    def bind_rounds(self, half: bool, moved: bool = False) -> None:
+        """Look up the shared round index of the current domains."""
+        self.index = self.plan.round_index(
+            self.views, half, self.domains if moved else None
         )
-        run.walk = sorted(mine)
-    return run.walk
+        self.mine = self.index.of(self.ctx.rank)
+
+
+def _walk(run: _RunContext) -> tuple[int, ...]:
+    """Ascending ids of the domains this rank sends to or aggregates,
+    from its entry of the round index."""
+    return run.mine[0]
+
+
+def _round_work(run: _RunContext, t: int, ntimes: int):
+    """``(items, next)``: this rank's work items in round `t` (None when
+    it is idle there) and its first busy round at or after `t`, or
+    ``ntimes`` when there is none."""
+    _, rounds, work = run.mine
+    i = bisect_left(rounds, t)
+    if i == len(rounds):
+        return None, ntimes
+    if rounds[i] == t:
+        return work[i], t
+    return None, rounds[i]
+
+
+def _sleep_rounds(run: _RunContext, t: int, stop: int):
+    """Process generator: pass idle rounds ``t..stop-1`` of this rank;
+    returns the round it resumes at.
+
+    One counted barrier covers the whole stretch.  While a lease is live
+    or a host is down the stretch is one round, so every round boundary
+    sees this rank (the lease and failover checks run there).  Past the
+    last round with any work nobody is left to arrive late, so those
+    barriers are plain.
+    """
+    comm, ctx = run.comm, run.ctx
+    worked = run.index.worked
+    if t >= worked:
+        yield from comm.barrier(ctx)
+        return t + 1
+    if run.borrow is not None or comm.cluster.any_failed:
+        count = 1
+    else:
+        count = min(stop, worked) - t
+    return t + (yield from comm.counted_barrier(ctx, count))
 
 
 def execute_collective(
@@ -317,6 +445,7 @@ def execute_collective(
         ctx, comm, pfs, plan, file_views(patterns), stats, op, op_seq, payload
     )
     run.borrow = borrow
+    run.bind_rounds(pipelined)
     if not pipelined:
         run.failover_config = failover_config
 
@@ -389,54 +518,51 @@ def _alloc_aggregator_buffer(run: _RunContext, did: int, domain: FileDomain):
 # ---------------------------------------------------------------------------
 def _run_lockstep(run: _RunContext):
     ctx, comm = run.ctx, run.comm
-    plan, views = run.plan, run.views
-    ntimes = plan.ntimes
+    ntimes = run.plan.ntimes
     tracer = ctx.env.tracer
     pid = comm.placement[ctx.rank]
     # the aggregator's half of a round: gather + write, or read + scatter
     role = _collect_and_write if run.op == "write" else _read_and_scatter
-    for t in range(ntimes):
+    t = 0
+    while t < ntimes:
+        if run.borrow is not None:
+            # lease health first: a borrowed domain cannot be failed
+            # over (its buffer is remote), so borrow aborts preempt
+            # the failover machinery for those domains
+            borrow_round_check(run, run.borrow, t)
+        if run.failover_config is not None:
+            yield from _failover_check(run, t)
+        items, nxt = _round_work(run, t, ntimes)
+        if items is None:
+            t = yield from _sleep_rounds(run, t, nxt)
+            continue
         if tracer.enabled:
             tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
         try:
-            if run.borrow is not None:
-                # lease health first: a borrowed domain cannot be failed
-                # over (its buffer is remote), so borrow aborts preempt
-                # the failover machinery for those domains
-                borrow_round_check(run, run.borrow, t)
-            if run.failover_config is not None:
-                yield from _failover_check(run, t)
             procs = []
-            for did in _walk(run):
-                domain = run.domains[did]
-                window = _round_extent(domain, t)
-                if window is None:
-                    continue
-                if domain.aggregator_rank == ctx.rank:
+            for did, window, aggregates, nbytes in items:
+                if aggregates:
                     procs.append(
                         ctx.spawn(
                             role(run, did, window, t, run.paged_flags[did]),
                             name=f"rank{ctx.rank}.agg{did}.r{t}",
                         )
                     )
-                nbytes = plan.window_bytes(
-                    ctx.rank, did, window.offset, window.end, views
-                )
-                if nbytes:
+                else:
                     procs.append(
                         ctx.spawn(
                             _member_exchange(run, did, window, t, nbytes),
                             name=f"rank{ctx.rank}.m{did}.r{t}",
                         )
                     )
-            if procs:
-                yield ctx.env.all_of(procs)
+            yield ctx.env.all_of(procs)
             # ROMIO's per-round synchronisation: the exchange of the next
             # round cannot start before everyone finished this one
             yield from comm.barrier(ctx)
         finally:
             if tracer.enabled:
                 tracer.end(pid, ctx.rank, round=t)
+        t += 1
 
 
 def _failover_check(run: _RunContext, t: int):
@@ -474,28 +600,32 @@ def _failover_check(run: _RunContext, t: int):
         run.failover_config,
         failed_nodes,
     )
-    for did in decision.moved:
-        old = run.domains[did]
-        new = decision.domains[did]
+    previous = {did: run.domains[did] for did in decision.moved}
+    for did, old in previous.items():
         if old.aggregator_rank == ctx.rank and did in run.allocs:
             ctx.node.memory.free(run.allocs.pop(did))
             run.paged_flags.pop(did, None)
-        run.domains[did] = new
-        run.walk = None
-        if new.aggregator_rank == ctx.rank:
-            _alloc_aggregator_buffer(run, did, new)
-            run.stats.record_failover()
-            run.stats.extra.setdefault("failover_rounds", []).append(t)
-            run.stats.extra.setdefault("failover_targets", []).append(
-                new.aggregator_rank
-            )
-            tracer = ctx.env.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "failover", "failover.move",
-                    comm.placement[ctx.rank], ctx.rank,
-                    domain=did, round=t, from_rank=old.aggregator_rank,
+        run.domains[did] = decision.domains[did]
+    if previous:
+        run.bind_rounds(run.index.half, moved=True)
+        # adopt the moved domains this rank now aggregates
+        for did in _walk(run):
+            old = previous.get(did)
+            new = run.domains[did]
+            if old is not None and new.aggregator_rank == ctx.rank:
+                _alloc_aggregator_buffer(run, did, new)
+                run.stats.record_failover()
+                run.stats.extra.setdefault("failover_rounds", []).append(t)
+                run.stats.extra.setdefault("failover_targets", []).append(
+                    new.aggregator_rank
                 )
+                tracer = ctx.env.tracer
+                if tracer.enabled:
+                    tracer.instant(
+                        "failover", "failover.move",
+                        comm.placement[ctx.rank], ctx.rank,
+                        domain=did, round=t, from_rank=old.aggregator_rank,
+                    )
     if decision.kept and ctx.rank == comm.world.ranks[0]:
         run.stats.extra["failover_kept"] = (
             run.stats.extra.get("failover_kept", 0) + len(decision.kept)
@@ -505,22 +635,6 @@ def _failover_check(run: _RunContext, t: int):
 # ---------------------------------------------------------------------------
 # pipelined execution (lockstep shuffle, PFS service overlapped)
 # ---------------------------------------------------------------------------
-def _half_round_extent(domain: FileDomain, t: int) -> Optional[Extent]:
-    """Sub-round `t`'s half-window of `domain`, or None past the last one.
-
-    The pipelined executor splits each planned aggregation buffer into
-    two half-sized slots, so its physical round `t` covers half a
-    blocking round — the whole pipeline fits in the *planned* memory
-    footprint, with no extra allocation.
-    """
-    half = (domain.buffer_bytes + 1) // 2
-    lo = domain.extent.offset + t * half
-    if lo >= domain.extent.end:
-        return None
-    hi = min(domain.extent.end, lo + half)
-    return Extent(lo, hi - lo)
-
-
 def _run_pipelined(run: _RunContext, failover_config):
     """Lockstep sub-rounds with the PFS stage running behind the shuffle.
 
@@ -546,40 +660,40 @@ def _run_pipelined(run: _RunContext, failover_config):
     behaviour, at half-window granularity.
     """
     ctx, comm = run.ctx, run.comm
-    plan, views = run.plan, run.views
     env = ctx.env
     tracer = env.tracer
     pid = comm.placement[ctx.rank]
-    ntimes = plan.half_ntimes
+    ntimes = run.plan.half_ntimes
     #: (did, window) -> in-flight background PFS-service process
     service: dict[tuple[int, int], object] = {}
     degraded = False
-    for t in range(ntimes):
+    t = 0
+    while t < ntimes:
+        if not degraded and comm.cluster.any_failed:
+            # drain the in-flight windows, then run the rest of
+            # the operation at blocking fidelity with failover
+            degraded = True
+            run.failover_config = failover_config
+            if run.op == "write":
+                pending = [
+                    p for p in service.values() if not p.triggered
+                ]
+                if pending:
+                    yield env.all_of(pending)
+                service.clear()
+            run.stats.extra.setdefault("pipeline_drained_at", t)
+        if degraded and run.failover_config is not None:
+            yield from _failover_check(run, t)
+        items, nxt = _round_work(run, t, ntimes)
+        if items is None:
+            t = yield from _sleep_rounds(run, t, nxt)
+            continue
         if tracer.enabled:
             tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
         try:
-            if not degraded and comm.cluster.any_failed:
-                # drain the in-flight windows, then run the rest of
-                # the operation at blocking fidelity with failover
-                degraded = True
-                run.failover_config = failover_config
-                if run.op == "write":
-                    pending = [
-                        p for p in service.values() if not p.triggered
-                    ]
-                    if pending:
-                        yield env.all_of(pending)
-                    service.clear()
-                run.stats.extra.setdefault("pipeline_drained_at", t)
-            if degraded and run.failover_config is not None:
-                yield from _failover_check(run, t)
             procs = []
-            for did in _walk(run):
-                domain = run.domains[did]
-                window = _half_round_extent(domain, t)
-                if window is None:
-                    continue
-                if domain.aggregator_rank == ctx.rank:
+            for did, window, aggregates, nbytes in items:
+                if aggregates:
                     procs.append(
                         ctx.spawn(
                             _pipeline_aggregator_window(
@@ -588,22 +702,19 @@ def _run_pipelined(run: _RunContext, failover_config):
                             name=f"rank{ctx.rank}.pagg{did}.r{t}",
                         )
                     )
-                nbytes = plan.window_bytes(
-                    ctx.rank, did, window.offset, window.end, views
-                )
-                if nbytes:
+                else:
                     procs.append(
                         ctx.spawn(
                             _member_exchange(run, did, window, t, nbytes),
                             name=f"rank{ctx.rank}.m{did}.r{t}",
                         )
                     )
-            if procs:
-                yield ctx.env.all_of(procs)
+            yield env.all_of(procs)
             yield from comm.barrier(ctx)
         finally:
             if tracer.enabled:
                 tracer.end(pid, ctx.rank, round=t)
+        t += 1
     # tail: the last windows' PFS service is still in flight
     pending = [p for p in service.values() if not p.triggered]
     if pending:
@@ -690,7 +801,7 @@ def _pipeline_scatter(
         )
     yield pf
     buffer, total_read = pf.value
-    nxt = None if degraded else _half_round_extent(domain, t + 1)
+    nxt = None if degraded else round_window(domain, t + 1, half=True)
     if nxt is not None and (did, t + 1) not in service:
         # prefetch the next window into the other slot: the OST reads
         # run behind this window's scatter
@@ -814,9 +925,7 @@ def _borrow_stage(run: _RunContext, did: int, lease, nbytes: int, inbound: bool)
 
 
 def _expected_senders(run: _RunContext, did: int, window: Extent) -> list[int]:
-    return run.plan.window_senders(
-        did, window.offset, window.end, run.views
-    )
+    return run.plan.window(did, window.offset, window.end, run.views)[0]
 
 
 def _gather_window(run: _RunContext, did: int, window: Extent, t: int, expected):
@@ -849,9 +958,10 @@ def _scatter_window(
     """Send each expected rank its slice of `window`, one message apiece."""
     ctx, comm = run.ctx, run.comm
     lo, hi = window.offset, window.end
+    sizes = run.plan.window(did, lo, hi, run.views)[1]
     sends = []
     for r in expected:
-        nbytes = run.plan.window_bytes(r, did, lo, hi, run.views)
+        nbytes = sizes[r]
         data = None
         if buffer is not None:
             data = np.empty(nbytes, dtype=np.uint8)

@@ -110,17 +110,6 @@ class CollectiveStats:
         return float(np.mean(list(self.agg_buffer_bytes.values())))
 
     @property
-    def agg_memory_std(self) -> float:
-        """Std-dev of aggregation-buffer bytes across aggregators.
-
-        The paper's "variance among processes" claim: MCIO should show a
-        smaller spread than the baseline under heterogeneous memory.
-        """
-        if not self.agg_buffer_bytes:
-            return 0.0
-        return float(np.std(list(self.agg_buffer_bytes.values())))
-
-    @property
     def agg_memory_peak(self) -> int:
         """Largest aggregation buffer any aggregator held."""
         if not self.agg_buffer_bytes:

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.engine import _round_extent
+from repro.core.engine import round_window
 from repro.core.filedomain import rounds_for
 from repro.core.metrics import CollectiveStats
 from repro.core.path import PathDecision, hand_over, resolve_path
@@ -265,7 +265,7 @@ def run_vectorized_collective(
             for t in range(plan.ntimes):
                 procs = []
                 for did, domain in enumerate(plan.domains):
-                    window = _round_extent(domain, t)
+                    window = round_window(domain, t)
                     if window is None:
                         continue
                     agg_node = nodes[comm.placement[domain.aggregator_rank]]

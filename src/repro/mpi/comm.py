@@ -11,7 +11,9 @@ surface that ROMIO-style collective I/O is written against:
   bulk shuffle data always moves through explicit p2p so contention and
   memory effects are simulated per message;
 * sub-groups (:meth:`SimComm.group`) so MCIO's aggregation groups can run
-  their own collectives independently, like a communicator split.
+  their own collectives independently, like a communicator split;
+* :meth:`SimComm.counted_barrier`, which lets a rank with nothing to do
+  pass several barriers in one call, on the schedule of one call each.
 
 All calls taking a ``ctx`` are generators and must be ``yield from``-ed
 inside the calling rank's process.
@@ -148,6 +150,38 @@ class _CollectiveState:
     event: Event
     values: dict[int, Any] = field(default_factory=dict)
     nbytes_max: int = 0
+    #: How many of `values` are idle ranks' arrivals made through
+    #: :meth:`SimComm.counted_barrier`.
+    early: int = 0
+
+
+class _Sleeper:
+    """A rank sleeping through barriers ``first..first+len(events)-1``.
+
+    The rank waits on `token`.  Its :meth:`released` stands in each of
+    those barriers' callback lists where the rank's own arrival would
+    be, so the rank resumes exactly where a rank waiting on the barrier
+    would: at the last one, or at an earlier one after a host failure.
+    """
+
+    __slots__ = ("comm", "gid", "rank", "first", "events", "token")
+
+    def __init__(self, comm, gid, rank, first, events, token):
+        self.comm = comm
+        self.gid = gid
+        self.rank = rank
+        self.first = first
+        self.events = events
+        self.token = token
+
+    def released(self, event: Event) -> None:
+        """One of the barriers slept through released."""
+        if event is self.events[-1]:
+            self.token.succeed_now(len(self.events))
+        elif self.comm.cluster.any_failed:
+            passed = self.events.index(event) + 1
+            self.comm._withdraw(self, passed)
+            self.token.succeed_now(passed)
 
 
 class SimComm:
@@ -184,8 +218,8 @@ class SimComm:
         )
         self.env = env
         self.cluster = cluster
-        #: The same placement as a list; never mutated after construction.
-        self.placement = list(placement)
+        #: The same placement as a tuple, for per-rank lookups.
+        self.placement = tuple(placement)
         self.size = len(placement)
         self.metadata_bandwidth = float(metadata_bandwidth)
         self.world = CommGroup(range(self.size), gid=0)
@@ -395,6 +429,100 @@ class SimComm:
     def barrier(self, ctx: RankContext, group: Optional[CommGroup] = None):
         """Process generator: synchronize all ranks of the group."""
         yield from self._collective(ctx, "barrier", group, None, 0)
+
+    def counted_barrier(
+        self, ctx: RankContext, count: int, group: Optional[CommGroup] = None
+    ):
+        """Process generator: this rank's next `count` barriers in one call.
+
+        For a rank with nothing to exchange until after the `count`-th
+        barrier: it records its arrival at all of them now and waits only
+        for the release of the last, so the barriers in between cost it
+        nothing.  Returns how many barriers it passed.
+
+        The schedule is the one of `count` plain :meth:`barrier` calls.
+        Ranks waiting at a barrier resume in arrival order, and a rank
+        with nothing to do between barriers arrives at the next one as
+        soon as the previous releases, so its place among the waiters of
+        every later barrier is the one it takes at the first.  The
+        sleeper holds that place in each of them.  That reasoning needs
+        the ranks that went idle to arrive before any rank that worked, so
+        a call that finds a rank already waiting at its first barrier by
+        itself takes that one barrier plainly.
+
+        A host can fail while ranks sleep, and a rank awake at a round
+        boundary would see it, so each barrier slept through checks
+        ``cluster.any_failed`` when its release is processed; on a
+        failure the sleeper wakes there and its later arrivals are
+        withdrawn.
+
+        An idle arrival never completes a barrier — some rank must still
+        arrive by itself, as the aggregator with work does in every round
+        of a collective — and raises if it would.
+        """
+        grp = group if group is not None else self.world
+        if ctx.rank not in grp:
+            raise ValueError(f"rank {ctx.rank} not in group {grp!r}")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        seq_key = (ctx.rank, "barrier", grp.gid)
+        first = self._coll_seq.get(seq_key, 0)
+        state = self._coll_state.get(("barrier", grp.gid, first))
+        if state is not None and len(state.values) > state.early:
+            yield from self._collective(ctx, "barrier", group, None, 0)
+            return 1
+        self._coll_seq[seq_key] = first + count
+        events = []
+        for seq in range(first, first + count):
+            key = ("barrier", grp.gid, seq)
+            state = self._coll_state.get(key)
+            if state is None:
+                state = _CollectiveState(event=self.env.event())
+                self._coll_state[key] = state
+            if ctx.rank in state.values:
+                raise RuntimeError(f"rank {ctx.rank} re-entered collective {key}")
+            state.values[ctx.rank] = None
+            state.early += 1
+            if len(state.values) == grp.size:
+                raise RuntimeError(
+                    f"idle arrival of rank {ctx.rank} would complete {key}"
+                )
+            events.append(state.event)
+        tracer = self.env.tracer
+        t0 = tracer.now() if tracer.enabled else 0.0
+        if count == 1:
+            yield events[0]
+            passed = 1
+        else:
+            sleeper = _Sleeper(
+                self, grp.gid, ctx.rank, first, events, self.env.event()
+            )
+            released = sleeper.released
+            for event in events:
+                event.callbacks.append(released)
+            passed = yield sleeper.token
+        if tracer.enabled:
+            tracer.complete(
+                "comm", "coll.barrier",
+                self.placement[ctx.rank], ctx.rank,
+                t0, tracer.now() - t0,
+                group=grp.gid, size=grp.size, barriers=passed,
+            )
+        return passed
+
+    def _withdraw(self, sleeper: _Sleeper, passed: int) -> None:
+        """Take back `sleeper`'s arrivals after its first `passed`."""
+        released = sleeper.released
+        first = sleeper.first
+        for seq in range(first + passed, first + len(sleeper.events)):
+            key = ("barrier", sleeper.gid, seq)
+            state = self._coll_state[key]
+            del state.values[sleeper.rank]
+            state.early -= 1
+            state.event.callbacks.remove(released)
+            if not state.values:
+                del self._coll_state[key]
+        self._coll_seq[(sleeper.rank, "barrier", sleeper.gid)] = first + passed
 
     def bcast(
         self,

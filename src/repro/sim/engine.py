@@ -148,6 +148,24 @@ class Event:
         self.env._schedule(self, delay=0.0, priority=priority)
         return self
 
+    def succeed_now(self, value: Any = None) -> None:
+        """Succeed with `value` and resume the waiters at once.
+
+        Unlike :meth:`succeed` this takes no queue entry: called from a
+        callback of the event being processed, it resumes this event's
+        waiters at that point of the callback order, as if they had been
+        waiting on the processed event itself.
+        """
+        if self._triggered:
+            raise SimulationError(f"{self!r} already triggered")
+        self._triggered = True
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        self._processed = True
+        for cb in callbacks:
+            cb(self)
+
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
         """Trigger the event with an exception.
 

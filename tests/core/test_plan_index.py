@@ -1,21 +1,24 @@
 """ExecutionPlan's rank→domain participation index.
 
 ``ExecutionPlan.build`` asks the view set for every domain's senders in
-one pass over the ranks' segment rows (``FileViews.senders_in_each``);
-the per-rank round loops then visit only ``member_domains(rank)`` plus
-the domains the rank aggregates.  These tests pin that pass against the
-brute-force ``bytes_in > 0`` probe of every (rank, domain) pair — kept
-here as the oracle only — on the shapes that trip up interval reasoning.
+one pass over the ranks' segment rows (``FileViews.senders_in_each``),
+and ``ExecutionPlan.round_index`` turns them into each rank's busy
+rounds and work items, which the per-rank round loops read.  These tests
+pin both against brute force — the ``bytes_in > 0`` probe of every
+(rank, domain) pair, and a walk of every domain in every round, kept
+here as oracles only — on the shapes that trip up interval reasoning.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.core.engine import ExecutionPlan
+from repro.core.engine import ExecutionPlan, round_window
 from repro.core.filedomain import FileDomain
+from repro.core.pattern_array import file_views
 from repro.core.request import AccessPattern, Extent, StridedSegment
 
 try:
@@ -51,16 +54,50 @@ def tile(cuts, shuffle_seed=None):
     return domains
 
 
+def oracle_rounds(domains, patterns, rank, half):
+    """Rank `rank`'s rounds as a walk over every domain in every round
+    spawns them: ``{round: [(did, window, aggregator?, nbytes)]}``."""
+    rounds = {}
+    t = 0
+    while True:
+        windows = [round_window(d, t, half) for d in domains]
+        if all(w is None for w in windows):
+            return rounds
+        for did, (d, w) in enumerate(zip(domains, windows)):
+            if w is None:
+                continue
+            if d.aggregator_rank == rank:
+                rounds.setdefault(t, []).append((did, w, True, 0))
+            nbytes = patterns[rank].bytes_in(w.offset, w.end)
+            if nbytes:
+                rounds.setdefault(t, []).append((did, w, False, nbytes))
+        t += 1
+
+
 def check(domains, patterns):
     plan = ExecutionPlan.build(domains, patterns)
     assert plan.senders == oracle_senders(domains, patterns)
-    # member_domains is the exact inverse of senders, ascending
-    for rank in range(len(patterns)):
-        want = tuple(
-            did for did, ranks in enumerate(plan.senders) if rank in ranks
-        )
-        assert plan.member_domains(rank) == want
-    assert plan.member_domains(len(patterns) + 5) == ()
+    for half in (False, True):
+        index = plan.round_index(file_views(patterns), half)
+        for rank in range(len(patterns)):
+            dids, rounds, work = index.of(rank)
+            # the walk: senders inverted, plus the domains it aggregates
+            assert dids == tuple(
+                did for did, d in enumerate(domains)
+                if rank in plan.senders[did] or d.aggregator_rank == rank
+            )
+            want = oracle_rounds(domains, patterns, rank, half)
+            assert rounds == tuple(want)
+            assert [list(items) for items in work] == list(want.values())
+        assert index.of(10**9) == ((), (), ())
+    # the window memo the index filled: ascending senders, exact bytes
+    for (did, lo, hi), (senders, sizes) in plan._windows.items():
+        want = {
+            r: p.bytes_in(lo, hi)
+            for r, p in enumerate(patterns)
+            if p.bytes_in(lo, hi)
+        }
+        assert senders == list(want) and sizes == want
     return plan
 
 
@@ -80,7 +117,8 @@ class TestSweepMatchesOracle:
         patterns = ior_interleaved(n_ranks=12, block=100, segments=3)
         domains = tile(list(range(0, 3601, 300)))
         plan = check(domains, patterns)
-        assert all(len(plan.member_domains(r)) < len(domains) for r in range(12))
+        index = plan.round_index(file_views(patterns))
+        assert all(len(index.of(r)[0]) < len(domains) for r in range(12))
 
     def test_zero_length_domains(self):
         patterns = ior_interleaved(n_ranks=4, block=50, segments=2)
@@ -98,7 +136,10 @@ class TestSweepMatchesOracle:
             AccessPattern.contiguous(700, 10),
         ]
         plan = check(patterns=patterns, domains=tile([0, 200, 600, 1000]))
-        assert plan.member_domains(0) == () and plan.member_domains(2) == ()
+        index = plan.round_index(file_views(patterns))
+        # ranks 0 and 2 send nothing: all their work is aggregating
+        for rank in (0, 2):
+            assert all(item[2] for items in index.of(rank)[2] for item in items)
         check(tile([0, 10]), [AccessPattern(())] * 3)
 
     def test_overlapping_rank_patterns(self):
@@ -114,7 +155,7 @@ class TestSweepMatchesOracle:
     def test_one_block_spans_several_domains(self):
         patterns = [AccessPattern.contiguous(50, 900), AccessPattern.contiguous(0, 1)]
         plan = check(tile([0, 100, 200, 300, 1000]), patterns)
-        assert plan.member_domains(0) == (0, 1, 2, 3)
+        assert plan.round_index(file_views(patterns)).of(0)[0] == (0, 1, 2, 3)
 
     def test_blocks_in_gaps_between_domains(self):
         domains = [
@@ -206,11 +247,37 @@ def test_zero_length_domain_inside_another_is_not_an_overlap():
     assert plan.senders == ((0,), ())
 
 
-def test_member_index_is_lazy():
-    plan = ExecutionPlan.build(tile([0, 100, 200]), ior_interleaved(2, 50, 2))
-    assert plan._member_domains is None
-    plan.member_domains(0)
-    assert plan._member_domains is not None
+def test_round_index_is_lazy_and_shared():
+    patterns = ior_interleaved(2, 50, 2)
+    plan = ExecutionPlan.build(tile([0, 100, 200]), patterns)
+    assert plan._rounds == {}
+    index = plan.round_index(file_views(patterns))
+    assert plan.round_index(file_views(patterns)) is index
+    assert plan.round_index(file_views(patterns), half=True) is not index
+    # a failover's reassignment is indexed apart, once per assignment
+    moved = [replace(d, aggregator_rank=1) for d in plan.domains]
+    other = plan.round_index(file_views(patterns), domains=moved)
+    assert other is not index
+    assert plan.round_index(file_views(patterns), domains=list(moved)) is other
+    assert other.of(1)[0] == (0, 1) and index.of(1)[0] == (0, 1)
+    assert other.of(0)[0] == (0, 1)  # still a sender of both
+
+
+def test_every_round_below_worked_has_an_aggregator():
+    domains = [
+        FileDomain(Extent(0, 1000), aggregator_rank=0, buffer_bytes=300),
+        FileDomain(Extent(1000, 0), aggregator_rank=1, buffer_bytes=300),
+    ]
+    plan = ExecutionPlan.build(domains, [AccessPattern.contiguous(0, 1000)])
+    index = plan.round_index(file_views([AccessPattern.contiguous(0, 1000)]))
+    assert index.worked == plan.ntimes == 4
+    assert index.of(0)[1] == (0, 1, 2, 3)
+    # the empty domain's aggregator walks it but never works
+    assert index.of(1) == ((1,), (), ())
+    # only empty domains: ntimes still counts a round nobody works in
+    empty = ExecutionPlan.build(domains[1:], [AccessPattern(())])
+    assert empty.ntimes == 1
+    assert empty.round_index(file_views([AccessPattern(())])).worked == 0
 
 
 def test_ntimes_once_per_plan():
