@@ -1,6 +1,6 @@
 """Kernel-tier micro-benchmarks for the fast-path optimisations.
 
-Three groups, matching the three optimised layers:
+Four groups, matching the optimised layers:
 
 * **event loop** — raw discrete-event throughput of the simulation
   kernel on a long chain of unit delays.  The chain uses
@@ -13,7 +13,10 @@ Three groups, matching the three optimised layers:
   engine exchanges it;
 * **remerge-heavy planning** — MCIO planning under memory pressure,
   where aggregator placement restarts repeatedly remerge the partition
-  tree and re-query subtree extents.
+  tree and re-query subtree extents;
+* **storage burst** — many clients issuing contiguous extents against
+  16 I/O servers at once: the NIC and server-request holds behind every
+  aggregator write and read.
 
 Run with::
 
@@ -26,7 +29,7 @@ fast-path regression fails loudly rather than just slowly.
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, StorageSpec, block_placement
 from repro.core import MCIOConfig, MemoryConsciousCollectiveIO
-from repro.core.request import AccessPattern, StridedSegment
+from repro.core.request import AccessPattern, Extent, StridedSegment
 from repro.mpi import SimComm
 from repro.pfs import ParallelFileSystem, SparseFile
 from repro.sim import Environment, RngFactory
@@ -174,6 +177,64 @@ def test_shuffle_round_per_message(benchmark):
     """One simulated message per (member, aggregator) pair."""
     bench = _ShuffleRoundBench()
     assert benchmark(bench.run_round) == (N_RANKS - N_NODES) * N_NODES
+
+
+# ---------------------------------------------------------------------------
+# storage burst: contiguous extents from many clients on 16 servers
+# ---------------------------------------------------------------------------
+BURST_NODES, BURST_CLIENTS, BURST_SERVERS = 32, 256, 16
+BURST_STRIPE = 1 << 20
+#: Per client: four 2.5-stripe extents, written and then read back.
+BURST_EXTENTS, BURST_EXTENT_BYTES = 4, 5 * BURST_STRIPE // 2
+
+
+def _pfs_extent_burst():
+    env = Environment()
+    spec = ClusterSpec(
+        nodes=BURST_NODES,
+        node=NodeSpec(
+            cores=8,
+            memory_bytes=10**9,
+            memory_bandwidth=1e10,
+            memory_channels=2,
+            nic_bandwidth=5e9,
+            nic_latency=1e-6,
+        ),
+        storage=StorageSpec(
+            servers=BURST_SERVERS,
+            server_bandwidth=5e8,
+            request_overhead=3e-3,
+            stripe_size=BURST_STRIPE,
+        ),
+    )
+    cluster = Cluster(env, spec, RngFactory(0))
+    pfs = ParallelFileSystem(env, spec.storage)
+
+    def client(c):
+        node = cluster.nodes[c % BURST_NODES]
+        extents = [
+            Extent((c * BURST_EXTENTS + i) * BURST_EXTENT_BYTES, BURST_EXTENT_BYTES)
+            for i in range(BURST_EXTENTS)
+        ]
+        for ext in extents:
+            yield from pfs.write_extent(node, ext)
+        for ext in extents:
+            yield from pfs.read_extent(node, ext)
+
+    for c in range(BURST_CLIENTS):
+        env.process(client(c))
+    env.run()
+    return pfs.bytes_written, pfs.bytes_read, sum(
+        requests for _, _, requests in pfs.server_stats()
+    )
+
+
+def test_pfs_extent_burst(benchmark):
+    """256 clients, 2,048 contiguous extents on 16 servers: each extent
+    is one NIC hold plus a request on each of the 3 servers it touches."""
+    total = BURST_CLIENTS * BURST_EXTENTS * BURST_EXTENT_BYTES
+    ops = 2 * BURST_CLIENTS * BURST_EXTENTS
+    assert benchmark(_pfs_extent_burst) == (total, total, 3 * ops)
 
 
 # ---------------------------------------------------------------------------

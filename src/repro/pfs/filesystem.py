@@ -13,6 +13,15 @@ A contiguous extent costs one request per touched server; a noncontiguous
 pattern costs one request per *block* — which is exactly why two-phase
 aggregation wins, and what the simulator must preserve.
 
+Both charges are callback-driven holds (:class:`~repro.sim.Hold`), not
+processes: one client I/O starts its NIC hold and its server requests
+from one start event, in plan order, and completes through one
+:class:`~repro.sim.Countdown`, where a successful hold that is not the
+last of its I/O pushes no completion.  The event heap sees the same
+``(time, priority)`` pushes in the same order as with one process per
+hold (DESIGN.md §7, "Storage holds").  Holds are never started at spawn
+time: that would run them before events already due at this instant.
+
 When a :class:`~repro.pfs.datastore.SparseFile` is attached, payloads are
 stored/retrieved byte-accurately so tests can verify end-to-end data
 integrity independent of timing.
@@ -28,13 +37,36 @@ import numpy as np
 from repro.cluster import Node
 from repro.cluster.spec import StorageSpec
 from repro.core.request import AccessPattern, Extent, block_arrays
-from repro.sim import Environment
+from repro.sim import Countdown, Environment, Hold, start_holds
 
 from .datastore import SparseFile
 from .layout import StripeLayout
-from .server import IOServer, ServerUnavailableError
+from .server import IOServer, ServerRequest, ServerUnavailableError
 
 __all__ = ["IOAbandonedError", "ParallelFileSystem", "RetryPolicy"]
+
+
+class _NicHold(Hold):
+    """The client NIC held for the wire time of one whole I/O.
+
+    Storage traffic rides the same (possibly fenced) NIC as rank-to-rank
+    messages, so the wire time is fixed at the grant with the node's
+    failure slowdown in force then.
+    """
+
+    __slots__ = ("client", "total")
+
+    def __init__(self, client: Node, write: bool, total: int):
+        super().__init__(client.nic_tx if write else client.nic_rx)
+        self.client = client
+        self.total = total
+
+    def _granted(self) -> float:
+        client = self.client
+        return (
+            client.spec.nic_latency
+            + self.total * client.failure_slowdown / client.spec.nic_bandwidth
+        )
 
 
 class IOAbandonedError(RuntimeError):
@@ -145,8 +177,7 @@ class ParallelFileSystem:
 
     def _extent_plan(self, ext: Extent) -> list[tuple[int, int, int]]:
         """``(server, nbytes, requests)`` for one contiguous extent."""
-        per = self.layout.per_server_bytes(ext)
-        return [(s, int(per[s]), 1) for s in np.flatnonzero(per)]
+        return [(s, nbytes, 1) for s, nbytes in self.layout.extent_load(ext)]
 
     # ------------------------------------------------------------------
     # timing core
@@ -155,7 +186,7 @@ class ParallelFileSystem:
                           write: bool):
         """Process generator: one server request under the retry policy.
 
-        Races the service against the per-request timeout; outage
+        Races each attempt against the per-request timeout; outage
         rejections and timeouts back off exponentially (capped) and
         retry.  Exhausting the budget raises :class:`IOAbandonedError`.
         """
@@ -164,20 +195,17 @@ class ParallelFileSystem:
         attempt = 0
         while True:
             attempt += 1
-            proc = env.process(
-                server.serve(nbytes, requests, write=write),
-                name=f"pfs.ost{server.server_id}.try{attempt}",
-            )
+            request = server.submit(nbytes, requests, write=write)
             timer = env.timeout(policy.request_timeout)
             try:
-                which, _ = yield env.any_of([proc, timer])
+                which, _ = yield env.any_of([request, timer])
             except ServerUnavailableError:
                 pass  # rejected at issue or while queued: retry below
             else:
                 if which == 0:
                     return  # served within the timeout
-                if proc.is_alive:
-                    proc.interrupt("pfs-request-timeout")
+                if request.is_alive:
+                    request.interrupt("pfs-request-timeout")
             if attempt > policy.max_retries:
                 self.io_abandons += 1
                 raise IOAbandonedError(server.server_id, attempt)
@@ -189,37 +217,35 @@ class ParallelFileSystem:
 
         Holds the client NIC (tx for writes, rx for reads) for the wire
         time of the full transfer, concurrently with server service.
+        Without a retry policy every hold — the NIC's and one
+        :class:`ServerRequest` per planned server — starts from one start
+        event and the I/O completes through one :class:`Countdown`; with
+        one, each server request runs in its own retry process.
         """
         total = sum(nbytes for _, nbytes, _ in plan)
         if total == 0:
             return
         env = self.env
-
-        def nic_hold():
-            nic = client.nic_tx if write else client.nic_rx
-            req = nic.request()
-            yield req
-            try:
-                # storage traffic rides the same (possibly fenced) NIC as
-                # rank-to-rank messages, so it degrades with the node
-                yield env.sleep(
-                    client.spec.nic_latency
-                    + total * client.failure_slowdown
-                    / client.spec.nic_bandwidth
-                )
-            finally:
-                nic.release(req)
-
-        procs = [env.process(nic_hold(), name="pfs.nic")]
-        for server_id, nbytes, requests in plan:
-            if self.retry is None:
-                gen = self.servers[server_id].serve(nbytes, requests, write=write)
-            else:
-                gen = self._serve_with_retry(
-                    self.servers[server_id], nbytes, requests, write
-                )
-            procs.append(env.process(gen, name=f"pfs.ost{server_id}"))
-        yield env.all_of(procs)
+        done = Countdown(env, len(plan) + 1)
+        nic = _NicHold(client, write, total)
+        if self.retry is None:
+            holds = [nic]
+            servers = self.servers
+            for server_id, nbytes, requests in plan:
+                holds.append(ServerRequest(servers[server_id], nbytes, requests, write))
+            done.join(holds)
+            start_holds(env, holds)
+        else:
+            done.watch(nic)
+            start_holds(env, (nic,))
+            for server_id, nbytes, requests in plan:
+                done.watch(env.process(
+                    self._serve_with_retry(
+                        self.servers[server_id], nbytes, requests, write
+                    ),
+                    name=f"pfs.ost{server_id}",
+                ))
+        yield done
         if write:
             self.bytes_written += total
         else:

@@ -7,8 +7,10 @@ default striping strategy, 1 MB unit size").
 
 Per-server byte counts for a contiguous extent are computed in
 O(n_servers) arithmetic, not per-stripe loops, so multi-gigabyte domains
-cost nothing to plan; a whole block array's exact per-server load is a
-handful of array passes (:meth:`StripeLayout.server_load`).
+cost nothing to plan (:meth:`StripeLayout.extent_load` in plain integers
+for the storage hot path, :meth:`StripeLayout.per_server_bytes` as an
+array); a whole block array's exact per-server load is a handful of
+array passes (:meth:`StripeLayout.server_load`).
 """
 
 from __future__ import annotations
@@ -100,6 +102,39 @@ class StripeLayout:
         out[k1 % self.n_servers] -= tail_cut
         return out
 
+    def extent_load(self, ext: Extent) -> list[tuple[int, int]]:
+        """``(server, nbytes)`` of `ext` on each server it touches,
+        ascending by server: :meth:`per_server_bytes` without the zeros,
+        in plain integer stripe arithmetic (one client I/O plans one)."""
+        length = ext.length
+        if length == 0:
+            return []
+        n, ss = self.n_servers, self.stripe_size
+        offset = ext.offset
+        end = offset + length
+        k0 = offset // ss
+        n_stripes = (end - 1) // ss - k0 + 1
+        first = k0 % n
+        if n_stripes == 1:
+            return [(first, length)]
+        head_cut = offset - k0 * ss
+        tail_cut = (k0 + n_stripes) * ss - end
+        last = (first + n_stripes - 1) % n
+        if n_stripes < n:
+            # one piece per touched server: a cyclic run from `first`
+            load = {(first + i) % n: ss for i in range(n_stripes)}
+            load[first] -= head_cut
+            load[last] -= tail_cut
+            return sorted(load.items())
+        # every server: whole cycles, then the `rem` stripes from `first`
+        full, rem = divmod(n_stripes, n)
+        per = [full * ss] * n
+        for i in range(rem):
+            per[(first + i) % n] += ss
+        per[first] -= head_cut
+        per[last] -= tail_cut
+        return list(enumerate(per))
+
     def server_load(
         self, starts: np.ndarray, ends: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -139,8 +174,8 @@ class StripeLayout:
         return out
 
     def servers_touched(self, ext: Extent) -> list[int]:
-        """Servers holding at least one byte of `ext`."""
-        return [int(s) for s in np.flatnonzero(self.per_server_bytes(ext))]
+        """Servers holding at least one byte of `ext`, ascending."""
+        return [server for server, _ in self.extent_load(ext)]
 
     def align_down(self, offset: int) -> int:
         """Largest stripe boundary <= `offset`."""

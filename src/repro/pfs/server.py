@@ -20,14 +20,18 @@ server carries two injectable states:
   :class:`ServerUnavailableError` and, on entering an outage, queued
   waiters are failed too, so clients back off and retry instead of parking
   behind a dead queue.
+
+A request is a :class:`ServerRequest`, a callback-driven hold of one
+queue slot (:class:`~repro.sim.Hold`), not a process: the per-request
+charge needs a grant, a delay and a release, not a coroutine.
 """
 
 from __future__ import annotations
 
 from repro.obs.tracer import PID_PFS
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Hold, Resource, start_holds
 
-__all__ = ["IOServer", "ServerUnavailableError"]
+__all__ = ["IOServer", "ServerRequest", "ServerUnavailableError"]
 
 
 class ServerUnavailableError(RuntimeError):
@@ -124,47 +128,94 @@ class IOServer:
         bw = self.bandwidth * (self.write_bandwidth_factor if write else 1.0)
         return requests * self.request_overhead + nbytes / bw
 
-    def serve(self, nbytes: int, requests: int = 1, write: bool = False):
-        """Process generator: queue for the server and hold it for service.
+    def submit(self, nbytes: int, requests: int = 1, write: bool = False) -> "ServerRequest":
+        """Issue one request; the returned event fires once it is served.
 
-        Raises :class:`ServerUnavailableError` if the server is inside an
-        outage window when the request is issued or granted; clients are
+        The request starts at the current time, like a freshly spawned
+        process.  It fails with :class:`ServerUnavailableError` if the
+        server is inside an outage window when the request is issued or
+        granted, or when an outage opens while it queues; clients are
         expected to back off and retry (see
-        :class:`~repro.pfs.filesystem.RetryPolicy`).  Safe against
-        interruption at any point: the queue slot is always reclaimed.
+        :class:`~repro.pfs.filesystem.RetryPolicy`).
+        :meth:`ServerRequest.interrupt` abandons it and always reclaims
+        the queue slot.
         """
+        request = ServerRequest(self, nbytes, requests, write)
+        start_holds(self.env, (request,))
+        return request
+
+    def serve(self, request: "ServerRequest") -> float:
+        """Grant-time step of one request: its service delay, seconds.
+
+        Called once `request` holds a queue slot: closes its
+        ``pfs.queue_wait`` span, rejects it if an outage opened while it
+        queued, and charges :meth:`service_time` times the degradation
+        factor in force now (a later change does not re-time a request
+        already in service).
+        """
+        tracer = self.env.tracer
+        if tracer.enabled:
+            t1 = request._t2 = tracer.now()
+            if t1 > request._t0:
+                tracer.complete(
+                    "pfs", "pfs.queue_wait", PID_PFS, self.server_id,
+                    request._t0, t1 - request._t0,
+                )
         if not self.available:
             self.outage_rejections += 1
             raise ServerUnavailableError(self.server_id)
+        t = self.service_time(request.nbytes, request.requests, write=request.write)
+        return t * self.degradation
+
+
+class ServerRequest(Hold):
+    """One request to an :class:`IOServer`: queue, service, release.
+
+    A callback-driven :class:`~repro.sim.Hold` of one queue slot: it is
+    rejected at issue inside an outage, takes its service delay from
+    :meth:`IOServer.serve` at the grant, and at the end of service counts
+    its bytes and requests and records its ``pfs.serve`` span.  Create
+    one with :meth:`IOServer.submit`.
+    """
+
+    __slots__ = ("server", "nbytes", "requests", "write", "_t0", "_t2")
+
+    def __init__(self, server: IOServer, nbytes: int, requests: int, write: bool):
+        super().__init__(server.queue)
+        self.server = server
+        self.nbytes = nbytes
+        self.requests = requests
+        self.write = write
+        #: Issue and service-start instants, read only while tracing.
+        self._t0 = 0.0
+        self._t2 = 0.0
+
+    def _start(self, _event=None) -> None:
+        server = self.server
+        if not server.available:
+            server.outage_rejections += 1
+            self._finish(ServerUnavailableError(server.server_id))
+            return
         tracer = self.env.tracer
-        t0 = tracer.now() if tracer.enabled else 0.0
-        req = self.queue.request()
-        try:
-            yield req
-            if tracer.enabled:
-                t1 = tracer.now()
-                if t1 > t0:
-                    tracer.complete(
-                        "pfs", "pfs.queue_wait", PID_PFS, self.server_id,
-                        t0, t1 - t0,
-                    )
-            if not self.available:
-                self.outage_rejections += 1
-                raise ServerUnavailableError(self.server_id)
-            t = self.service_time(nbytes, requests, write=write)
-            # capture the service start: the degradation factor can change
-            # mid-sleep (fault windows), so the span duration must be the
-            # observed elapsed time, not recomputed from the end state
-            t2 = tracer.now() if tracer.enabled else 0.0
-            yield self.env.sleep(t * self.degradation)
-            self.bytes_served += nbytes
-            self.requests_served += requests
-            if tracer.enabled:
-                tracer.complete(
-                    "pfs", "pfs.serve", PID_PFS, self.server_id,
-                    t2, tracer.now() - t2,
-                    bytes=nbytes, requests=requests,
-                    write=write, degradation=self.degradation,
-                )
-        finally:
-            self.queue.release(req)
+        if tracer.enabled:
+            self._t0 = tracer.now()
+        Hold._start(self)
+
+    def _granted(self) -> float:
+        return self.server.serve(self)
+
+    def _served(self) -> None:
+        server = self.server
+        server.bytes_served += self.nbytes
+        server.requests_served += self.requests
+        tracer = self.env.tracer
+        if tracer.enabled:
+            # the span lasts the observed service time, and its
+            # degradation is the factor in force at its end
+            t2 = self._t2
+            tracer.complete(
+                "pfs", "pfs.serve", PID_PFS, server.server_id,
+                t2, tracer.now() - t2,
+                bytes=self.nbytes, requests=self.requests,
+                write=self.write, degradation=server.degradation,
+            )

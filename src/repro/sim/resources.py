@@ -12,6 +12,11 @@ Two resource kinds cover everything the cluster model needs:
     ``get``/``put`` block until satisfiable, FIFO-fairly.
 
 Both are deterministic: waiters are served strictly in request order.
+
+:class:`Hold` is a timed hold of one :class:`Resource` slot (request,
+hold for a delay fixed at the grant, release) run as callbacks rather
+than as a process; :class:`Countdown` joins a group of holds with one
+completion, and :func:`start_holds` starts a group from one start event.
 """
 
 from __future__ import annotations
@@ -19,9 +24,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .engine import NORMAL, Environment, Event, SimulationError
+from .engine import (
+    NORMAL,
+    URGENT,
+    Environment,
+    Event,
+    Initialize,
+    Interrupt,
+    SimulationError,
+)
 
-__all__ = ["Resource", "Request", "Container"]
+__all__ = ["Resource", "Request", "Container", "Hold", "Countdown", "start_holds"]
 
 
 class Request(Event):
@@ -266,3 +279,190 @@ class Container:
                     self._level -= amount
                     ev.succeed(amount)
                     progressed = True
+
+
+class Hold(Event):
+    """A timed hold of one :class:`Resource` slot, run as callbacks.
+
+    It does what the process ::
+
+        req = resource.request()
+        try:
+            yield req
+            yield env.sleep(self._granted())
+            self._served()
+        finally:
+            resource.release(req)  # a no-op for a request failed in the queue
+
+    does, and pushes exactly the events that process pushes — the grant,
+    the pooled sleep (slept on through its ``_waiter``), the next waiter's
+    grant at the release, and the completion — but it has no generator,
+    and it is started by :func:`start_holds`, so a group of holds shares
+    one start event.  The hold is an event: it succeeds when released,
+    or fails with what :meth:`_granted` raised, with the exception of a
+    request failed while queued (:meth:`Resource.fail_waiters`), or with
+    :class:`~repro.sim.engine.Interrupt`.
+
+    Subclasses provide :meth:`_granted` (the delay, computed once the
+    slot is held; raising releases the slot and fails the hold) and may
+    provide :meth:`_served` (bookkeeping at the end of the delay).
+    """
+
+    __slots__ = ("resource", "_req", "_sleep", "_join")
+
+    def __init__(self, resource: Resource):
+        # flattened Event initialisation (one hold per server request)
+        self.env = resource.env
+        self.callbacks = []
+        self._value = None
+        self._exception = None
+        self._triggered = False
+        self._processed = False
+        self.resource = resource
+        self._req: Optional[Request] = None
+        self._sleep = None
+        #: The :class:`Countdown` this hold reports its success to
+        #: directly, or None to report through its own completion.
+        self._join: Optional[Countdown] = None
+
+    @property
+    def is_alive(self) -> bool:
+        """True until the hold has released its slot or failed."""
+        return not self._triggered
+
+    @property
+    def name(self) -> str:
+        """The held resource's name (crash reports)."""
+        return self.resource.name
+
+    def _granted(self) -> float:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _served(self) -> None:
+        """Bookkeeping when the delay has passed, before the release."""
+
+    # ------------------------------------------------------------------
+    def _start(self, _event: Optional[Event] = None) -> None:
+        req = self._req = self.resource.request()
+        req.callbacks.append(self._grant)
+
+    def _grant(self, req: Request) -> None:
+        if req._exception is not None:
+            # failed while queued: the queue already dropped the request
+            self._finish(req._exception)
+            return
+        try:
+            delay = self._granted()
+        except Exception as exc:  # noqa: BLE001 - the hold fails with it
+            self.resource.release(req)
+            self._finish(exc)
+            return
+        sleep = self._sleep = self.env.sleep(delay)
+        sleep._waiter = self._wake
+
+    def _wake(self, _sleep: Event) -> None:
+        # the pooled sleep is recycled once processed: never keep it
+        self._sleep = None
+        self._served()
+        self.resource.release(self._req)
+        self._finish(None)
+
+    def _finish(self, exc: Optional[BaseException]) -> None:
+        """Succeed (`exc` None) or fail, pushing the completion a process
+        would push — except a success that its :class:`Countdown` can
+        count on the spot because more of the group is still running."""
+        self._triggered = True
+        join = self._join
+        if join is not None:
+            if exc is None and join._remaining > 1:
+                join._remaining -= 1
+                return
+            self.callbacks.append(join._on_sub)
+        self.env._schedule(self, delay=0.0)
+        if exc is not None:
+            self._exception = exc
+            if not self.callbacks:
+                # nobody is waiting: surface the failure like a crashed
+                # process instead of dropping it
+                self.env._crashed.append((self, exc))
+
+    # ------------------------------------------------------------------
+    def interrupt(self, cause=None) -> None:
+        """Abandon the hold, like :meth:`~repro.sim.engine.Process.interrupt`.
+
+        Detaches from the grant or the sleep at the call; an urgent
+        carrier event then releases (or cancels) the slot and fails the
+        hold with :class:`~repro.sim.engine.Interrupt`.
+        """
+        if self._triggered:
+            raise SimulationError(f"cannot interrupt finished hold {self.name!r}")
+        sleep = self._sleep
+        if sleep is not None:
+            sleep._waiter = None
+            self._sleep = None
+        else:
+            req = self._req
+            if req is not None and req.callbacks is not None:
+                # still queued, or granted but not yet processed
+                req.callbacks.remove(self._grant)
+        carrier = Event(self.env)
+        carrier.callbacks.append(self._interrupted)
+        carrier.fail(Interrupt(cause), priority=URGENT)
+
+    def _interrupted(self, carrier: Event) -> None:
+        self.resource.release(self._req)
+        self._finish(carrier._exception)
+
+
+class Countdown(Event):
+    """One completion for a group of holds: succeeds (value None) once
+    every member has succeeded, or fails with the first failure.
+
+    It replaces an :class:`~repro.sim.engine.AllOf` over the group.
+    Under ``AllOf`` every member's completion was an event whose only
+    effect was to decrement a counter, unless it was the last success or
+    a failure.  So a member joined with :meth:`join` counts a success
+    itself when others are still running, and pushes its completion only
+    as the last success or on failure — the same pushes, in the same
+    order, that had an effect.  Events watched with :meth:`watch` always
+    report through their completion, as under ``AllOf``.
+    """
+
+    __slots__ = ("_remaining",)
+
+    def __init__(self, env: Environment, count: int):
+        super().__init__(env)
+        self._remaining = count
+
+    def join(self, holds) -> None:
+        """Let each of `holds` count its success directly."""
+        for hold in holds:
+            hold._join = self
+
+    def watch(self, event: Event) -> None:
+        """Count `event` when its completion is processed."""
+        event.callbacks.append(self._on_sub)
+
+    def _on_sub(self, ev: Event) -> None:
+        if self._triggered:
+            return
+        if ev._exception is not None:
+            self.fail(ev._exception)
+            return
+        self._remaining -= 1
+        if self._remaining == 0:
+            self.succeed()
+
+
+def start_holds(env: Environment, holds) -> None:
+    """Start `holds` in order from one urgent start event at the current time.
+
+    Equivalent to starting one process per hold: their start events
+    would be pushed back to back at ``(now, URGENT)``, and a hold's start
+    pushes nothing urgent, so nothing could run between them.  A hold is
+    never started at the call itself — a start at spawn time would run
+    before events already due at this instant.
+    """
+    it = iter(holds)
+    start = Initialize(env, next(it)._start)
+    start.callbacks.extend(hold._start for hold in it)

@@ -93,6 +93,25 @@ class TestPerServerBytes:
             truth[(b // stripe) % n] += 1
         assert (per == truth).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stripe=st.integers(1, 64),
+        n=st.integers(1, 17),
+        offset=st.integers(0, 5000),
+        length=st.integers(0, 5000),
+    )
+    def test_extent_load_is_per_server_bytes_without_zeros(
+        self, stripe, n, offset, length
+    ):
+        lay = StripeLayout(stripe, n)
+        ext = Extent(offset, length)
+        per = lay.per_server_bytes(ext)
+        expected = [(int(s), int(per[s])) for s in np.flatnonzero(per)]
+        load = lay.extent_load(ext)
+        assert load == expected
+        assert all(type(s) is int and type(b) is int for s, b in load)
+        assert lay.servers_touched(ext) == [s for s, _ in expected]
+
 
 def per_block_load(lay, segments):
     """Reference: per-server bytes and requests summed block by block."""
