@@ -275,10 +275,10 @@ def test_remerge_heavy_planning(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# plan cache: cold planning vs signature-keyed reuse
+# cold planning through the fallback chain, as every blocking collective
 # ---------------------------------------------------------------------------
-def _planning_workload(plan_cache):
-    """The remerge-heavy setup above, routed through the plan cache."""
+def _planning_workload():
+    """The remerge-heavy setup above, planned via the fallback chain."""
     n_ranks, n_nodes, cores = 64, 8, 8
     env = Environment()
     spec = ClusterSpec(nodes=n_nodes, node=NodeSpec(cores=cores))
@@ -294,7 +294,6 @@ def _planning_workload(plan_cache):
             mem_min=0,
             nah=2,
             min_buffer=1,
-            plan_cache=plan_cache,
         ),
     )
     block = 1 << 13
@@ -309,28 +308,12 @@ def _planning_workload(plan_cache):
 
 def test_plan_cold(benchmark):
     """Every collective re-runs the full four-component pipeline."""
-    engine, patterns, avail = _planning_workload(plan_cache=False)
+    engine, patterns, avail = _planning_workload()
 
     def run():
-        (plan, _, _), cached = engine._plan_or_reuse(
+        plan, _, _ = engine._plan_with_fallback(
             patterns, dict(avail), frozenset()
         )
-        assert not cached
-        return len(plan.domains)
-
-    assert benchmark(run) > 0
-
-
-def test_plan_cached(benchmark):
-    """Signature hit: the pipeline is skipped, memoised plan reused."""
-    engine, patterns, avail = _planning_workload(plan_cache=True)
-    engine._plan_or_reuse(patterns, dict(avail), frozenset())  # warm
-
-    def run():
-        (plan, _, _), cached = engine._plan_or_reuse(
-            patterns, dict(avail), frozenset()
-        )
-        assert cached
         return len(plan.domains)
 
     assert benchmark(run) > 0

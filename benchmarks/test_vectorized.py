@@ -66,7 +66,7 @@ def test_vectorized_planning_100k(benchmark):
     }
 
     def run():
-        (plan, tier, _), _cached = engine._plan_or_reuse(
+        plan, tier, _ = engine._plan_with_fallback(
             patterns, dict(avail), frozenset()
         )
         assert plan is not None and tier is None  # undegraded MCIO plan

@@ -7,7 +7,7 @@ node-level memory/bandwidth models, and the interconnect.
 
 from .background import BackgroundLoad
 from .cluster import Cluster
-from .memory import Allocation, Lease, LeaseLedger, MemoryModel, availability_bucket
+from .memory import Allocation, Lease, LeaseLedger, MemoryModel
 from .network import Network
 from .node import Node
 from .placement import (
@@ -33,7 +33,6 @@ from .spec import (
 
 __all__ = [
     "Allocation",
-    "availability_bucket",
     "BackgroundLoad",
     "Cluster",
     "ClusterSpec",

@@ -22,8 +22,8 @@ real :class:`Allocation` on the lender's :class:`MemoryModel`.  The
 ledger is the shared source of truth the collective engine's
 round-boundary checks read — lender death, a memory shock squeezing the
 leased bytes, or plain expiry all surface as a revocation verdict, and
-every lifecycle edge notifies registered listeners (the plan cache drops
-entries on grants and revocations).
+every lifecycle edge notifies registered listeners (engines stale their
+persistent handles' frozen plans on grants and revocations).
 """
 
 from __future__ import annotations
@@ -38,28 +38,7 @@ __all__ = [
     "Lease",
     "LeaseLedger",
     "MemoryModel",
-    "availability_bucket",
 ]
-
-
-def availability_bucket(
-    avail_bytes: int, thresholds: tuple[int, ...], quantum: int
-) -> tuple[int, int]:
-    """Quantize an available-memory reading into planning-relevant buckets.
-
-    Returns ``(rank, quanta)`` where `rank` counts how many of the given
-    `thresholds` the reading meets and `quanta` is the reading divided by
-    `quantum` (e.g. ``Msg_ind``: roughly how many aggregation domains the
-    host could absorb).  Two readings with equal buckets are
-    indistinguishable to the remerge / placement thresholds derived from
-    those values, which is what lets the plan cache reuse a plan across
-    small memory wiggle while a genuine threshold crossing — a memory
-    shock, a big background-load step — forces a replan.
-    """
-    if avail_bytes < 0:
-        raise ValueError("avail_bytes must be >= 0")
-    rank = sum(1 for t in thresholds if avail_bytes >= t)
-    return rank, avail_bytes // max(1, quantum)
 
 
 @dataclass
@@ -266,8 +245,8 @@ class Lease:
     tenant:
         Owning job's identity in a multi-tenant environment (None for
         single-job runs).  Invalidation listeners filter on it so one
-        tenant's lease churn never stales another tenant's cached or
-        frozen plans; an untagged lease conservatively invalidates
+        tenant's lease churn never stales another tenant's frozen
+        plans; an untagged lease conservatively invalidates
         everyone.
     state:
         ``active`` | ``released`` | ``revoked`` | ``expired``.
@@ -306,8 +285,8 @@ class LeaseLedger:
 
     Listeners registered with :meth:`add_listener` are called as
     ``listener(lease, event)`` for events ``grant``, ``renew``,
-    ``release``, ``revoke``, and ``expire`` — the plan cache subscribes
-    so cached plans never replay against a changed lease landscape.
+    ``release``, ``revoke``, and ``expire`` — each engine subscribes so
+    frozen plans never replay against a changed lease landscape.
     Bound-method listeners are held weakly (see
     :class:`~repro.sim.subscribers.Subscribers`), so subscribing never
     keeps an engine alive.
@@ -353,26 +332,6 @@ class LeaseLedger:
     def active_leases(self) -> list[Lease]:
         """Active leases in grant order."""
         return [self._active[k] for k in sorted(self._active)]
-
-    def digest(self, tenant: Optional[str] = None) -> tuple:
-        """Order-stable fingerprint of the active lease set.
-
-        Part of the plan-cache signature: a plan built against one lease
-        landscape must not be replayed against another.  With `tenant`,
-        foreign tenants' tagged leases are excluded — their pinned bytes
-        already show through the lenders' committed memory (and hence the
-        memory digest), so they must not churn this tenant's signatures.
-        Untagged leases are always included.
-        """
-        leases = self.active_leases()
-        if tenant is not None:
-            leases = [
-                lease for lease in leases if lease.tenant in (None, tenant)
-            ]
-        return tuple(
-            (lease.lease_id, lease.lender_node, lease.nbytes)
-            for lease in leases
-        )
 
     # ------------------------------------------------------------------
     def grant(

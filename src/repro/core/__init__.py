@@ -28,7 +28,6 @@ from .metrics import CollectiveStats, StatsCollector
 from .partition_tree import PartitionNode, PartitionTree
 from .pattern_array import FileViewIndex, FileViews, PatternArray, file_views
 from .persistent import PersistentCollective
-from .plan_cache import PlanCache, PlanCacheStats
 from .request import AccessPattern, Extent, StridedSegment, coalesce_extents
 from .request import block_arrays, union_blocks, window_union
 from .two_phase import TwoPhaseCollectiveIO, default_aggregators
@@ -57,8 +56,6 @@ __all__ = [
     "PatternArray",
     "PersistentCollective",
     "PlacementError",
-    "PlanCache",
-    "PlanCacheStats",
     "StatsCollector",
     "StridedSegment",
     "TwoPhaseCollectiveIO",

@@ -116,19 +116,6 @@ class MCIOConfig:
         independent I/O if no live aggregator host exists, instead of
         crashing the collective.  The tier actually used is recorded in
         :attr:`~repro.core.metrics.CollectiveStats.degraded_tier`.
-    plan_cache:
-        Opt-in reusable collective plans: key each finished plan by a
-        deterministic signature of (access patterns, config, live-node
-        set, memory-state bucket digest) and reuse it — partition
-        trees, placement, and per-window sender memos included — when a
-        later collective presents the same signature.  Invalidated when
-        a node's available memory crosses a remerge-relevant bucket, on
-        any fault-injector event (wire with
-        :meth:`~repro.core.mcio.MemoryConsciousCollectiveIO.watch_faults`),
-        and after any mid-run aggregator failover.  Hit/miss/invalidation
-        counters surface in :class:`~repro.core.metrics.CollectiveStats`.
-        Reuse never changes simulated time — planning costs host CPU
-        only — so fault-free traces stay bit-identical.
     placement_policy:
         What to do when a leaf's candidate hosts cannot supply the
         nominal buffer (the point where the paper remerges):
@@ -177,7 +164,6 @@ class MCIOConfig:
     min_buffer: int = 1 * MIB
     failover: bool = True
     fallback_chain: bool = True
-    plan_cache: bool = False
     placement_policy: PlacementPolicy = "remerge"
     lease_term: float = 1.0
     execution_mode: ExecutionMode = "per-rank"

@@ -39,7 +39,6 @@ from repro.core.metrics import CollectiveStats, StatsCollector
 from repro.core.partition_tree import PartitionTree
 from repro.core.path import resolve_path
 from repro.core.pattern_array import FileViewIndex, FileViews, file_views
-from repro.core.plan_cache import PlanCache
 from repro.core.request import AccessPattern
 from repro.core.two_phase import STRIPE_ALIGN, default_aggregators, even_plan
 from repro.mpi.comm import RankContext, SimComm
@@ -118,9 +117,9 @@ class MemoryConsciousCollectiveIO:
         #: Owning job's identity when several engines share one cluster
         #: (see :mod:`repro.tenancy`).  Leases this engine grants are
         #: tagged with it, and lease events from *other* tenants' tagged
-        #: leases neither drop this engine's plan cache nor stale its
-        #: persistent handles.  None (the default) preserves the
-        #: single-job behaviour: every lease event invalidates.
+        #: leases never stale this engine's persistent handles.  None
+        #: (the default) preserves the single-job behaviour: every lease
+        #: event invalidates.
         self.tenant = tenant
         self._rank_seq: dict[int, int] = {}
         #: Floor for freshly seen ranks' sequence numbers: a vectorized
@@ -146,37 +145,23 @@ class MemoryConsciousCollectiveIO:
         self.auditor = None
         #: Finalized stats of completed operations, in call order.
         self.history: list[CollectiveStats] = []
-        #: Signature-keyed reuse of finished plans (see
-        #: :mod:`repro.core.plan_cache`); disabled unless
-        #: ``config.plan_cache`` opts in.
-        self.plan_cache = PlanCache(enabled=self.config.plan_cache)
-        self.plan_cache.tenant = tenant
-        if self.plan_cache.enabled:
-            # lease grants/revocations change where aggregation buffers
-            # live, so plans cached against the old lease set are stale
-            self.comm.cluster.memory_ledger.add_listener(
-                self.plan_cache.on_lease_event
-            )
         #: Callbacks fired when externally frozen plans go stale (see
         #: :meth:`add_invalidation_listener`); persistent collectives
         #: subscribe here so lease churn, faults, and failover force a
         #: re-plan at their next ``start()``.
         self._invalidation_listeners = Subscribers()
         self.comm.cluster.memory_ledger.add_listener(self._on_lease_event)
-        #: Partition-tree evaluations performed by the most recent
-        #: :meth:`plan` call (0 when the plan came from the cache).
-        self.last_plan_tree_queries = 0
 
     # ------------------------------------------------------------------
     def watch_faults(self, injector) -> None:
-        """Invalidate cached plans on every fault apply/revert.
+        """Invalidate frozen plans on every fault apply/revert.
 
         Wire any :class:`~repro.faults.injector.FaultInjector` driving
-        this engine's cluster or file system: plans were built against a
-        platform state a fault just changed (memory shock, node failure,
-        server health), so reuse would be unsound.
+        this engine's cluster or file system: persistent handles froze
+        their plans against a platform state a fault just changed
+        (memory shock, node failure, server health), so reuse would be
+        unsound.  A scheduled injector also refuses vectorization.
         """
-        injector.add_listener(self.plan_cache.on_fault_event)
         injector.add_listener(self._on_fault_event)
         self._fault_injectors.append(injector)
 
@@ -298,9 +283,6 @@ class MemoryConsciousCollectiveIO:
         """Index the gathered views and plan, once per collective: the
         first-arriving rank does the work, every rank shares the result."""
         if seq not in self._plans:
-            # the cache has no environment of its own: point it at the
-            # live tracer so hit/miss/invalidate instants land in-trace
-            self.plan_cache.tracer = self.comm.env.tracer
             views = self._views[seq] = FileViewIndex(patterns)
             memory_available = {}
             failed_nodes = set()
@@ -308,11 +290,11 @@ class MemoryConsciousCollectiveIO:
                 memory_available.setdefault(node_id, avail)
                 if failed:
                     failed_nodes.add(node_id)
-            (plan, tier, reason), cached = self._plan_or_reuse(
+            plan, tier, reason = self._plan_with_fallback(
                 views, memory_available, frozenset(failed_nodes)
             )
             self._plans[seq] = plan
-            stats = self._make_collector(op, plan, tier, reason, cached)
+            stats = self._make_collector(op, plan, tier, reason)
             stats.path = resolve_path(self, plan)
             self._stats[seq] = stats
             borrowed = plan is not None and any(
@@ -333,56 +315,17 @@ class MemoryConsciousCollectiveIO:
             self._borrows[seq],
         )
 
-    def _make_collector(self, op, plan, tier, reason, cached) -> StatsCollector:
+    def _make_collector(self, op, plan, tier, reason) -> StatsCollector:
         """Build one operation's collector (shared with the vectorized driver)."""
         collector = StatsCollector(self.name, op, n_ranks=self.comm.size)
         collector.n_groups = plan.n_groups if plan is not None else 1
         collector.set_tier(tier)
         collector.attach_pfs(self.pfs)
-        collector.record_plan_cache(
-            cached,
-            cache_stats=self.plan_cache.stats,
-            tree_queries=0 if cached else self.last_plan_tree_queries,
-        )
         if reason is not None:
             collector.extra["fallback_reason"] = reason
         if self.auditor is not None:
             collector.auditor = self.auditor
         return collector
-
-    def _plan_or_reuse(self, patterns, memory_available, failed_nodes):
-        """Plan via the cache: returns ``((plan, tier, reason), cached)``.
-
-        The memory snapshot is normalised (every cluster node present)
-        exactly like :meth:`plan` does before the bucket digest is taken,
-        so digest and planner see the same state.
-        """
-        cache = self.plan_cache
-        if not cache.enabled:
-            entry = self._plan_with_fallback(
-                patterns, memory_available, failed_nodes
-            )
-            return entry, False
-        for node in self.comm.cluster.nodes:
-            memory_available.setdefault(node.node_id, node.memory.free_available)
-        stripe = self.pfs.layout.stripe_size if STRIPE_ALIGN else 0
-        key = cache.signature(
-            patterns, self.config, failed_nodes, stripe,
-            lease_digest=self.comm.cluster.memory_ledger.digest(
-                tenant=self.tenant
-            ),
-        )
-        digest = (
-            ()
-            if self.config.memory_oblivious
-            else cache.memory_digest(memory_available, self.config)
-        )
-        entry = cache.lookup(key, digest)
-        if entry is not None:
-            return entry, True
-        entry = self._plan_with_fallback(patterns, memory_available, failed_nodes)
-        cache.store(key, digest, entry)
-        return entry, False
 
     def _independent_tier(self, ctx, pattern, payload, op, stats):
         """Process generator: serve the collective as independent I/O."""
@@ -466,9 +409,8 @@ class MemoryConsciousCollectiveIO:
             self._borrows.pop(seq, None)
             self._plans.pop(("borrow-fallback", seq), None)
             if final.failovers:
-                # aggregators moved mid-run: every cached plan (including
-                # the one just executed) now names stale placements
-                self.plan_cache.invalidate("failover")
+                # aggregators moved mid-run: every frozen plan now names
+                # stale placements
                 self._notify_plan_invalidation("failover")
 
     # ------------------------------------------------------------------
@@ -539,7 +481,6 @@ class MemoryConsciousCollectiveIO:
         cfg = self.config if config is None else config
         stripe = self.pfs.layout.stripe_size if STRIPE_ALIGN else 0
         views = file_views(patterns)
-        self.last_plan_tree_queries = 0
         # Planning costs no simulated time: its spans sit at the current
         # sim instant on the planner track with zero sim duration, and
         # the host-side cost rides along as a wall_us annotation.
@@ -626,19 +567,16 @@ class MemoryConsciousCollectiveIO:
                     wall_us=(perf_counter() - wall0) * 1e6,
                 )
                 wall0 = perf_counter()
-            try:
-                domains = place_aggregators(
-                    tree,
-                    group.group_id,
-                    members,
-                    views,
-                    placement,
-                    memory_available,
-                    cfg,
-                    host_state=host_state,
-                )
-            finally:
-                self.last_plan_tree_queries += tree.raw_queries
+            domains = place_aggregators(
+                tree,
+                group.group_id,
+                members,
+                views,
+                placement,
+                memory_available,
+                cfg,
+                host_state=host_state,
+            )
             if tracer.enabled:
                 # each remerge folds one leaf into a neighbour, so the
                 # leaf deficit is exactly the remerge count

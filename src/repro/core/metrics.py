@@ -62,17 +62,6 @@ class CollectiveStats:
     io_abandons: int = 0
     #: Aggregator failovers performed mid-operation (failed host replaced).
     failovers: int = 0
-    #: True when this collective reused a cached plan instead of running
-    #: the planning pipeline (always False with the cache disabled).
-    plan_cached: bool = False
-    #: Cumulative plan-cache counters of the owning engine as of this
-    #: operation (monotone across an engine's history).
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    plan_cache_invalidations: int = 0
-    #: Partition-tree data-size evaluations performed while planning this
-    #: collective (0 on a cache hit — the work a reused plan avoided).
-    planning_tree_queries: int = 0
     #: Remote-memory lease lifecycle counts for this collective
     #: (borrowed aggregation buffers; all zero outside borrow placements).
     leases_granted: int = 0
@@ -266,11 +255,6 @@ class StatsCollector:
         self.n_groups = 1
         self.extra: dict = {}
         self.degraded_tier: Optional[str] = None
-        self.plan_cached = False
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.plan_cache_invalidations = 0
-        self.planning_tree_queries = 0
         self._pfs = None
         self._pfs_retries0 = 0
         self._pfs_abandons0 = 0
@@ -325,17 +309,6 @@ class StatsCollector:
     def record_failover(self, count: int = 1) -> None:
         """Count aggregator failovers performed during the run."""
         self.failovers += count
-
-    def record_plan_cache(
-        self, cached: bool, cache_stats=None, tree_queries: int = 0
-    ) -> None:
-        """Record how planning was served (cache hit vs fresh pipeline)."""
-        self.plan_cached = cached
-        self.planning_tree_queries = int(tree_queries)
-        if cache_stats is not None:
-            self.plan_cache_hits = cache_stats.hits
-            self.plan_cache_misses = cache_stats.misses
-            self.plan_cache_invalidations = cache_stats.invalidations
 
     def record_lease(self, event: str) -> None:
         """Count one lease lifecycle event (granted/renewed/...)."""

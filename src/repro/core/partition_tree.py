@@ -117,7 +117,7 @@ class PartitionTree:
         self._data_bytes_raw = data_bytes
         self._data_bytes_cache: dict[tuple[int, int], int] = {}
         #: How many distinct extents were actually evaluated (memo misses)
-        #: — the unit of planning work the plan cache saves on a hit.
+        #: — the planning work the ``plan.placement`` span reports.
         self.raw_queries = 0
         self.msg_ind = int(msg_ind)
         self.stripe_size = int(stripe_size)

@@ -27,7 +27,7 @@ UNPLANNED = object()
 
 #: Engine attributes a persistent replay drives (MCIO's planning surface).
 _REPLAY_HOOKS = (
-    "_plan_or_reuse", "_make_collector", "_independent_tier",
+    "_plan_with_fallback", "_make_collector", "_independent_tier",
     "add_invalidation_listener",
 )
 

@@ -2,8 +2,8 @@
 
 Iterative checkpoint/analysis loops re-execute the *same* collective each
 timestep.  The blocking path re-pays the coordination preamble every
-call: a pattern allgather, a memory-state allgather, and a planning pass
-(or at best a plan-cache probe).  A :class:`PersistentCollective` — built
+call: a pattern allgather, a memory-state allgather, and a planning
+pass.  A :class:`PersistentCollective` — built
 by ``SimFile.write_all_init`` / ``read_all_init`` — freezes the whole
 execution plan after the first ``start()`` and replays it on each
 subsequent one, skipping both allgathers and going straight to the
@@ -117,7 +117,6 @@ class PersistentCollective:
         self._tier = None
         self._reason = None
         self._views = None
-        self._cached = False
         self._plan_gen = -1
         self._inval_gen = 0
         #: Invalidation reasons observed, in order (diagnostics).
@@ -198,8 +197,7 @@ class PersistentCollective:
                 self.engine.history.append(final)
                 if final.failovers:
                     # same contract as the blocking path's finish: moved
-                    # aggregators invalidate every frozen/cached plan
-                    self.engine.plan_cache.invalidate("failover")
+                    # aggregators invalidate every frozen plan
                     self.engine._notify_plan_invalidation("failover")
         return proc.value
 
@@ -243,14 +241,13 @@ class PersistentCollective:
                 # the frozen plan keeps its views' index beside it: one
                 # index per handle, replaced only by the next re-plan
                 views = FileViewIndex(patterns)
-                (plan, tier, reason), cached = engine._plan_or_reuse(
+                plan, tier, reason = engine._plan_with_fallback(
                     views, memory_available, frozenset(failed_nodes)
                 )
                 self._plan = plan
                 self._tier = tier
                 self._reason = reason
                 self._views = views
-                self._cached = cached
                 self._plan_gen = ep.gen
                 self.replans += 1
         if ep.decision is None:
@@ -263,8 +260,7 @@ class PersistentCollective:
             return (yield from self._delegate(ctx, ep, pattern, payload))
         if ep.stats is None:
             stats = engine._make_collector(
-                self.op, self._plan, self._tier, self._reason,
-                cached=self._cached if ep.replan else True,
+                self.op, self._plan, self._tier, self._reason
             )
             stats.path = ep.decision
             stats.extra["persistent"] = self.pc_id

@@ -14,8 +14,8 @@ Equivalence contract
 For any fault-free, lease-free, metadata-only collective the vectorized
 driver produces a :class:`~repro.core.metrics.CollectiveStats` whose
 deterministic accounting fields (bytes, rounds, aggregators, shuffle
-locality split, tiers, groups — everything except ``elapsed``, the
-plan-cache counters and the path decision itself) are
+locality split, tiers, groups — everything except ``elapsed`` and the
+path decision itself) are
 *identical* to the per-rank reference, and feeds the byte-conservation
 auditor the same attempt/extent stream.  ``tests/sim`` pins this with a
 differential harness; simulated time is pinned separately by the
@@ -148,7 +148,6 @@ def run_vectorized_collective(
         return _per_rank_fallback(engine, patterns, op, decision, payloads)
 
     # plan exactly as the per-rank path's first-arriving rank would
-    engine.plan_cache.tracer = comm.env.tracer
     memory_available = {
         node_id: comm.cluster.nodes[node_id].memory.free_available
         for node_id in np.flatnonzero(
@@ -156,7 +155,7 @@ def run_vectorized_collective(
         ).tolist()
     }
     views = file_views(patterns)
-    (plan, tier, reason_txt), cached = engine._plan_or_reuse(
+    plan, tier, reason_txt = engine._plan_with_fallback(
         views, memory_available, frozenset()
     )
     # the refused run plans again on its own, exactly as a plain
@@ -166,7 +165,7 @@ def run_vectorized_collective(
         return _per_rank_fallback(engine, patterns, op, decision, payloads)
 
     seq = engine._advance_seq()
-    stats = engine._make_collector(op, plan, tier, reason_txt, cached)
+    stats = engine._make_collector(op, plan, tier, reason_txt)
     stats.path = decision
 
     env = comm.env

@@ -71,8 +71,8 @@ class FaultInjector:
         self._reverts: list[Process] = []
         #: Callbacks ``listener(event, phase)`` fired after every applied
         #: (``phase="apply"``) and reverted (``phase="revert"``) fault —
-        #: e.g. a plan cache dropping its entries because the platform
-        #: state the plans were built against just changed.  Bound
+        #: e.g. an engine staling its persistent handles' frozen plans
+        #: because the platform state they were built against changed.  Bound
         #: methods are held weakly: watching never keeps an engine alive.
         self._listeners = Subscribers()
         for ev in schedule:

@@ -19,9 +19,9 @@ ledger, so cross-job interference is simulated rather than assumed:
   over those slowdowns, and aggregate PFS utilization.
 
 Each tenant's engine is constructed with ``tenant=job.name``, so lease
-grant/revoke events from one job never invalidate another job's plan
-cache or persistent handles (see
-:meth:`repro.core.plan_cache.PlanCache.on_lease_event`).
+grant/revoke events from one job never invalidate another job's
+persistent handles (see
+:meth:`repro.core.mcio.MemoryConsciousCollectiveIO.add_invalidation_listener`).
 """
 
 from .job import JobRecord, TenantJob, jobs_from_arrivals

@@ -164,18 +164,17 @@ class TestSoundness:
 
 
 class TestLedgerViews:
-    def test_digest_tracks_active_set(self):
+    def test_active_leases_track_grant_order(self):
         cluster = make_cluster()
         ledger = cluster.memory_ledger
-        assert ledger.digest() == ()
+        assert ledger.active_leases() == []
         a = ledger.grant(0, 1, KIB, now=0.0, term=1.0)
         b = ledger.grant(1, 2, 2 * KIB, now=0.0, term=1.0)
-        assert ledger.digest() == (
-            (a.lease_id, 0, KIB),
-            (b.lease_id, 1, 2 * KIB),
-        )
+        assert ledger.active_leases() == [a, b]
+        assert ledger.outstanding_bytes == 3 * KIB
         ledger.release(a, now=0.5)
-        assert ledger.digest() == ((b.lease_id, 1, 2 * KIB),)
+        assert ledger.active_leases() == [b]
+        assert ledger.outstanding_bytes == 2 * KIB
 
     def test_listeners_see_lifecycle_events(self):
         cluster = make_cluster()

@@ -363,59 +363,3 @@ class TestAcquisitionContention:
         assert stack.cluster.memory_ledger.denied > 0
         assert stack.cluster.memory_ledger.outstanding == 0
         assert_image(stack, patterns, payloads)
-
-
-class TestPlanCacheLeaseInvalidation:
-    def test_signature_includes_lease_digest(self):
-        from repro.core import PlanCache
-
-        patterns = tuple(block_patterns())
-        cfg = mcio_cfg("borrow")
-        base = PlanCache.signature(patterns, cfg, frozenset(), 256)
-        leased = PlanCache.signature(
-            patterns, cfg, frozenset(), 256, lease_digest=((0, 2, 8192),)
-        )
-        assert base != leased
-
-    def test_grant_and_revoke_invalidate_cached_plans(self):
-        from repro.core import PlanCache
-
-        cache = PlanCache(enabled=True)
-        cache.store(("k",), (), ("plan", None, None))
-        assert len(cache) == 1
-
-        class FakeLease:
-            lease_id = 0
-
-        cache.on_lease_event(FakeLease(), "release")
-        assert len(cache) == 1, "release must not invalidate"
-        cache.on_lease_event(FakeLease(), "grant")
-        assert len(cache) == 0
-        assert cache.invalidation_log[-1] == "lease:grant"
-        cache.store(("k",), (), ("plan", None, None))
-        cache.on_lease_event(FakeLease(), "revoke")
-        assert len(cache) == 0
-        assert cache.invalidation_log[-1] == "lease:revoke"
-
-    def test_borrowing_engine_with_cache_stays_correct(self):
-        """End-to-end: plan cache + lease churn still produces right bytes."""
-        stack = make_borrow_stack()
-        engine = MemoryConsciousCollectiveIO(
-            stack.comm, stack.pfs, mcio_cfg("borrow", plan_cache=True)
-        )
-        patterns = block_patterns()
-        payloads = [rank_payload(r, NBYTES) for r in range(N_RANKS)]
-
-        def main(ctx):
-            yield from engine.write(ctx, patterns[ctx.rank], payloads[ctx.rank])
-            yield from engine.write(ctx, patterns[ctx.rank], payloads[ctx.rank])
-
-        stack.run_spmd(main)
-        assert len(engine.history) == 2
-        assert_image(stack, patterns, payloads)
-        # every grant invalidated the cache, so borrowed plans never alias
-        assert cacheable_invalidations(engine) > 0
-
-
-def cacheable_invalidations(engine):
-    return engine.plan_cache.stats.invalidations

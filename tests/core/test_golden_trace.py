@@ -74,28 +74,6 @@ def test_golden_trace_bit_identical(strategy, op, case):
 MCIO_CELLS = [(s, o, c) for s, o, c in CELLS if s == "mcio"]
 
 
-@pytest.mark.parametrize(
-    "strategy,op,case",
-    MCIO_CELLS,
-    ids=[case_id(s, o, c) + "/plan-cache" for s, o, c in MCIO_CELLS],
-)
-def test_golden_trace_with_plan_cache(strategy, op, case):
-    """Enabling the plan cache must not perturb fault-free goldens.
-
-    Plan reuse only skips host-side planning work; simulated time, stats,
-    and datastore bytes must stay bit-identical to the recorded traces.
-    """
-    expected = GOLDENS[case_id(strategy, op, case)]
-    actual = run_case(strategy, op, case, mcio_overrides={"plan_cache": True})
-    for field, want in expected["stats"].items():
-        assert actual["stats"][field] == want, f"stats.{field} diverged"
-    assert actual["final_now_hex"] == expected["final_now_hex"]
-    assert actual["datastore_sha256"] == expected["datastore_sha256"]
-    assert actual.get("rank_payload_sha256") == expected.get(
-        "rank_payload_sha256"
-    )
-
-
 # the "pressure" case has skewed memory, so hybrid placement genuinely
 # borrows there (covered by tests/core/test_borrow.py); the replay below
 # asserts the *never-triggered* cells instead

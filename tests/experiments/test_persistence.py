@@ -38,10 +38,18 @@ def test_stats_roundtrip():
 
 def test_retired_stats_keys_still_load():
     """Documents from older releases may carry counters of removed
-    execution modes; loading ignores them instead of failing."""
+    execution modes or of the retired plan cache; loading ignores them
+    instead of failing."""
     original = make_stats()
     d = stats_to_dict(original)
     d["retired_mode_refusals"] = 1
+    d.update(
+        plan_cached=True,
+        plan_cache_hits=2,
+        plan_cache_misses=1,
+        plan_cache_invalidations=1,
+        planning_tree_queries=0,
+    )
     assert stats_from_dict(d) == original
 
 

@@ -86,9 +86,8 @@ def rank_payload(rank: int, nbytes: int) -> np.ndarray:
 
 #: CollectiveStats fields the vectorized driver must reproduce exactly.
 #: Excluded by design: ``elapsed`` (node-level timing is pinned by its
-#: own goldens, not by per-rank equality), the ``plan_cache*`` counters
-#: (a refused-then-fallen-back run can see one extra lookup) and the
-#: execution-mode fields themselves.
+#: own goldens, not by per-rank equality) and the execution-mode fields
+#: themselves.
 EQUIVALENT_FIELDS = (
     "strategy",
     "op",
@@ -136,6 +135,7 @@ def run_differential(
     memory_bytes: int = 10**9,
     audit: bool = True,
     memory_availability=None,
+    repeats: int = 1,
     **stack_kwargs,
 ):
     """Run one workload per-rank and vectorized on twin stacks.
@@ -146,6 +146,8 @@ def run_differential(
     path, the candidate the node-level vectorized driver.
     `memory_availability` (a per-node byte tuple) pins each node's
     available memory before planning, like the golden cases do.
+    `repeats` runs the operation back to back on each engine; the
+    returned stats are the last operation's.
     """
     from dataclasses import replace
 
@@ -174,13 +176,16 @@ def run_differential(
         if auditor is not None:
             auditor.attach(engine)
         if mode == "vectorized":
-            run_vectorized_collective(engine, patterns, op)
+            for _ in range(repeats):
+                run_vectorized_collective(engine, patterns, op)
         else:
             def main(ctx):
                 fn = engine.write if op == "write" else engine.read
-                yield from fn(ctx, patterns[ctx.rank])
+                for _ in range(repeats):
+                    yield from fn(ctx, patterns[ctx.rank])
 
             stack.run_spmd(main)
+        assert len(engine.history) == repeats
         results.append((engine.history[-1], auditor))
     (ref, ref_aud), (cand, cand_aud) = results
     return ref, cand, ref_aud, cand_aud

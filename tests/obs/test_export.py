@@ -35,9 +35,7 @@ def traced_run():
     )
     tracer = Tracer().install(stack.env)
     stack.cluster.set_memory_availability(case.memory_availability)
-    engine = make_engine(
-        "mcio", stack, case, mcio_overrides={"plan_cache": True}
-    )
+    engine = make_engine("mcio", stack, case)
     injector = FaultInjector(
         stack.env,
         stack.cluster,
@@ -77,21 +75,17 @@ def test_run_produced_events_without_drops(traced_run):
 def test_expected_categories_present(traced_run):
     cats = {ev.cat for ev in traced_run.events()}
     for expected in (
-        "collective", "shuffle", "comm", "pfs", "plan", "plan_cache",
-        "fault", "kernel",
+        "collective", "shuffle", "comm", "pfs", "plan", "fault", "kernel",
     ):
         assert expected in cats, f"no {expected!r} events in trace"
 
 
-def test_planning_phases_and_cache_events(traced_run):
+def test_planning_phases_once_per_collective(traced_run):
     names = [ev.name for ev in traced_run.events()]
-    for phase in ("plan.group_division", "plan.partition_tree", "plan.placement"):
+    for phase in ("plan.partition_tree", "plan.placement"):
         assert phase in names
-    # two identical writes: the first misses, the second hits (or the
-    # shock crossed a bucket and forced an invalidation + replan)
-    cache_events = {n for n in names if n.startswith("plan_cache.")}
-    assert "plan_cache.miss" in cache_events
-    assert cache_events & {"plan_cache.hit", "plan_cache.invalidate"}
+    # two identical blocking writes: each plans from its own snapshot
+    assert names.count("plan.group_division") == 2
 
 
 def test_fault_instants_on_target_tracks(traced_run):

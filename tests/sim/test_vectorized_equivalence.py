@@ -6,8 +6,8 @@ deterministic accounting field of the per-rank reference — bytes,
 rounds, aggregator placements, shuffle locality split, tiers, groups —
 and must feed the byte-conservation auditor an identical
 attempt/extent/shuffle record.  Only ``elapsed`` (pinned separately by
-the vectorized goldens), the plan-cache counters, and the
-execution-mode fields themselves may differ.
+the vectorized goldens) and the execution-mode fields themselves may
+differ.
 
 The matrix here reuses the golden-trace cluster cases (uniform memory,
 skewed pressure with remerges, tiny paged memory) so the differential
@@ -55,12 +55,13 @@ def case_config(case, **overrides) -> MCIOConfig:
     return MCIOConfig(**kwargs)
 
 
-def run_case_differential(case, op, **config_overrides):
+def run_case_differential(case, op, repeats=1, **config_overrides):
     patterns = build_patterns(case)
     return run_differential(
         patterns,
         case_config(case, **config_overrides),
         op=op,
+        repeats=repeats,
         n_ranks=case.n_ranks,
         n_nodes=case.n_nodes,
         cores=case.cores,
@@ -94,10 +95,11 @@ def test_audit_records_equivalent(case_name, op):
 
 
 @pytest.mark.parametrize("op", ["write", "read"])
-def test_plan_cache_hit_parity(op):
-    """Back-to-back ops: the second hits the plan cache in both modes."""
+def test_back_to_back_parity(op):
+    """Two ops per engine: the second replans identically in both modes,
+    past the sequence slot the first vectorized op claimed."""
     case = CASES["uniform"]
-    (ref, vec, _, _), _ = run_case_differential(case, op, plan_cache=True)
+    (ref, vec, _, _), _ = run_case_differential(case, op, repeats=2)
     assert_stats_equivalent(ref, vec)
 
 

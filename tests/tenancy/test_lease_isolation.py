@@ -2,11 +2,11 @@
 
 Before tenancy, the lease ledger was cluster-wide and every engine
 listened to every grant/revoke/expire — correct with one job, but with
-N tenants a busy borrower would flush every *other* tenant's plan cache
-and persistent handles on each lease event.  These tests pin the filter
-rule: a lease tagged with tenant T only invalidates engines (and
-caches) owned by T; untagged leases and untenanted engines keep the old
-everyone-invalidates behaviour.
+N tenants a busy borrower would stale every *other* tenant's persistent
+handles on each lease event.  These tests pin the filter rule, observed
+through each engine's plan-invalidation feed: a lease tagged with
+tenant T only invalidates engines owned by T; untagged leases and
+untenanted engines keep the old everyone-invalidates behaviour.
 """
 
 from __future__ import annotations
@@ -19,11 +19,17 @@ from tests.helpers import make_stack
 KIB = 1024
 
 
-def _cache_cfg() -> MCIOConfig:
+def _cfg() -> MCIOConfig:
     return MCIOConfig(
-        msg_ind=4 * 1024 * 1024, mem_min=0, nah=4,
-        cb_buffer_size=64 * KIB, plan_cache=True,
+        msg_ind=4 * 1024 * 1024, mem_min=0, nah=4, cb_buffer_size=64 * KIB,
     )
+
+
+def _reasons(engine) -> list:
+    """Invalidation reasons `engine` publishes from now on."""
+    seen: list = []
+    engine.add_invalidation_listener(seen.append)
+    return seen
 
 
 def _two_tenant_stack():
@@ -31,10 +37,10 @@ def _two_tenant_stack():
     stack = make_stack(n_ranks=8, n_nodes=4, cores=2)
     comm_b = SimComm(stack.env, stack.cluster, [0, 0, 1, 1, 2, 2, 3, 3])
     engine_a = MemoryConsciousCollectiveIO(
-        stack.comm, stack.pfs, _cache_cfg(), tenant="A"
+        stack.comm, stack.pfs, _cfg(), tenant="A"
     )
     engine_b = MemoryConsciousCollectiveIO(
-        comm_b, stack.pfs, _cache_cfg(), tenant="B"
+        comm_b, stack.pfs, _cfg(), tenant="B"
     )
     return stack, engine_a, engine_b
 
@@ -55,24 +61,14 @@ class TestLeaseTenantTag:
         assert lease.tenant == "A"
         assert _grant(stack, None).tenant is None
 
-    def test_digest_filters_foreign_tenants(self):
-        stack = make_stack(n_ranks=4, n_nodes=2, cores=2)
-        _grant(stack, "A")
-        _grant(stack, "B")
-        _grant(stack, None)
-        ledger = stack.cluster.memory_ledger
-        assert len(ledger.digest()) == 3
-        # tenant A sees its own leases and untagged ones, not B's
-        assert len(ledger.digest(tenant="A")) == 2
-        assert len(ledger.digest(tenant="B")) == 2
-
 
 class TestCrossTenantIsolation:
     def test_foreign_grant_leaves_cache_alone(self):
         stack, engine_a, engine_b = _two_tenant_stack()
+        hits_a, hits_b = _reasons(engine_a), _reasons(engine_b)
         _grant(stack, "B")
-        assert engine_a.plan_cache.stats.invalidations == 0
-        assert engine_b.plan_cache.stats.invalidations >= 1
+        assert hits_a == []
+        assert hits_b == ["lease-grant"]
 
     def test_foreign_revoke_leaves_handles_alone(self):
         stack, engine_a, engine_b = _two_tenant_stack()
@@ -86,23 +82,25 @@ class TestCrossTenantIsolation:
 
     def test_untagged_lease_invalidates_everyone(self):
         stack, engine_a, engine_b = _two_tenant_stack()
+        hits_a, hits_b = _reasons(engine_a), _reasons(engine_b)
         _grant(stack, None)
-        assert engine_a.plan_cache.stats.invalidations >= 1
-        assert engine_b.plan_cache.stats.invalidations >= 1
+        assert hits_a == ["lease-grant"]
+        assert hits_b == ["lease-grant"]
 
     def test_untenanted_engine_sees_tagged_leases(self):
         """Single-job setups (tenant=None) keep the old behaviour."""
         stack = make_stack(n_ranks=8, n_nodes=4, cores=2)
-        engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, _cache_cfg())
+        engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, _cfg())
+        hits = _reasons(engine)
         _grant(stack, "A")
-        assert engine.plan_cache.stats.invalidations >= 1
+        assert hits == ["lease-grant"]
 
     def test_renew_release_never_invalidate(self):
         """Only grant/revoke/expire change placement inputs."""
         stack, engine_a, engine_b = _two_tenant_stack()
         lease = _grant(stack, "A")
-        before = engine_a.plan_cache.stats.invalidations
+        hits_a = _reasons(engine_a)
         ledger = stack.cluster.memory_ledger
         ledger.renew(lease, now=stack.env.now, term=10.0)
         ledger.release(lease, now=stack.env.now)
-        assert engine_a.plan_cache.stats.invalidations == before
+        assert hits_a == []
