@@ -254,7 +254,7 @@ def _abort(run, session: BorrowSession, t: int, reasons) -> None:
         else:
             ledger.release(lease, now)
             run.stats.record_lease("released")
-    if ctx.rank == run.comm.world.ranks[0]:
+    if ctx.rank == 0:
         run.stats.record_borrow_fallback()
         run.stats.extra["borrow_fallback_round"] = t
         run.stats.extra["borrow_fallback_reason"] = ";".join(

@@ -626,7 +626,7 @@ def _failover_check(run: _RunContext, t: int):
                         comm.placement[ctx.rank], ctx.rank,
                         domain=did, round=t, from_rank=old.aggregator_rank,
                     )
-    if decision.kept and ctx.rank == comm.world.ranks[0]:
+    if decision.kept and ctx.rank == 0:
         run.stats.extra["failover_kept"] = (
             run.stats.extra.get("failover_kept", 0) + len(decision.kept)
         )

@@ -62,14 +62,6 @@ class Extent:
         """True for zero-length extents."""
         return self.length == 0
 
-    def intersect(self, other: "Extent") -> Optional["Extent"]:
-        """Overlap with `other`, or None if disjoint/empty."""
-        lo = max(self.offset, other.offset)
-        hi = min(self.end, other.end)
-        if hi <= lo:
-            return None
-        return Extent(lo, hi - lo)
-
     def clip(self, lo: int, hi: int) -> Optional["Extent"]:
         """Portion inside ``[lo, hi)``, or None."""
         start = max(self.offset, lo)

@@ -69,23 +69,6 @@ def _per_rank_fallback(
     return final
 
 
-def _meta_allgather_time(comm, views: FileViews) -> float:
-    """Time of the pattern-metadata allgather, as the per-rank path charges it."""
-    size = comm.size
-    hops = max(1, (size - 1).bit_length()) if size > 1 else 0
-    nbytes_max = 32 * (1 + views.max_segment_count)
-    latency = comm.cluster.spec.node.nic_latency
-    return hops * (latency + nbytes_max / comm.metadata_bandwidth)
-
-
-def _collective_time(comm, nbytes_max: int) -> float:
-    """Generic collective metadata charge (allgathers, barriers)."""
-    size = comm.size
-    hops = max(1, (size - 1).bit_length()) if size > 1 else 0
-    latency = comm.cluster.spec.node.nic_latency
-    return hops * (latency + nbytes_max / comm.metadata_bandwidth)
-
-
 def _window_node_traffic(views: FileViews, placement_arr, window):
     """The window's senders and ``[(node_id, [per-rank bytes])]`` by node.
 
@@ -173,9 +156,10 @@ def run_vectorized_collective(
     nodes = comm.cluster.nodes
     n_ranks = comm.size
     placement_arr = comm.placement_array
-    meta_t = _meta_allgather_time(comm, views)
-    mem_t = _collective_time(comm, 16)
-    barrier_t = _collective_time(comm, 0)
+    # the largest pattern-allgather contribution, as the per-rank path sizes it
+    meta_t = comm.collective_time(32 * (1 + views.max_segment_count))
+    mem_t = comm.collective_time(16)
+    barrier_t = comm.collective_time(0)
     tracer = env.tracer
 
     def _write_window(window, agg_node, paged, paged_wire):

@@ -3,7 +3,7 @@
 Substitutes for MPICH2/mpi4py on the simulated cluster (see DESIGN.md §2).
 """
 
-from .comm import ANY_SOURCE, ANY_TAG, CommGroup, Message, RankContext, SimComm
+from .comm import ANY_SOURCE, ANY_TAG, Message, RankContext, SimComm
 from .file import SimFile
 from .request import Request, waitall
 from .datatypes import (
@@ -18,7 +18,6 @@ from .datatypes import (
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "CommGroup",
     "Message",
     "RankContext",
     "Request",

@@ -5,13 +5,12 @@ surface that ROMIO-style collective I/O is written against:
 
 * point-to-point ``send``/``recv``/``isend`` with tag matching, charged on
   the cluster network (NIC contention, intra-node shared-memory path);
-* group collectives (``barrier``, ``bcast``, ``gather``, ``allgather``,
-  ``alltoall``, ``allreduce``) with value semantics identical to MPI and a
-  binomial-tree time charge — these carry *metadata* (offset lists, sizes);
-  bulk shuffle data always moves through explicit p2p so contention and
-  memory effects are simulated per message;
-* sub-groups (:meth:`SimComm.group`) so MCIO's aggregation groups can run
-  their own collectives independently, like a communicator split;
+* ``barrier`` and ``allgather`` over the world, with value semantics
+  identical to MPI and a binomial-tree time charge
+  (:meth:`SimComm.collective_time`) — these carry *metadata* (offset
+  lists, memory snapshots); bulk shuffle data always moves through
+  explicit p2p so contention and memory effects are simulated per
+  message;
 * :meth:`SimComm.counted_barrier`, which lets a rank with nothing to do
   pass several barriers in one call, on the schedule of one call each.
 
@@ -30,7 +29,11 @@ import numpy as np
 from repro.cluster import Cluster, Node
 from repro.sim import Environment, Event, Process
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "Message", "RankContext", "CommGroup", "SimComm"]
+__all__ = ["ANY_SOURCE", "ANY_TAG", "Message", "RankContext", "SimComm"]
+
+#: Effective bytes/second of collective metadata in
+#: :meth:`SimComm.collective_time`.
+METADATA_BANDWIDTH = 1e9
 
 
 class _AnySentinel:
@@ -84,50 +87,6 @@ class RankContext:
         return self.comm.env.process(generator, name=name or f"rank{self.rank}.sub")
 
 
-class CommGroup:
-    """An ordered subset of world ranks with its own collective context.
-
-    A ``range`` is accepted and kept as-is: the world group of a
-    million-rank communicator must not materialise a million-entry tuple
-    and rank->index dict just to answer O(1) membership questions.
-    """
-
-    _next_gid = 1
-
-    def __init__(self, ranks: Sequence[int], gid: Optional[int] = None):
-        if isinstance(ranks, range):
-            self.ranks: Sequence[int] = ranks
-            self._index: Optional[dict[int, int]] = None
-        else:
-            self.ranks = tuple(ranks)
-            if len(set(self.ranks)) != len(self.ranks):
-                raise ValueError("duplicate ranks in group")
-            self._index = {r: i for i, r in enumerate(self.ranks)}
-        if gid is None:
-            gid = CommGroup._next_gid
-            CommGroup._next_gid += 1
-        self.gid = gid
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the group."""
-        return len(self.ranks)
-
-    def index_of(self, rank: int) -> int:
-        """Position of `rank` inside the group."""
-        if self._index is None:
-            return self.ranks.index(rank)  # range.index is O(1)
-        return self._index[rank]
-
-    def __contains__(self, rank: int) -> bool:
-        if self._index is None:
-            return rank in self.ranks  # range membership is O(1)
-        return rank in self._index
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CommGroup gid={self.gid} size={self.size}>"
-
-
 class _LazyDequeMap(dict):
     """``{rank: deque}`` materialising entries on first touch.
 
@@ -164,11 +123,10 @@ class _Sleeper:
     would: at the last one, or at an earlier one after a host failure.
     """
 
-    __slots__ = ("comm", "gid", "rank", "first", "events", "token")
+    __slots__ = ("comm", "rank", "first", "events", "token")
 
-    def __init__(self, comm, gid, rank, first, events, token):
+    def __init__(self, comm, rank, first, events, token):
         self.comm = comm
-        self.gid = gid
         self.rank = rank
         self.first = first
         self.events = events
@@ -196,8 +154,6 @@ class SimComm:
     placement:
         ``placement[rank]`` = node id, e.g. from
         :func:`repro.cluster.block_placement`.
-    metadata_bandwidth:
-        Effective bytes/second used for collective metadata time charges.
     """
 
     def __init__(
@@ -205,7 +161,6 @@ class SimComm:
         env: Environment,
         cluster: Cluster,
         placement: Sequence[int],
-        metadata_bandwidth: float = 1e9,
     ):
         from repro.cluster.placement import validate_placement
 
@@ -221,14 +176,12 @@ class SimComm:
         #: The same placement as a tuple, for per-rank lookups.
         self.placement = tuple(placement)
         self.size = len(placement)
-        self.metadata_bandwidth = float(metadata_bandwidth)
-        self.world = CommGroup(range(self.size), gid=0)
         self._mail: Mapping[int, deque[Message]] = _LazyDequeMap()
         self._recv_posts: Mapping[int, deque[tuple[Event, Any, Any]]] = (
             _LazyDequeMap()
         )
-        self._coll_state: dict[tuple[str, int, int], _CollectiveState] = {}
-        self._coll_seq: dict[tuple[int, str, int], int] = {}
+        self._coll_state: dict[tuple[str, int], _CollectiveState] = {}
+        self._coll_seq: dict[tuple[int, str], int] = {}
 
     # ------------------------------------------------------------------
     # topology
@@ -244,13 +197,6 @@ class SimComm:
     def ranks_on_node(self, node_id: int) -> list[int]:
         """All ranks placed on `node_id`, in rank order."""
         return [r for r in range(self.size) if self.placement[r] == node_id]
-
-    def group(self, ranks: Sequence[int]) -> CommGroup:
-        """Create a collective sub-group (like MPI_Comm_split)."""
-        for r in ranks:
-            if not 0 <= r < self.size:
-                raise ValueError(f"rank {r} out of range")
-        return CommGroup(tuple(ranks))
 
     # ------------------------------------------------------------------
     # SPMD launch
@@ -364,11 +310,21 @@ class SimComm:
     # ------------------------------------------------------------------
     # collectives (metadata plane)
     # ------------------------------------------------------------------
+    def collective_time(self, nbytes_max: int) -> float:
+        """Binomial-tree charge of one collective over the world.
+
+        One NIC latency plus the largest contribution at
+        :data:`METADATA_BANDWIDTH` per tree level.  Both drivers charge
+        their metadata collectives through this one formula.
+        """
+        hops = (self.size - 1).bit_length()
+        latency = self.cluster.spec.node.nic_latency
+        return hops * (latency + nbytes_max / METADATA_BANDWIDTH)
+
     def _collective(
         self,
         ctx: RankContext,
         op: str,
-        group: Optional[CommGroup],
         value: Any,
         nbytes: int,
         ordered: bool = False,
@@ -376,18 +332,15 @@ class SimComm:
         """Shared rendezvous machinery for all collectives.
 
         Returns the dict of all participants' deposited values (keyed by
-        rank), after charging a binomial-tree latency + metadata transfer.
-        With `ordered`, returns them instead as one list in group rank
-        order, built once per rendezvous and shared by every participant.
+        rank), after charging :meth:`collective_time`.  With `ordered`,
+        returns them instead as one list in rank order, built once per
+        rendezvous and shared by every participant.
         """
-        grp = group if group is not None else self.world
-        if ctx.rank not in grp:
-            raise ValueError(f"rank {ctx.rank} not in group {grp!r}")
-        seq_key = (ctx.rank, op, grp.gid)
+        seq_key = (ctx.rank, op)
         seq = self._coll_seq.get(seq_key, 0)
         self._coll_seq[seq_key] = seq + 1
 
-        state_key = (op, grp.gid, seq)
+        state_key = (op, seq)
         state = self._coll_state.get(state_key)
         if state is None:
             state = _CollectiveState(event=self.env.event())
@@ -397,14 +350,12 @@ class SimComm:
         state.values[ctx.rank] = value
         state.nbytes_max = max(state.nbytes_max, nbytes)
 
-        if len(state.values) == grp.size:
+        if len(state.values) == self.size:
             del self._coll_state[state_key]
-            hops = max(1, (grp.size - 1).bit_length()) if grp.size > 1 else 0
-            latency = self.cluster.spec.node.nic_latency
-            t = hops * (latency + state.nbytes_max / self.metadata_bandwidth)
+            t = self.collective_time(state.nbytes_max)
             values = state.values
             if ordered:
-                values = [values[r] for r in grp.ranks]
+                values = [values[r] for r in range(self.size)]
 
             def _complete(env, event, result, delay):
                 yield env.sleep(delay)
@@ -412,7 +363,7 @@ class SimComm:
 
             self.env.process(
                 _complete(self.env, state.event, values, t),
-                name=f"coll.{op}.{grp.gid}.{seq}",
+                name=f"coll.{op}.{seq}",
             )
         tracer = self.env.tracer
         t0 = tracer.now() if tracer.enabled else 0.0
@@ -422,17 +373,15 @@ class SimComm:
                 "comm", f"coll.{op}",
                 self.placement[ctx.rank], ctx.rank,
                 t0, tracer.now() - t0,
-                group=grp.gid, size=grp.size,
+                size=self.size,
             )
         return values
 
-    def barrier(self, ctx: RankContext, group: Optional[CommGroup] = None):
-        """Process generator: synchronize all ranks of the group."""
-        yield from self._collective(ctx, "barrier", group, None, 0)
+    def barrier(self, ctx: RankContext):
+        """Process generator: synchronize all ranks."""
+        yield from self._collective(ctx, "barrier", None, 0)
 
-    def counted_barrier(
-        self, ctx: RankContext, count: int, group: Optional[CommGroup] = None
-    ):
+    def counted_barrier(self, ctx: RankContext, count: int):
         """Process generator: this rank's next `count` barriers in one call.
 
         For a rank with nothing to exchange until after the `count`-th
@@ -460,21 +409,18 @@ class SimComm:
         arrive by itself, as the aggregator with work does in every round
         of a collective — and raises if it would.
         """
-        grp = group if group is not None else self.world
-        if ctx.rank not in grp:
-            raise ValueError(f"rank {ctx.rank} not in group {grp!r}")
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        seq_key = (ctx.rank, "barrier", grp.gid)
+        seq_key = (ctx.rank, "barrier")
         first = self._coll_seq.get(seq_key, 0)
-        state = self._coll_state.get(("barrier", grp.gid, first))
+        state = self._coll_state.get(("barrier", first))
         if state is not None and len(state.values) > state.early:
-            yield from self._collective(ctx, "barrier", group, None, 0)
+            yield from self._collective(ctx, "barrier", None, 0)
             return 1
         self._coll_seq[seq_key] = first + count
         events = []
         for seq in range(first, first + count):
-            key = ("barrier", grp.gid, seq)
+            key = ("barrier", seq)
             state = self._coll_state.get(key)
             if state is None:
                 state = _CollectiveState(event=self.env.event())
@@ -483,7 +429,7 @@ class SimComm:
                 raise RuntimeError(f"rank {ctx.rank} re-entered collective {key}")
             state.values[ctx.rank] = None
             state.early += 1
-            if len(state.values) == grp.size:
+            if len(state.values) == self.size:
                 raise RuntimeError(
                     f"idle arrival of rank {ctx.rank} would complete {key}"
                 )
@@ -494,9 +440,7 @@ class SimComm:
             yield events[0]
             passed = 1
         else:
-            sleeper = _Sleeper(
-                self, grp.gid, ctx.rank, first, events, self.env.event()
-            )
+            sleeper = _Sleeper(self, ctx.rank, first, events, self.env.event())
             released = sleeper.released
             for event in events:
                 event.callbacks.append(released)
@@ -506,7 +450,7 @@ class SimComm:
                 "comm", "coll.barrier",
                 self.placement[ctx.rank], ctx.rank,
                 t0, tracer.now() - t0,
-                group=grp.gid, size=grp.size, barriers=passed,
+                size=self.size, barriers=passed,
             )
         return passed
 
@@ -515,97 +459,23 @@ class SimComm:
         released = sleeper.released
         first = sleeper.first
         for seq in range(first + passed, first + len(sleeper.events)):
-            key = ("barrier", sleeper.gid, seq)
+            key = ("barrier", seq)
             state = self._coll_state[key]
             del state.values[sleeper.rank]
             state.early -= 1
             state.event.callbacks.remove(released)
             if not state.values:
                 del self._coll_state[key]
-        self._coll_seq[(sleeper.rank, "barrier", sleeper.gid)] = first + passed
+        self._coll_seq[(sleeper.rank, "barrier")] = first + passed
 
-    def bcast(
-        self,
-        ctx: RankContext,
-        value: Any = None,
-        root: int = 0,
-        group: Optional[CommGroup] = None,
-        nbytes: int = 64,
-    ):
-        """Process generator: every rank returns the root's value."""
-        values = yield from self._collective(ctx, "bcast", group, value, nbytes)
-        if root not in values:
-            raise ValueError(f"bcast root {root} not in group")
-        return values[root]
-
-    def gather(
-        self,
-        ctx: RankContext,
-        value: Any,
-        root: int = 0,
-        group: Optional[CommGroup] = None,
-        nbytes: int = 64,
-    ):
-        """Process generator: root returns the list of values (group order),
-        others return None."""
-        grp = group if group is not None else self.world
-        values = yield from self._collective(ctx, "gather", group, value, nbytes)
-        if ctx.rank != root:
-            return None
-        return [values[r] for r in grp.ranks]
-
-    def allgather(
-        self,
-        ctx: RankContext,
-        value: Any,
-        group: Optional[CommGroup] = None,
-        nbytes: int = 64,
-    ):
+    def allgather(self, ctx: RankContext, value: Any, nbytes: int = 64):
         """Process generator: every rank returns the list of all values.
 
-        The list (group rank order) is built once per rendezvous and is
-        the same object on every rank of the group: read it, never
-        mutate it.
+        The list (rank order) is built once per rendezvous and is the same
+        object on every rank: read it, never mutate it.
         """
         return (
             yield from self._collective(
-                ctx, "allgather", group, value, nbytes, ordered=True
+                ctx, "allgather", value, nbytes, ordered=True
             )
         )
-
-    def alltoall(
-        self,
-        ctx: RankContext,
-        values: Sequence[Any],
-        group: Optional[CommGroup] = None,
-        nbytes: int = 64,
-    ):
-        """Process generator: metadata all-to-all.
-
-        `values[i]` goes to the group's i-th rank; returns the list received
-        (entry j from the group's j-th rank).
-        """
-        grp = group if group is not None else self.world
-        if len(values) != grp.size:
-            raise ValueError(f"need {grp.size} values, got {len(values)}")
-        all_values = yield from self._collective(
-            ctx, "alltoall", group, list(values), nbytes
-        )
-        my_index = grp.index_of(ctx.rank)
-        return [all_values[r][my_index] for r in grp.ranks]
-
-    def allreduce(
-        self,
-        ctx: RankContext,
-        value: Any,
-        op: Callable[[Any, Any], Any] = lambda a, b: a + b,
-        group: Optional[CommGroup] = None,
-        nbytes: int = 64,
-    ):
-        """Process generator: every rank returns the reduction of all values."""
-        grp = group if group is not None else self.world
-        values = yield from self._collective(ctx, "allreduce", group, value, nbytes)
-        acc = values[grp.ranks[0]]
-        for r in grp.ranks[1:]:
-            acc = op(acc, values[r])
-        return acc

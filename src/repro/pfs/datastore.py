@@ -83,8 +83,3 @@ class SparseFile:
                 out[pos : pos + take] = chunk[within : within + take]
             pos += take
         return out
-
-    def truncate(self) -> None:
-        """Discard all contents."""
-        self._chunks.clear()
-        self._size = 0

@@ -309,17 +309,6 @@ class ParallelFileSystem:
         return None
 
     # ------------------------------------------------------------------
-    def estimate_extent_time(self, client: Node, ext: Extent) -> float:
-        """Uncontended service time for a contiguous extent (planning aid)."""
-        plan = self._extent_plan(ext)
-        if not plan:
-            return 0.0
-        nic = client.spec.nic_latency + ext.length / client.spec.nic_bandwidth
-        server = max(
-            self.servers[s].service_time(nbytes, reqs) for s, nbytes, reqs in plan
-        )
-        return max(nic, server)
-
     def server_stats(self) -> list[tuple[int, int, int]]:
         """``(server_id, bytes_served, requests_served)`` per server."""
         return [(s.server_id, s.bytes_served, s.requests_served) for s in self.servers]

@@ -54,10 +54,6 @@ class StripeLayout:
         """Server holding byte `offset`."""
         return self.stripe_of(offset) % self.n_servers
 
-    def stripe_extent(self, stripe: int) -> Extent:
-        """The byte range of stripe index `stripe`."""
-        return Extent(stripe * self.stripe_size, self.stripe_size)
-
     # ------------------------------------------------------------------
     def split_extent(self, ext: Extent) -> Iterator[tuple[int, Extent]]:
         """Yield ``(server, piece)`` per stripe piece of `ext`, in file order.
@@ -177,10 +173,3 @@ class StripeLayout:
         """Servers holding at least one byte of `ext`, ascending."""
         return [server for server, _ in self.extent_load(ext)]
 
-    def align_down(self, offset: int) -> int:
-        """Largest stripe boundary <= `offset`."""
-        return (offset // self.stripe_size) * self.stripe_size
-
-    def align_up(self, offset: int) -> int:
-        """Smallest stripe boundary >= `offset`."""
-        return -(-offset // self.stripe_size) * self.stripe_size

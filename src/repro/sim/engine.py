@@ -427,10 +427,6 @@ class Process(Event):
         self._target = next_target
 
 
-class ConditionError(SimulationError):
-    """A sub-event of a condition failed."""
-
-
 class AllOf(Event):
     """Composite event that fires when *all* sub-events have fired.
 
@@ -809,7 +805,3 @@ class Environment:
         if stop_time is not None:
             self._now = stop_time
         return None
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")

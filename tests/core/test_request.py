@@ -25,11 +25,6 @@ class TestExtent:
         assert e.contains(10) and e.contains(14)
         assert not e.contains(15) and not e.contains(9)
 
-    def test_intersect(self):
-        assert Extent(0, 10).intersect(Extent(5, 10)) == Extent(5, 5)
-        assert Extent(0, 10).intersect(Extent(10, 5)) is None
-        assert Extent(0, 10).intersect(Extent(20, 5)) is None
-
     def test_clip(self):
         assert Extent(0, 100).clip(10, 20) == Extent(10, 10)
         assert Extent(0, 100).clip(100, 200) is None

@@ -53,14 +53,6 @@ def test_zero_length_write_noop():
     assert f.size == 0
 
 
-def test_truncate():
-    f = SparseFile()
-    f.write(0, b"hello")
-    f.truncate()
-    assert f.size == 0
-    assert (f.read(0, 5) == 0).all()
-
-
 def test_validation():
     with pytest.raises(ValueError):
         SparseFile(chunk_size=0)

@@ -212,20 +212,6 @@ def test_payload_length_mismatch_rejected():
         env.run()
 
 
-def test_estimate_extent_time_close_to_actual():
-    env, cluster, pfs = make_pfs(servers=4)
-    node = cluster.nodes[0]
-    ext = Extent(0, 400)
-    est = pfs.estimate_extent_time(node, ext)
-
-    def proc():
-        yield from pfs.write_extent(node, ext)
-        return env.now
-
-    t = run(env, proc())
-    assert t == pytest.approx(est, rel=0.05)
-
-
 def test_without_datastore_reads_return_none():
     env, cluster, pfs = make_pfs(with_data=False)
     node = cluster.nodes[0]

@@ -17,10 +17,6 @@ class TestBasics:
         assert lay.server_of(0) == 0
         assert lay.server_of(450) == 0  # stripe 4 -> server 0
 
-    def test_stripe_extent(self):
-        lay = StripeLayout(100, 4)
-        assert lay.stripe_extent(3) == Extent(300, 100)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             StripeLayout(0, 4)
@@ -29,12 +25,6 @@ class TestBasics:
         lay = StripeLayout(100, 4)
         with pytest.raises(ValueError):
             lay.stripe_of(-1)
-
-    def test_align(self):
-        lay = StripeLayout(100, 4)
-        assert lay.align_down(250) == 200
-        assert lay.align_up(250) == 300
-        assert lay.align_up(300) == 300
 
 
 class TestSplitExtent:

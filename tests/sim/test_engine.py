@@ -298,18 +298,6 @@ def test_process_requires_generator():
         env.process(lambda: None)  # type: ignore[arg-type]
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-
-    def proc(env):
-        yield env.timeout(7)
-
-    env.process(proc(env))
-    # initialization event is at t=0
-    assert env.peek() == 0.0
-
-
 def test_determinism_same_program_same_trace():
     def build_and_run():
         env = Environment()
