@@ -52,8 +52,8 @@ class TwoPhaseConfig:
         Number of aggregators; ``None`` = ROMIO default of exactly one
         process per node.
 
-    File domains are always stripe-aligned
-    (:data:`~repro.core.two_phase.STRIPE_ALIGN`).
+    File domains are always stripe-aligned (the PFS layout's stripe
+    size).
     """
 
     cb_buffer_size: int = 16 * MIB

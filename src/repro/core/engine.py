@@ -22,9 +22,11 @@ Round synchronisation.  ROMIO's ``ADIOI_Exch_and_write`` loops a global
 ``ntimes = max(rounds over aggregators)`` with an all-to-all exchange per
 iteration, so every rank advances through buffer rounds in lockstep; a
 slow aggregator (paged buffer, contended server) stalls *everyone* each
-round.  Every per-rank collective reproduces exactly that: the
-lockstep runner walks ``ntimes`` rounds behind a barrier each, and the
-pipelined runner walks half-sized sub-rounds the same way.  The barrier
+round.  Every per-rank collective reproduces exactly that in one
+round loop, :func:`_run_rounds`: a lockstep run walks ``ntimes`` rounds
+behind a barrier each and serves the PFS inside its round, and a
+pipelined run walks half-sized windows the same way while each window's
+PFS service runs behind the next window's shuffle.  The barrier
 stands for the per-round count exchange, and a rank with nothing to
 exchange pays no host time for it: the collective's
 :class:`RoundIndex` lists each rank's busy rounds and their work, and
@@ -120,7 +122,7 @@ class ExecutionPlan:
         domains: Optional[Sequence[FileDomain]] = None,
     ) -> "RoundIndex":
         """Every rank's work per round, built once and shared by every
-        rank of the collective.  `half` selects the pipelined runner's
+        rank of the collective.  `half` selects a pipelined run's
         half-sized windows; `domains` a failover's reassignment of the
         plan's domains (extents and buffers never move)."""
         key = (half, None if domains is None else tuple(domains))
@@ -182,7 +184,7 @@ def round_window(
     """Window `t` of `domain`, or None past the domain's last one.
 
     A window is one aggregation buffer of the domain, or with `half` one
-    of the pipelined runner's two half-slots inside it.
+    of a pipelined run's two half-slots inside it.
     """
     width = (domain.buffer_bytes + 1) // 2 if half else domain.buffer_bytes
     lo = domain.extent.offset + t * width
@@ -391,11 +393,11 @@ def execute_collective(
     """Process generator: one rank's role in a planned collective op.
 
     The driver is the collective's path decision,
-    ``stats.path.driver``: ``"pipelined"`` overlaps each window's
-    shuffle with the previous window's PFS service inside the planned
-    buffers (:func:`_run_pipelined`, which also drains and re-arms
-    failover when a host fails mid-run); anything else runs ROMIO's
-    lockstep rounds.
+    ``stats.path.driver``: ``"pipelined"`` walks half-sized windows and
+    overlaps each window's shuffle with the previous window's PFS
+    service inside the planned buffers (draining and arming failover
+    when a host fails mid-run); anything else runs ROMIO's lockstep
+    rounds.  Both walk the same round loop, :func:`_run_rounds`.
 
     Parameters
     ----------
@@ -418,8 +420,8 @@ def execute_collective(
         None for metadata-only runs.
     failover_config:
         An :class:`~repro.core.config.MCIOConfig` to enable mid-run
-        aggregator failover (between lockstep rounds), or None for
-        fault-oblivious execution.  With
+        aggregator failover (between rounds; a pipelined run arms it
+        when it degrades), or None for fault-oblivious execution.  With
         no failed hosts the check adds no simulation events, so
         fault-free timing is unchanged.
     borrow:
@@ -437,7 +439,6 @@ def execute_collective(
     """
     if op not in ("write", "read"):
         raise ValueError(f"op must be 'write' or 'read', got {op!r}")
-    pipelined = stats.path.driver == "pipelined"
     env = ctx.env
     stats.mark_start(env.now)
     stats.record_attempt()
@@ -445,9 +446,7 @@ def execute_collective(
         ctx, comm, pfs, plan, file_views(patterns), stats, op, op_seq, payload
     )
     run.borrow = borrow
-    run.bind_rounds(pipelined)
-    if not pipelined:
-        run.failover_config = failover_config
+    run.bind_rounds(half=stats.path.driver == "pipelined")
 
     tracer = env.tracer
     pid = comm.placement[ctx.rank]
@@ -481,10 +480,7 @@ def execute_collective(
                 # make grant outcomes common knowledge before round 0
                 yield from comm.barrier(ctx)
                 check_acquisition(run, borrow)
-            if pipelined:
-                yield from _run_pipelined(run, failover_config)
-            else:
-                yield from _run_lockstep(run)
+            yield from _run_rounds(run, failover_config)
             if borrow is not None:
                 release_leases(run, borrow)
         finally:
@@ -514,15 +510,47 @@ def _alloc_aggregator_buffer(run: _RunContext, did: int, domain: FileDomain):
 
 
 # ---------------------------------------------------------------------------
-# lockstep execution (ROMIO's ntimes loop)
+# the round loop (ROMIO's ntimes loop)
 # ---------------------------------------------------------------------------
-def _run_lockstep(run: _RunContext):
+def _run_rounds(run: _RunContext, failover_config):
+    """Walk the collective's rounds: exchange, then serve the PFS, behind
+    one barrier per round.
+
+    A lockstep run (full-sized round index) serves each window inline,
+    with `failover_config` armed from round 0.  A pipelined run
+    (``index.half``) is memory-conscious double buffering: each
+    aggregator splits its *planned* aggregation buffer into two
+    half-sized slots and walks the domain in half-windows, so two
+    windows are in flight inside the footprint the planner already
+    budgeted — nothing extra is committed against node memory.  Each
+    half-window's PFS service (drain to / prefetch from the OSTs) runs
+    as a background process across the round barrier; window t lands in
+    slot ``t % 2`` and waits for the service of window t-2 before reusing
+    it, so only the tail window's service is exposed.  Bytes, message
+    totals and the planned round count are those of the lockstep run.
+
+    A host failure noticed at a pipelined round boundary degrades the
+    rest of the run in place: in-flight write drains are awaited
+    (already-prefetched read windows are consumed, never re-read),
+    `failover_config` is armed so :func:`_failover_check` guards the
+    remaining rounds, and each remaining window is served without
+    overlap — the lockstep behaviour, at half-window granularity.
+    """
     ctx, comm = run.ctx, run.comm
-    ntimes = run.plan.ntimes
-    tracer = ctx.env.tracer
+    env = ctx.env
+    tracer = env.tracer
     pid = comm.placement[ctx.rank]
     # the aggregator's half of a round: gather + write, or read + scatter
     role = _collect_and_write if run.op == "write" else _read_and_scatter
+    if run.index.half:
+        ntimes = run.plan.half_ntimes
+        #: (did, window) -> in-flight background PFS-service process
+        service: Optional[dict] = {}
+    else:
+        ntimes = run.plan.ntimes
+        service = None
+        run.failover_config = failover_config
+    degraded = False
     t = 0
     while t < ntimes:
         if run.borrow is not None:
@@ -530,6 +558,15 @@ def _run_lockstep(run: _RunContext):
             # over (its buffer is remote), so borrow aborts preempt
             # the failover machinery for those domains
             borrow_round_check(run, run.borrow, t)
+        if service is not None and not degraded and comm.cluster.any_failed:
+            # drain the in-flight windows, then run the rest of the
+            # operation without overlap, with failover
+            degraded = True
+            run.failover_config = failover_config
+            if run.op == "write":
+                yield from _await_service(env, service)
+                service.clear()
+            run.stats.extra.setdefault("pipeline_drained_at", t)
         if run.failover_config is not None:
             yield from _failover_check(run, t)
         items, nxt = _round_work(run, t, ntimes)
@@ -542,20 +579,13 @@ def _run_lockstep(run: _RunContext):
             procs = []
             for did, window, aggregates, nbytes in items:
                 if aggregates:
-                    procs.append(
-                        ctx.spawn(
-                            role(run, did, window, t, run.paged_flags[did]),
-                            name=f"rank{ctx.rank}.agg{did}.r{t}",
-                        )
-                    )
+                    gen = role(run, did, window, t, service, degraded)
+                    name = f"rank{ctx.rank}.agg{did}.r{t}"
                 else:
-                    procs.append(
-                        ctx.spawn(
-                            _member_exchange(run, did, window, t, nbytes),
-                            name=f"rank{ctx.rank}.m{did}.r{t}",
-                        )
-                    )
-            yield ctx.env.all_of(procs)
+                    gen = _member_exchange(run, did, window, t, nbytes)
+                    name = f"rank{ctx.rank}.m{did}.r{t}"
+                procs.append(ctx.spawn(gen, name=name))
+            yield env.all_of(procs)
             # ROMIO's per-round synchronisation: the exchange of the next
             # round cannot start before everyone finished this one
             yield from comm.barrier(ctx)
@@ -563,6 +593,16 @@ def _run_lockstep(run: _RunContext):
             if tracer.enabled:
                 tracer.end(pid, ctx.rank, round=t)
         t += 1
+    if service:
+        # tail: the last windows' PFS service is still in flight
+        yield from _await_service(env, service)
+
+
+def _await_service(env, service: dict):
+    """Process generator: wait for every unfinished background stage."""
+    pending = [p for p in service.values() if not p.triggered]
+    if pending:
+        yield env.all_of(pending)
 
 
 def _failover_check(run: _RunContext, t: int):
@@ -630,227 +670,6 @@ def _failover_check(run: _RunContext, t: int):
         run.stats.extra["failover_kept"] = (
             run.stats.extra.get("failover_kept", 0) + len(decision.kept)
         )
-
-
-# ---------------------------------------------------------------------------
-# pipelined execution (lockstep shuffle, PFS service overlapped)
-# ---------------------------------------------------------------------------
-def _run_pipelined(run: _RunContext, failover_config):
-    """Lockstep sub-rounds with the PFS stage running behind the shuffle.
-
-    Memory-conscious double buffering: each aggregator splits its
-    *planned* aggregation buffer into two half-sized slots and walks the
-    domain in half-windows, so two windows are in flight inside the
-    footprint the planner already budgeted — nothing extra is committed
-    against node memory, in any regime.  Each half-window's work is a
-    *shuffle* stage (exchange + buffer assembly, in-round) and a
-    *PFS-service* stage (drain to / prefetch from the OSTs) running as a
-    background process across the round barrier.  Window t lands in slot
-    ``t % 2`` and must wait for the service of window t-2 (which used
-    the same slot) before reusing it; only the tail window's PFS service
-    is exposed on the critical path.  Bytes, message totals, and the
-    nominal (planned) round count are identical to the blocking path —
-    only the overlap structure differs.
-
-    A host failure noticed at a round boundary degrades the rest of the
-    run in place: in-flight write drains are awaited (already-prefetched
-    read windows are consumed, never re-read), `failover_config` is
-    re-armed so :func:`_failover_check` guards the remaining sub-rounds,
-    and each remaining window runs its PFS stage inline — the blocking
-    behaviour, at half-window granularity.
-    """
-    ctx, comm = run.ctx, run.comm
-    env = ctx.env
-    tracer = env.tracer
-    pid = comm.placement[ctx.rank]
-    ntimes = run.plan.half_ntimes
-    #: (did, window) -> in-flight background PFS-service process
-    service: dict[tuple[int, int], object] = {}
-    degraded = False
-    t = 0
-    while t < ntimes:
-        if not degraded and comm.cluster.any_failed:
-            # drain the in-flight windows, then run the rest of
-            # the operation at blocking fidelity with failover
-            degraded = True
-            run.failover_config = failover_config
-            if run.op == "write":
-                pending = [
-                    p for p in service.values() if not p.triggered
-                ]
-                if pending:
-                    yield env.all_of(pending)
-                service.clear()
-            run.stats.extra.setdefault("pipeline_drained_at", t)
-        if degraded and run.failover_config is not None:
-            yield from _failover_check(run, t)
-        items, nxt = _round_work(run, t, ntimes)
-        if items is None:
-            t = yield from _sleep_rounds(run, t, nxt)
-            continue
-        if tracer.enabled:
-            tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
-        try:
-            procs = []
-            for did, window, aggregates, nbytes in items:
-                if aggregates:
-                    procs.append(
-                        ctx.spawn(
-                            _pipeline_aggregator_window(
-                                run, did, window, t, service, degraded
-                            ),
-                            name=f"rank{ctx.rank}.pagg{did}.r{t}",
-                        )
-                    )
-                else:
-                    procs.append(
-                        ctx.spawn(
-                            _member_exchange(run, did, window, t, nbytes),
-                            name=f"rank{ctx.rank}.m{did}.r{t}",
-                        )
-                    )
-            yield env.all_of(procs)
-            yield from comm.barrier(ctx)
-        finally:
-            if tracer.enabled:
-                tracer.end(pid, ctx.rank, round=t)
-        t += 1
-    # tail: the last windows' PFS service is still in flight
-    pending = [p for p in service.values() if not p.triggered]
-    if pending:
-        yield env.all_of(pending)
-
-
-def _pipeline_aggregator_window(
-    run: _RunContext, did: int, window: Extent, t: int,
-    service: dict, degraded: bool,
-):
-    if run.op == "write":
-        yield from _pipeline_collect(run, did, window, t, service, degraded)
-    else:
-        yield from _pipeline_scatter(run, did, window, t, service, degraded)
-
-
-def _pipeline_collect(
-    run: _RunContext, did: int, window: Extent, t: int,
-    service: dict, degraded: bool,
-):
-    """Shuffle stage of one write window; the drain runs in background."""
-    ctx = run.ctx
-    # double buffering: window t reuses the slot window t-2 drained from
-    prev = service.pop((did, t - 2), None)
-    if prev is not None:
-        yield prev
-    expected = _expected_senders(run, did, window)
-    buffer, received = yield from _gather_window(run, did, window, t, expected)
-    if received == 0:
-        return
-    # both half-slots live inside the planned (primary) buffer
-    paged = run.paged_flags.get(did, False)
-    yield from run.node.memcopy(received, paged=paged)
-    if degraded:
-        yield from _pipeline_drain(run, did, window, t, buffer, expected)
-        return
-    run.stats.extra["pipeline_overlapped"] = (
-        run.stats.extra.get("pipeline_overlapped", 0) + 1
-    )
-    service[(did, t)] = ctx.spawn(
-        _pipeline_drain(run, did, window, t, buffer, expected),
-        name=f"rank{ctx.rank}.drain{did}.r{t}",
-    )
-
-
-def _pipeline_drain(
-    run: _RunContext, did: int, window: Extent, t: int, buffer, expected
-):
-    """PFS-service stage of one write window."""
-    ctx = run.ctx
-    tracer = ctx.env.tracer
-    t0 = tracer.now() if tracer.enabled else 0.0
-    pieces = window_union(run.views, expected, window)
-    for piece in pieces:
-        data = None
-        if buffer is not None:
-            rel = piece.offset - window.offset
-            data = buffer[rel : rel + piece.length]
-        yield from run.pfs.write_extent(run.node, piece, data)
-        run.stats.record_bytes(piece.length)
-        run.stats.record_io_extent(piece.offset, piece.length)
-    if tracer.enabled:
-        tracer.complete(
-            "pipeline", "pipeline.overlap", PID_PIPELINE,
-            ctx.rank * 2 + (t % 2), t0, tracer.now() - t0,
-            stage="drain", rank=ctx.rank, domain=did, window=t,
-            bytes=sum(p.length for p in pieces),
-        )
-
-
-def _pipeline_scatter(
-    run: _RunContext, did: int, window: Extent, t: int,
-    service: dict, degraded: bool,
-):
-    """Shuffle-out stage of one read window; prefetches run in background."""
-    ctx = run.ctx
-    domain = run.domains[did]
-    pf = service.pop((did, t), None)
-    if pf is None:
-        # round 0, or degraded mode: fetch this window inline
-        pf = ctx.spawn(
-            _pipeline_prefetch(run, did, window, t),
-            name=f"rank{ctx.rank}.pf{did}.r{t}",
-        )
-    yield pf
-    buffer, total_read = pf.value
-    nxt = None if degraded else round_window(domain, t + 1, half=True)
-    if nxt is not None and (did, t + 1) not in service:
-        # prefetch the next window into the other slot: the OST reads
-        # run behind this window's scatter
-        run.stats.extra["pipeline_overlapped"] = (
-            run.stats.extra.get("pipeline_overlapped", 0) + 1
-        )
-        service[(did, t + 1)] = ctx.spawn(
-            _pipeline_prefetch(run, did, nxt, t + 1),
-            name=f"rank{ctx.rank}.pf{did}.r{t + 1}",
-        )
-    if total_read == 0:
-        return
-    paged = run.paged_flags.get(did, False)
-    yield from run.node.memcopy(total_read, paged=paged)
-    expected = _expected_senders(run, did, window)
-    yield from _scatter_window(run, did, window, t, expected, buffer, paged)
-
-
-def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
-    """PFS-service stage of one read window; value = (buffer, bytes read)."""
-    ctx = run.ctx
-    tracer = ctx.env.tracer
-    t0 = tracer.now() if tracer.enabled else 0.0
-    expected = _expected_senders(run, did, window)
-    if not expected:
-        return None, 0
-    buffer: Optional[np.ndarray] = (
-        np.zeros(window.length, dtype=np.uint8)
-        if run.pfs.datastore is not None
-        else None
-    )
-    total = 0
-    pieces = window_union(run.views, expected, window)
-    for piece in pieces:
-        data = yield from run.pfs.read_extent(run.node, piece)
-        total += piece.length
-        run.stats.record_bytes(piece.length)
-        run.stats.record_io_extent(piece.offset, piece.length)
-        if buffer is not None and data is not None:
-            rel = piece.offset - window.offset
-            buffer[rel : rel + piece.length] = data
-    if tracer.enabled:
-        tracer.complete(
-            "pipeline", "pipeline.overlap", PID_PIPELINE,
-            ctx.rank * 2 + (t % 2), t0, tracer.now() - t0,
-            stage="prefetch", rank=ctx.rank, domain=did, window=t,
-            bytes=total,
-        )
-    return buffer, total
 
 
 # ---------------------------------------------------------------------------
@@ -978,9 +797,21 @@ def _scatter_window(
         yield ctx.env.all_of(sends)
 
 
-def _collect_and_write(run, did, window, t, paged):
-    """Receive all contributions for `window`, assemble, write to the PFS."""
-    pfs = run.pfs
+def _collect_and_write(
+    run: _RunContext, did: int, window: Extent, t: int,
+    service: Optional[dict], degraded: bool,
+):
+    """Receive all contributions for `window`, assemble, write to the PFS.
+
+    `service` is None in a lockstep run; in a pipelined one the write
+    runs as a background drain (:func:`_run_rounds`) unless `degraded`.
+    """
+    ctx = run.ctx
+    if service is not None:
+        # double buffering: window t reuses the slot window t-2 drained from
+        prev = service.pop((did, t - 2), None)
+        if prev is not None:
+            yield prev
     expected = _expected_senders(run, did, window)
     buffer, received = yield from _gather_window(run, did, window, t, expected)
     if received == 0:
@@ -992,8 +823,9 @@ def _collect_and_write(run, did, window, t, paged):
         yield from _borrow_stage(run, did, lease, received, inbound=True)
     else:
         # assemble the collective buffer: off-chip memory traffic,
-        # throttled for paged buffers
-        yield from run.node.memcopy(received, paged=paged)
+        # throttled for paged buffers (a pipelined run's two half-slots
+        # both live inside the planned buffer)
+        yield from run.node.memcopy(received, paged=run.paged_flags[did])
 
     pieces = window_union(run.views, expected, window)
     if lease is not None and pieces:
@@ -1001,36 +833,51 @@ def _collect_and_write(run, did, window, t, paged):
         yield from _borrow_stage(
             run, did, lease, sum(p.length for p in pieces), inbound=False
         )
-    for piece in pieces:
-        data = None
-        if buffer is not None:
-            rel = piece.offset - window.offset
-            data = buffer[rel : rel + piece.length]
-        yield from pfs.write_extent(run.node, piece, data)
-        run.stats.record_bytes(piece.length)
-        run.stats.record_io_extent(piece.offset, piece.length)
-
-
-def _read_and_scatter(run, did, window, t, paged):
-    """Read `window`'s requested extents, then send each rank its bytes."""
-    pfs = run.pfs
-    expected = _expected_senders(run, did, window)
-    if not expected:
+    if service is None or degraded:
+        yield from _write_pieces(run, did, window, t, buffer, pieces)
         return
-    buffer: Optional[np.ndarray] = (
-        np.zeros(window.length, dtype=np.uint8) if pfs.datastore is not None else None
+    _count_overlap(run)
+    service[(did, t)] = ctx.spawn(
+        _write_pieces(run, did, window, t, buffer, pieces),
+        name=f"rank{ctx.rank}.drain{did}.r{t}",
     )
-    total_read = 0
-    for piece in window_union(run.views, expected, window):
-        data = yield from pfs.read_extent(run.node, piece)
-        total_read += piece.length
-        run.stats.record_bytes(piece.length)
-        run.stats.record_io_extent(piece.offset, piece.length)
-        if buffer is not None and data is not None:
-            rel = piece.offset - window.offset
-            buffer[rel : rel + piece.length] = data
+
+
+def _read_and_scatter(
+    run: _RunContext, did: int, window: Extent, t: int,
+    service: Optional[dict], degraded: bool,
+):
+    """Read `window`'s requested extents, then send each rank its bytes.
+
+    `service` is None in a lockstep run, which reads inline.  A pipelined
+    run reads each window in a spawned prefetch process, and unless
+    `degraded` starts the next window's prefetch into the other slot
+    before scattering this one.
+    """
+    ctx = run.ctx
+    if service is None:
+        buffer, total_read = yield from _read_window(run, did, window, t)
+    else:
+        pf = service.pop((did, t), None)
+        if pf is None:
+            # the first window, or degraded mode: fetch this window now
+            pf = ctx.spawn(
+                _read_window(run, did, window, t),
+                name=f"rank{ctx.rank}.pf{did}.r{t}",
+            )
+        yield pf
+        buffer, total_read = pf.value
+        nxt = None if degraded else round_window(run.domains[did], t + 1, half=True)
+        if nxt is not None and (did, t + 1) not in service:
+            # the OST reads of the next window run behind this scatter
+            _count_overlap(run)
+            service[(did, t + 1)] = ctx.spawn(
+                _read_window(run, did, nxt, t + 1),
+                name=f"rank{ctx.rank}.pf{did}.r{t + 1}",
+            )
     if total_read == 0:
         return
+    paged = run.paged_flags[did]
     lease = run.borrow.lease_for(did) if run.borrow is not None else None
     if lease is not None:
         # park the fresh read in the lender's leased buffer, then pull
@@ -1040,4 +887,70 @@ def _read_and_scatter(run, did, window, t, paged):
     else:
         # stage the buffer through the memory system before scattering
         yield from run.node.memcopy(total_read, paged=paged)
+    expected = _expected_senders(run, did, window)
     yield from _scatter_window(run, did, window, t, expected, buffer, paged)
+
+
+def _count_overlap(run: _RunContext) -> None:
+    """Count one PFS stage started behind the shuffle."""
+    run.stats.extra["pipeline_overlapped"] = (
+        run.stats.extra.get("pipeline_overlapped", 0) + 1
+    )
+
+
+def _write_pieces(
+    run: _RunContext, did: int, window: Extent, t: int,
+    buffer: Optional[np.ndarray], pieces,
+):
+    """Write `pieces` of `window` (bytes from `buffer`) to the PFS."""
+    tracer = run.ctx.env.tracer
+    t0 = tracer.now() if tracer.enabled else 0.0
+    for piece in pieces:
+        data = None
+        if buffer is not None:
+            rel = piece.offset - window.offset
+            data = buffer[rel : rel + piece.length]
+        yield from run.pfs.write_extent(run.node, piece, data)
+        run.stats.record_bytes(piece.length)
+        run.stats.record_io_extent(piece.offset, piece.length)
+    if run.index.half and tracer.enabled:
+        _overlap_span(run, did, t, t0, "drain", sum(p.length for p in pieces))
+
+
+def _read_window(run: _RunContext, did: int, window: Extent, t: int):
+    """Process generator: read `window`'s requested extents; returns
+    ``(buffer, bytes read)`` (buffer None without a datastore)."""
+    tracer = run.ctx.env.tracer
+    t0 = tracer.now() if tracer.enabled else 0.0
+    expected = _expected_senders(run, did, window)
+    if not expected:
+        return None, 0
+    pfs = run.pfs
+    buffer: Optional[np.ndarray] = (
+        np.zeros(window.length, dtype=np.uint8) if pfs.datastore is not None else None
+    )
+    total = 0
+    for piece in window_union(run.views, expected, window):
+        data = yield from pfs.read_extent(run.node, piece)
+        total += piece.length
+        run.stats.record_bytes(piece.length)
+        run.stats.record_io_extent(piece.offset, piece.length)
+        if buffer is not None and data is not None:
+            rel = piece.offset - window.offset
+            buffer[rel : rel + piece.length] = data
+    if run.index.half and tracer.enabled:
+        _overlap_span(run, did, t, t0, "prefetch", total)
+    return buffer, total
+
+
+def _overlap_span(
+    run: _RunContext, did: int, t: int, t0: float, stage: str, nbytes: int
+):
+    """Trace a pipelined run's PFS stage of window `t` on its slot's track."""
+    tracer = run.ctx.env.tracer
+    rank = run.ctx.rank
+    tracer.complete(
+        "pipeline", "pipeline.overlap", PID_PIPELINE,
+        rank * 2 + (t % 2), t0, tracer.now() - t0,
+        stage=stage, rank=rank, domain=did, window=t, bytes=nbytes,
+    )

@@ -40,13 +40,27 @@ from repro.core.partition_tree import PartitionTree
 from repro.core.path import resolve_path
 from repro.core.pattern_array import FileViewIndex, FileViews, file_views
 from repro.core.request import AccessPattern
-from repro.core.two_phase import STRIPE_ALIGN, default_aggregators, even_plan
-from repro.mpi.comm import RankContext, SimComm
+from repro.core.two_phase import CollectiveEngine, default_aggregators, even_plan
+from repro.mpi.comm import SimComm
 from repro.obs.tracer import PID_PLANNER
 from repro.pfs.filesystem import ParallelFileSystem
 from repro.sim.subscribers import Subscribers
 
-__all__ = ["MemoryConsciousCollectiveIO"]
+__all__ = ["MemoryConsciousCollectiveIO", "memory_snapshot"]
+
+
+def memory_snapshot(mem_state) -> tuple[dict[int, int], frozenset]:
+    """``(memory_available, failed_nodes)`` from the planning allgather's
+    ``(node_id, free_available, failed)`` entries, one per rank; a node's
+    first entry stands for all its ranks.  Only the planning rank parses
+    it, once per collective."""
+    memory_available: dict[int, int] = {}
+    failed_nodes = set()
+    for node_id, avail, failed in mem_state:
+        memory_available.setdefault(node_id, avail)
+        if failed:
+            failed_nodes.add(node_id)
+    return memory_available, frozenset(failed_nodes)
 
 
 def _proportional_rebalance(domains, stripe_size: int = 0):
@@ -94,7 +108,7 @@ def _proportional_rebalance(domains, stripe_size: int = 0):
     return out
 
 
-class MemoryConsciousCollectiveIO:
+class MemoryConsciousCollectiveIO(CollectiveEngine):
     """The memory-conscious collective I/O strategy.
 
     Usage is identical to
@@ -111,9 +125,7 @@ class MemoryConsciousCollectiveIO:
         config: Optional[MCIOConfig] = None,
         tenant: Optional[str] = None,
     ):
-        self.comm = comm
-        self.pfs = pfs
-        self.config = config if config is not None else MCIOConfig()
+        super().__init__(comm, pfs, config if config is not None else MCIOConfig())
         #: Owning job's identity when several engines share one cluster
         #: (see :mod:`repro.tenancy`).  Leases this engine grants are
         #: tagged with it, and lease events from *other* tenants' tagged
@@ -121,30 +133,12 @@ class MemoryConsciousCollectiveIO:
         #: (the default) preserves the single-job behaviour: every lease
         #: event invalidates.
         self.tenant = tenant
-        self._rank_seq: dict[int, int] = {}
-        #: Floor for freshly seen ranks' sequence numbers: a vectorized
-        #: collective consumes one sequence slot for *all* ranks at once
-        #: (see :meth:`_advance_seq`), so later per-rank operations must
-        #: not collide with it.
-        self._seq_floor = 0
         #: Fault injectors wired via :meth:`watch_faults`; a non-empty
         #: schedule on any of them refuses vectorization
         #: (:func:`~repro.core.path.resolve_path`).
         self._fault_injectors: list = []
-        #: Per-operation state, keyed by sequence number and dropped by
-        #: the last rank out: the gathered views' index, the plan, the
-        #: collector.
-        self._views: dict[int, FileViewIndex] = {}
-        self._plans: dict = {}
-        self._stats: dict[int, StatsCollector] = {}
         #: Per-operation shared lease state (None for lease-free plans).
         self._borrows: dict = {}
-        #: Optional :class:`~repro.core.audit.ConservationAuditor`; when
-        #: set (via its ``attach``), every operation's collector reports
-        #: attempts/extents to it and finalize hands it the final stats.
-        self.auditor = None
-        #: Finalized stats of completed operations, in call order.
-        self.history: list[CollectiveStats] = []
         #: Callbacks fired when externally frozen plans go stale (see
         #: :meth:`add_invalidation_listener`); persistent collectives
         #: subscribe here so lease churn, faults, and failover force a
@@ -208,31 +202,13 @@ class MemoryConsciousCollectiveIO:
         self._notify_plan_invalidation(f"fault-{phase}")
 
     # ------------------------------------------------------------------
-    def write(self, ctx: RankContext, pattern: AccessPattern,
-              payload: Optional[np.ndarray] = None):
-        """Process generator: collective write of this rank's view."""
-        return (yield from self._collective(ctx, pattern, payload, "write"))
-
-    def read(self, ctx: RankContext, pattern: AccessPattern,
-             payload: Optional[np.ndarray] = None):
-        """Process generator: collective read; fills and returns `payload`."""
-        if payload is None and self.pfs.datastore is not None:
-            payload = np.zeros(pattern.nbytes, dtype=np.uint8)
-        return (yield from self._collective(ctx, pattern, payload, "read"))
-
-    # ------------------------------------------------------------------
-    def _next_seq(self, rank: int) -> int:
-        seq = self._rank_seq.get(rank, self._seq_floor)
-        self._rank_seq[rank] = seq + 1
-        return seq
-
     def _advance_seq(self) -> int:
         """Claim one sequence slot on behalf of every rank at once.
 
         The vectorized driver runs a whole collective without per-rank
         coroutines, so no rank's counter ticks; this takes the next free
-        slot past anything any rank has used and raises the floor so a
-        later per-rank collective starts beyond it.
+        slot past anything any rank has used and raises the sequence
+        floor so a later per-rank collective starts beyond it.
         """
         seq = max(
             self._seq_floor,
@@ -284,14 +260,8 @@ class MemoryConsciousCollectiveIO:
         first-arriving rank does the work, every rank shares the result."""
         if seq not in self._plans:
             views = self._views[seq] = FileViewIndex(patterns)
-            memory_available = {}
-            failed_nodes = set()
-            for node_id, avail, failed in mem_state:
-                memory_available.setdefault(node_id, avail)
-                if failed:
-                    failed_nodes.add(node_id)
             plan, tier, reason = self._plan_with_fallback(
-                views, memory_available, frozenset(failed_nodes)
+                views, *memory_snapshot(mem_state)
             )
             self._plans[seq] = plan
             stats = self._make_collector(op, plan, tier, reason)
@@ -364,18 +334,9 @@ class MemoryConsciousCollectiveIO:
         )
         key = ("borrow-fallback", seq)
         if key not in self._plans:
-            memory_available = {}
-            failed_nodes = set()
-            for node_id, avail, failed in mem_state:
-                memory_available.setdefault(node_id, avail)
-                if failed:
-                    failed_nodes.add(node_id)
             remerge_cfg = _cfg_replace(self.config, placement_policy="remerge")
             plan, tier, reason = self._plan_with_fallback(
-                views,
-                memory_available,
-                frozenset(failed_nodes),
-                config=remerge_cfg,
+                views, *memory_snapshot(mem_state), config=remerge_cfg
             )
             stats.set_tier(tier if tier is not None else "remerge")
             if reason is not None:
@@ -394,24 +355,13 @@ class MemoryConsciousCollectiveIO:
             )
         )
 
-    def _finish(self, seq, ctx):
-        stats = self._stats.get(seq)
-        if stats is None:
-            return
-        stats.extra["finishers"] = stats.extra.get("finishers", 0) + 1
-        if stats.extra["finishers"] == self.comm.size:
-            stats.mark_end(ctx.env.now)
-            final = stats.finalize()
-            self.history.append(final)
-            del self._stats[seq]
-            del self._plans[seq]
-            del self._views[seq]
-            self._borrows.pop(seq, None)
-            self._plans.pop(("borrow-fallback", seq), None)
-            if final.failovers:
-                # aggregators moved mid-run: every frozen plan now names
-                # stale placements
-                self._notify_plan_invalidation("failover")
+    def _finished(self, seq, final: CollectiveStats) -> None:
+        self._borrows.pop(seq, None)
+        self._plans.pop(("borrow-fallback", seq), None)
+        if final.failovers:
+            # aggregators moved mid-run: every frozen plan now names
+            # stale placements
+            self._notify_plan_invalidation("failover")
 
     # ------------------------------------------------------------------
     def _plan_with_fallback(
@@ -460,8 +410,9 @@ class MemoryConsciousCollectiveIO:
         ]
         if not aggs and views.any_active:
             return None
-        stripe = self.pfs.layout.stripe_size if STRIPE_ALIGN else 0
-        return even_plan(views, aggs, self.config.cb_buffer_size, stripe)
+        return even_plan(
+            views, aggs, self.config.cb_buffer_size, self.pfs.layout.stripe_size
+        )
 
     # ------------------------------------------------------------------
     def plan(
@@ -479,7 +430,7 @@ class MemoryConsciousCollectiveIO:
         (when given) overrides the engine's parameters for this plan.
         """
         cfg = self.config if config is None else config
-        stripe = self.pfs.layout.stripe_size if STRIPE_ALIGN else 0
+        stripe = self.pfs.layout.stripe_size
         views = file_views(patterns)
         # Planning costs no simulated time: its spans sit at the current
         # sim instant on the planner track with zero sim duration, and

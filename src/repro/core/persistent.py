@@ -213,6 +213,7 @@ class PersistentCollective:
         # deferred: repro.mpi.file imports this module, and the engine
         # module imports repro.mpi.comm — a top-level import would cycle
         from repro.core.engine import execute_collective
+        from repro.core.mcio import memory_snapshot
         from repro.core.pattern_array import FileViewIndex
 
         engine, comm = self.engine, self.comm
@@ -232,17 +233,11 @@ class PersistentCollective:
             )
             if not ep.planned:
                 ep.planned = True
-                memory_available: dict[int, int] = {}
-                failed_nodes: set[int] = set()
-                for node_id, avail, failed in mem_state:
-                    memory_available.setdefault(node_id, avail)
-                    if failed:
-                        failed_nodes.add(node_id)
                 # the frozen plan keeps its views' index beside it: one
                 # index per handle, replaced only by the next re-plan
                 views = FileViewIndex(patterns)
                 plan, tier, reason = engine._plan_with_fallback(
-                    views, memory_available, frozenset(failed_nodes)
+                    views, *memory_snapshot(mem_state)
                 )
                 self._plan = plan
                 self._tier = tier

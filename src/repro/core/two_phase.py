@@ -5,8 +5,9 @@ Planning (memory-oblivious, as in ROMIO):
 * aggregators: exactly one process per compute node by default
   (``cb_nodes`` overrides the count);
 * the aggregate file region ``[min offset, max end)`` is split into
-  *even* contiguous file domains, one per aggregator, stripe-aligned
-  (:data:`STRIPE_ALIGN`);
+  *even* contiguous file domains, one per aggregator, their boundaries
+  aligned down to stripe boundaries so no two aggregators split one
+  stripe (lock contention in Lustre);
 * every aggregator uses the same fixed collective buffer
   (``cb_buffer_size``) regardless of its host's available memory — the
   memory-pressure failure mode the paper targets.
@@ -30,12 +31,10 @@ from repro.core.request import AccessPattern
 from repro.mpi.comm import RankContext, SimComm
 from repro.pfs.filesystem import ParallelFileSystem
 
-__all__ = ["TwoPhaseCollectiveIO", "default_aggregators", "even_plan"]
-
-#: Align file-domain boundaries (even splits and MCIO's bisection cuts)
-#: down to stripe boundaries, so no two aggregators split one stripe
-#: (lock contention in Lustre).
-STRIPE_ALIGN = True
+__all__ = [
+    "CollectiveEngine", "TwoPhaseCollectiveIO", "default_aggregators",
+    "even_plan",
+]
 
 
 def default_aggregators(
@@ -89,32 +88,33 @@ def even_plan(
     return ExecutionPlan.build(domains, views, n_groups=1)
 
 
-class TwoPhaseCollectiveIO:
-    """The normal two-phase collective I/O strategy (the paper's baseline).
+class CollectiveEngine:
+    """The collective lifecycle both strategies share.
 
-    Instantiate once per (comm, pfs) pair and call :meth:`write` /
-    :meth:`read` from every rank's process (SPMD).  Finished-operation
-    statistics accumulate in :attr:`history`.
+    Every rank numbers its collective calls; a call's number namespaces
+    its message tags and keys its per-operation state (the gathered
+    views' index, the plan, the collector), which the first-arriving
+    rank builds and the last rank out drops after finalizing the stats
+    into :attr:`history`.  Subclasses plan (``_collective``) and may
+    drop state of their own in :meth:`_finished`.
     """
 
-    name = "two-phase"
+    #: Sequence number of a rank's first call (MCIO raises it past a
+    #: vectorized collective, which numbers all ranks at once).
+    _seq_floor = 0
 
-    def __init__(
-        self,
-        comm: SimComm,
-        pfs: ParallelFileSystem,
-        config: Optional[TwoPhaseConfig] = None,
-    ):
+    def __init__(self, comm: SimComm, pfs: ParallelFileSystem, config):
         self.comm = comm
         self.pfs = pfs
-        self.config = config if config is not None else TwoPhaseConfig()
+        self.config = config
         self._rank_seq: dict[int, int] = {}
-        #: Per-operation state, dropped by the last rank out.
+        #: Per-operation state, keyed by sequence number.
         self._views: dict[int, FileViewIndex] = {}
-        self._plans: dict[int, ExecutionPlan] = {}
+        self._plans: dict = {}
         self._stats: dict[int, StatsCollector] = {}
         #: Optional :class:`~repro.core.audit.ConservationAuditor`; when
-        #: set (via its ``attach``), collectors report through it.
+        #: set (via its ``attach``), every operation's collector reports
+        #: attempts/extents to it and finalize hands it the final stats.
         self.auditor = None
         #: Finalized stats of completed operations, in call order.
         self.history: list[CollectiveStats] = []
@@ -138,9 +138,48 @@ class TwoPhaseCollectiveIO:
 
     # ------------------------------------------------------------------
     def _next_seq(self, rank: int) -> int:
-        seq = self._rank_seq.get(rank, 0)
+        seq = self._rank_seq.get(rank, self._seq_floor)
         self._rank_seq[rank] = seq + 1
         return seq
+
+    def _finish(self, seq, ctx):
+        """Last rank out finalizes the stats and drops the operation."""
+        stats = self._stats.get(seq)
+        if stats is None:
+            return
+        stats.extra["finishers"] = stats.extra.get("finishers", 0) + 1
+        if stats.extra["finishers"] == self.comm.size:
+            stats.mark_end(ctx.env.now)
+            final = stats.finalize()
+            self.history.append(final)
+            del self._stats[seq]
+            del self._plans[seq]
+            del self._views[seq]
+            self._finished(seq, final)
+
+    def _finished(self, seq, final: CollectiveStats) -> None:
+        """Drop strategy-specific state of finished operation `seq`."""
+
+
+class TwoPhaseCollectiveIO(CollectiveEngine):
+    """The normal two-phase collective I/O strategy (the paper's baseline).
+
+    Instantiate once per (comm, pfs) pair and call :meth:`write` /
+    :meth:`read` from every rank's process (SPMD).  Finished-operation
+    statistics accumulate in :attr:`history`.
+    """
+
+    name = "two-phase"
+
+    def __init__(
+        self,
+        comm: SimComm,
+        pfs: ParallelFileSystem,
+        config: Optional[TwoPhaseConfig] = None,
+    ):
+        super().__init__(
+            comm, pfs, config if config is not None else TwoPhaseConfig()
+        )
 
     def _collective(self, ctx, pattern, payload, op):
         if payload is not None and len(payload) != pattern.nbytes:
@@ -173,24 +212,11 @@ class TwoPhaseCollectiveIO:
             self._stats[seq] = collector
         return self._views[seq], self._plans[seq], self._stats[seq]
 
-    def _finish(self, seq, ctx):
-        """Last rank out finalizes the stats."""
-        stats = self._stats.get(seq)
-        if stats is None:
-            return
-        stats.extra["finishers"] = stats.extra.get("finishers", 0) + 1
-        if stats.extra["finishers"] == self.comm.size:
-            stats.mark_end(ctx.env.now)
-            self.history.append(stats.finalize())
-            del self._stats[seq]
-            del self._plans[seq]
-            del self._views[seq]
-
     # ------------------------------------------------------------------
     def plan(self, patterns: Sequence[AccessPattern]) -> ExecutionPlan:
         """Compute the baseline execution plan for the gathered views."""
         aggs = default_aggregators(self.comm.placement, self.config.cb_nodes)
-        stripe = self.pfs.layout.stripe_size if STRIPE_ALIGN else 0
         return even_plan(
-            file_views(patterns), aggs, self.config.cb_buffer_size, stripe
+            file_views(patterns), aggs, self.config.cb_buffer_size,
+            self.pfs.layout.stripe_size,
         )

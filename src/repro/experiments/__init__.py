@@ -15,22 +15,12 @@ a ``main()`` CLI entry point::
     python -m repro.experiments.borrow
     python -m repro.experiments.pipeline
     python -m repro.experiments.tenancy
+
+The experiment modules are not imported here (``from repro.experiments
+import figure6`` loads one on first use): an eager import would make
+``python -m repro.experiments.<name>`` run its module body twice.
 """
 
-from . import (
-    ablation,
-    borrow,
-    dynamic_memory,
-    figure6,
-    figure7,
-    figure8,
-    memory_pressure,
-    pipeline,
-    resilience,
-    table1,
-    tenancy,
-)
-from . import topology  # noqa: F401  (registered experiment)
 from .figures import FigureConfig, FigureResult, run_figure
 from .harness import Platform, SweepPoint, run_collective, run_memory_sweep
 from .persistence import load_points, save_points, stats_from_dict, stats_to_dict

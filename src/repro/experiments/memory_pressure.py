@@ -34,7 +34,6 @@ from repro.core import (
 )
 from repro.core.engine import ExecutionPlan
 from repro.core.group_division import AggregationGroup, divide_groups
-from repro.core.two_phase import STRIPE_ALIGN
 from repro.workloads import CollPerfWorkload
 
 from .harness import Platform, run_collective
@@ -196,7 +195,7 @@ def run(
                 patterns,
                 platform.comm.placement_array,
                 engine.config.msg_group,
-                stripe_size=platform.pfs.layout.stripe_size if STRIPE_ALIGN else 0,
+                stripe_size=platform.pfs.layout.stripe_size,
             )
         stats[strategy] = run_collective(platform, engine, patterns, ops=("write",))[0]
     return MemoryPressureResult(

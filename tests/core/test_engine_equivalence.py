@@ -129,8 +129,8 @@ def test_strategies_same_bytes_written_metric():
 
 
 def test_retired_config_fields_rejected():
-    """Knobs no caller ever moved off their defaults are module constants
-    now (``two_phase.STRIPE_ALIGN``, ``borrow.LEASE_*``/``LEND_HEADROOM``);
+    """Knobs no caller ever moved off their defaults are fixed now (stripe
+    alignment always on; ``borrow.LEASE_*``/``LEND_HEADROOM`` constants);
     passing one is an error, not a silent no-op."""
     with pytest.raises(TypeError):
         TwoPhaseConfig(stripe_align=False)
