@@ -48,7 +48,6 @@ point, whose stats then carry the ``"persistent:<reason>"`` refusal.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from typing import Optional
 
@@ -57,8 +56,6 @@ import numpy as np
 from repro.core.path import hand_over, resolve_path
 
 __all__ = ["PersistentCollective"]
-
-_pc_ids = itertools.count()
 
 
 class _Epoch:
@@ -108,7 +105,7 @@ class PersistentCollective:
         self.engine = file.engine
         self.op = op
         self.overlap = bool(overlap)
-        self.pc_id = next(_pc_ids)
+        self.pc_id = self.engine._next_pc_id()
         #: Whether the engine exposes the planning hooks the managed
         #: replay needs; without them every epoch delegates.
         self.managed = not resolve_path(self.engine, replay=True).delegated

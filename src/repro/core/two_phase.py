@@ -108,6 +108,8 @@ class CollectiveEngine:
         self.pfs = pfs
         self.config = config
         self._rank_seq: dict[int, int] = {}
+        #: Persistent handles built on this engine (the next handle's id).
+        self._pc_count = 0
         #: Per-operation state, keyed by sequence number.
         self._views: dict[int, FileViewIndex] = {}
         self._plans: dict = {}
@@ -141,6 +143,19 @@ class CollectiveEngine:
         seq = self._rank_seq.get(rank, self._seq_floor)
         self._rank_seq[rank] = seq + 1
         return seq
+
+    def _next_pc_id(self) -> int:
+        """Id of the next persistent handle built on this engine.
+
+        Counted per engine, like the sequence numbers of blocking
+        operations, so a cell's stats do not depend on the handles the
+        process built before it.  Handles of one engine get distinct
+        ids, so their message tags ``("pc", id, epoch)`` never meet on
+        the engine's communicator.
+        """
+        pc_id = self._pc_count
+        self._pc_count = pc_id + 1
+        return pc_id
 
     def _finish(self, seq, ctx):
         """Last rank out finalizes the stats and drops the operation."""

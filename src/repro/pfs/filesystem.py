@@ -37,7 +37,7 @@ import numpy as np
 from repro.cluster import Node
 from repro.cluster.spec import StorageSpec
 from repro.core.request import AccessPattern, Extent, block_arrays
-from repro.sim import Countdown, Environment, Hold, start_holds
+from repro.sim import Countdown, Environment, Event, Hold, start_holds
 
 from .datastore import SparseFile
 from .layout import StripeLayout
@@ -67,6 +67,41 @@ class _NicHold(Hold):
             client.spec.nic_latency
             + self.total * client.failure_slowdown / client.spec.nic_bandwidth
         )
+
+
+class _Deadline(Event):
+    """A server request raced against its timeout.
+
+    Succeeds with True when the request is served first and with False
+    when the timeout passes first, or fails with the request's exception.
+    It pushes the events ``env.any_of([request, env.timeout(timeout)])``
+    pushes, but its timer is a pooled sleep whose waiter is detached once
+    the request decides the race: a timer still queued when a run stops
+    refers to nothing, so it cannot keep the platform alive in a cycle.
+    """
+
+    __slots__ = ("_timer",)
+
+    def __init__(self, env: Environment, request: ServerRequest, timeout: float):
+        super().__init__(env)
+        request.callbacks.append(self._on_request)
+        timer = self._timer = env.sleep(timeout)
+        timer._waiter = self._on_timer
+
+    def _on_request(self, request: ServerRequest) -> None:
+        if self._triggered:
+            return  # timed out first
+        self._timer._waiter = None
+        self._timer = None
+        if request._exception is not None:
+            self.fail(request._exception)
+        else:
+            self.succeed(True)
+
+    def _on_timer(self, _timer) -> None:
+        # the pooled sleep is recycled once processed: never keep it
+        self._timer = None
+        self.succeed(False)
 
 
 class IOAbandonedError(RuntimeError):
@@ -196,13 +231,12 @@ class ParallelFileSystem:
         while True:
             attempt += 1
             request = server.submit(nbytes, requests, write=write)
-            timer = env.timeout(policy.request_timeout)
             try:
-                which, _ = yield env.any_of([request, timer])
+                served = yield _Deadline(env, request, policy.request_timeout)
             except ServerUnavailableError:
                 pass  # rejected at issue or while queued: retry below
             else:
-                if which == 0:
+                if served:
                     return  # served within the timeout
                 if request.is_alive:
                     request.interrupt("pfs-request-timeout")

@@ -31,6 +31,7 @@ Example
 
 from __future__ import annotations
 
+import gc
 import heapq
 
 from heapq import heappop as _heappop, heappush as _heappush
@@ -337,7 +338,7 @@ class Process(Event):
                 if event._exception is None:
                     next_target = send(event._value)
                 else:
-                    next_target = self._generator.throw(event._exception)
+                    next_target = self._throw(event._exception)
             except StopIteration as stop:
                 self._triggered = True
                 self._value = stop.value
@@ -346,14 +347,7 @@ class Process(Event):
                 self.env._schedule(self, delay=0.0)
                 return
             except BaseException as exc:
-                self._triggered = True
-                self._exception = exc
-                self._resume_cb = self._sleep_cb = None
-                self.env._schedule(self, delay=0.0)
-                if not self.callbacks:
-                    # Nobody is joining this process: surface the crash
-                    # instead of swallowing it silently.
-                    self.env._crashed.append((self, exc))
+                self._fail(exc)
                 return
 
             try:
@@ -379,6 +373,35 @@ class Process(Event):
             self._target = next_target
             return
 
+    def _throw(self, exc: BaseException):
+        """Throw `exc` into the generator; return its next target.
+
+        The frames the generator adds to the traceback while `exc`
+        propagates are dropped again when the throw returns, whether the
+        generator caught `exc` or not: the exception belongs to the event
+        that failed with it, and a waiter's frame on it would be a cycle
+        (the frame holds the event, the event its exception).
+        """
+        tb = exc.__traceback__
+        try:
+            return self._generator.throw(exc)
+        finally:
+            exc.__traceback__ = tb
+
+    def _fail(self, exc: BaseException) -> None:
+        """Finish with `exc`, which the generator raised out."""
+        # the kernel frame that caught `exc` heads its traceback, and that
+        # frame holds this process: drop it, or the failure is a cycle
+        exc.__traceback__ = exc.__traceback__.tb_next
+        self._triggered = True
+        self._exception = exc
+        self._resume_cb = self._sleep_cb = None
+        self.env._schedule(self, delay=0.0)
+        if not self.callbacks:
+            # Nobody is joining this process: surface the crash
+            # instead of swallowing it silently.
+            self.env._crashed.append((self, exc))
+
     def _resume_sleep(self, event: Event) -> None:
         """Advance the generator after a pooled sleep fired.
 
@@ -397,12 +420,7 @@ class Process(Event):
             return
         except BaseException as exc:
             self._target = None
-            self._triggered = True
-            self._exception = exc
-            self._resume_cb = self._sleep_cb = None
-            self.env._schedule(self, delay=0.0)
-            if not self.callbacks:
-                self.env._crashed.append((self, exc))
+            self._fail(exc)
             return
         try:
             if next_target._processed:
@@ -654,7 +672,26 @@ class Environment:
                 run until the clock reaches that time;
             an :class:`Event`
                 run until that event has been processed and return its value.
+
+        The cyclic garbage collector is paused for the length of the run
+        and left as it was found, however the run ends: it is disabled
+        only if it was enabled on entry, and enabled again only then, so
+        a nested run or a caller that already disabled it keeps it off.
+        A run allocates and frees hundreds of thousands of events, heap
+        entries and generators, and each collection their count triggers
+        walks the live platform and reclaims nothing, because a platform
+        frees itself by reference counting (DESIGN.md §7).  No collection
+        is forced.
         """
+        if not gc.isenabled():
+            return self._run_spanned(until)
+        gc.disable()
+        try:
+            return self._run_spanned(until)
+        finally:
+            gc.enable()
+
+    def _run_spanned(self, until: Optional[float | Event]) -> Any:
         tracer = self.tracer
         if not tracer.enabled:
             return self._run(until)

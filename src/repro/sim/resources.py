@@ -355,7 +355,9 @@ class Hold(Event):
             delay = self._granted()
         except Exception as exc:  # noqa: BLE001 - the hold fails with it
             self.resource.release(req)
-            self._finish(exc)
+            # fail without the frames that raised: each of them holds
+            # this hold, which will hold the exception (a cycle)
+            self._finish(exc.with_traceback(None))
             return
         sleep = self._sleep = self.env.sleep(delay)
         sleep._waiter = self._wake

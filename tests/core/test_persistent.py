@@ -293,3 +293,16 @@ def test_bad_op_rejected():
     stack, engine, fh = make_file()
     with pytest.raises(ValueError, match="bad op"):
         PersistentCollective(fh, "append")
+
+
+def test_handle_id_does_not_depend_on_earlier_cells():
+    """``stats.extra["persistent"]`` numbers handles per engine, so a
+    pipeline cell records the same value however many handles the
+    process built before it."""
+    from repro.experiments import pipeline
+
+    cell = ("variance", "persistent+overlap", "write", 2, 0)
+    first = pipeline._pipeline_cell(cell).stats.extra["persistent"]
+    pipeline._pipeline_cell(("uniform", "persistent", "read", 2, 0, 2))
+    again = pipeline._pipeline_cell(cell).stats.extra["persistent"]
+    assert first == again == 0

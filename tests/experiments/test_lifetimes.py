@@ -2,15 +2,17 @@
 
 Every simulated platform is cycle-free: owners hold their parts, parts
 refer back weakly or not at all, subscriber registries hold bound methods
-weakly, and no event holds itself.  So the moment a cell's result is
-dropped, its environment, cluster, communicator, file system, datastore
-and engines are gone — with the cyclic collector disabled — and a
-collection afterwards finds nothing of ours to reclaim.
+weakly, and no event holds itself.  Failures are no exception: a failed
+storage request's exception keeps no frame of the hold that raised it or
+of the processes it was thrown into, and a request raced against its
+retry timeout leaves a timer that refers to nothing (DESIGN.md §7).  So
+the moment a cell's result is dropped, its environment, cluster,
+communicator, file system, datastore and engines are gone — with the
+cyclic collector disabled — and a collection afterwards finds nothing of
+ours to reclaim.
 
-Known exclusion: fault-injected resilience cells whose I/O servers raise
-(``repro.experiments.resilience`` outages).  The exceptions' tracebacks
-reference the frames that raised them, which forms cycles of their own;
-those cells are not covered here.
+This is the contract that keeps ``Environment.run``'s collector pause
+sound: a cycle made during a run would stay until the run returns.
 """
 
 from __future__ import annotations
@@ -23,12 +25,21 @@ import pytest
 
 from repro.cluster import KIB, Cluster
 from repro.core import MemoryConsciousCollectiveIO, TwoPhaseCollectiveIO
-from repro.experiments import borrow, figure6, figure8, pipeline, scale_sweep
+from repro.experiments import (
+    borrow,
+    figure6,
+    figure8,
+    pipeline,
+    resilience,
+    scale_sweep,
+)
 from repro.experiments.harness import run_memory_sweep
 from repro.mpi import SimComm
 from repro.pfs import ParallelFileSystem, SparseFile
-from repro.sim import Environment
+from repro.sim import Environment, Resource
 from repro.workloads import CollPerfWorkload, IORWorkload
+
+from tests.pfs import test_service_order as service_order
 
 TRACKED = (
     Environment,
@@ -144,3 +155,44 @@ def test_borrow_cell(births, fault):
         births,
     )
     assert len(births) == 6
+
+
+@pytest.mark.parametrize("strategy", ["two-phase", "mcio"])
+def test_resilience_outage_cell(births, monkeypatch, strategy):
+    """A chaos cell whose outage fails requests while they queue; its
+    collective returns with the requests' retry timers still queued."""
+    failed_in_queue = []
+    fail_waiters = Resource.fail_waiters
+
+    def counting(resource, exception):
+        failed = fail_waiters(resource, exception)
+        failed_in_queue.append(failed)
+        return failed
+
+    monkeypatch.setattr(Resource, "fail_waiters", counting)
+    cell = (1.0, strategy, 0, 12, 3, 1024, 8.0, False)
+    _run_cell_without_collector(lambda: resilience._chaos_cell(cell), births)
+    assert sum(failed_in_queue) > 0
+    # env, cluster, comm, pfs, engine
+    assert len(births) == 5
+
+
+@pytest.mark.parametrize("name", ["outage_while_queued", "retry_timeout"])
+def test_failed_storage_request_cell(births, name):
+    """Requests rejected at issue, at the grant and in the queue; under a
+    ``RetryPolicy``, requests timed out in service and in the queue,
+    retried and abandoned (``tests/pfs/test_service_order.py``)."""
+    scenario = service_order.SCENARIOS[name]
+
+    def cell():
+        out = service_order.run(scenario)
+        assert sum(out["rejections"]) > 0
+        assert any(status != "ok" for _, _, status, _ in out["log"])
+        if scenario.retry is not None:
+            retries, abandons = out["retries"]
+            assert retries > 0 and abandons > 0
+        return out
+
+    _run_cell_without_collector(cell, births)
+    # env, cluster, pfs
+    assert len(births) == 3

@@ -1,12 +1,15 @@
 """PFS client retry policy and degraded-path timing."""
 
+import random
+
 import pytest
 
 from repro.core.request import Extent
 from repro.pfs import RetryPolicy
-from repro.pfs.filesystem import IOAbandonedError
+from repro.pfs.filesystem import IOAbandonedError, _Deadline
 
 from tests.helpers import make_stack
+from tests.pfs.test_service_order import platform
 
 
 class TestPolicyValidation:
@@ -137,3 +140,67 @@ class TestFailedClientNic:
         d_healthy = t_healthy["end"] - t_healthy["start"]
         d_failed = t_failed["end"] - t_failed["start"]
         assert d_failed > d_healthy
+
+
+# ---------------------------------------------------------------------------
+# the retry race against the AnyOf it replaced
+# ---------------------------------------------------------------------------
+
+RACE_DELAYS = (0.125, 0.25, 0.5, 0.75, 1.0)
+
+
+def race_scenario(seed, use_deadline):
+    """Clients race server requests against timers while servers slow
+    down and go out; returns every logged outcome with its instant."""
+    rng = random.Random(seed)
+    env, _cluster, pfs = platform()
+    servers = pfs.servers
+    log: list = []
+
+    def race(request, timeout):
+        if use_deadline:
+            served = yield _Deadline(env, request, timeout)
+            return served
+        which, _ = yield env.any_of([request, env.timeout(timeout)])
+        return which == 0
+
+    def client(c):
+        for i in range(rng.randint(1, 4)):
+            yield env.timeout(rng.choice(RACE_DELAYS))
+            server = rng.choice(servers)
+            request = server.submit(rng.choice((128, 256, 512)), write=True)
+            try:
+                served = yield from race(request, rng.choice(RACE_DELAYS))
+            except RuntimeError as exc:
+                log.append(("rejected", c, i, type(exc).__name__, env.now))
+                continue
+            if not served and request.is_alive:
+                request.interrupt("timeout")
+            log.append(("served" if served else "late", c, i, env.now))
+
+    def chaos():
+        for _ in range(4):
+            yield env.timeout(rng.choice(RACE_DELAYS))
+            server = rng.choice(servers)
+            if rng.random() < 0.5:
+                server.begin_outage()
+                log.append(("outage", server.server_id, env.now))
+                yield env.timeout(rng.choice(RACE_DELAYS))
+                server.end_outage()
+            else:
+                server.set_degradation(rng.choice((1.0, 4.0, 16.0)))
+
+    for c in range(rng.randint(3, 8)):
+        env.process(client(c))
+    env.process(chaos())
+    env.run()
+    return log, repr(env.now), pfs.server_stats(), [
+        (repr(s.queue.utilization()), s.outage_rejections) for s in servers
+    ]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_deadline_schedules_what_any_of_schedules(seed):
+    assert race_scenario(seed, use_deadline=True) == race_scenario(
+        seed, use_deadline=False
+    )

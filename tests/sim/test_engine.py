@@ -1,7 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.obs import Tracer
 from repro.sim import Environment, Interrupt, SimulationError
 
 
@@ -407,3 +411,169 @@ def test_sleep_then_join_finished_process():
     w = env.process(waiter(env, p))
     env.run()
     assert w.value == (5.0, "done")
+
+
+# ---------------------------------------------------------------------------
+# the collector pause of Environment.run, and failures freed by refcount
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def collector_on():
+    """Start with the cyclic collector enabled; leave it as it was found."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _recorder(env, seen):
+    def proc():
+        seen.append(gc.isenabled())
+        yield env.timeout(1)
+        seen.append(gc.isenabled())
+
+    return env.process(proc())
+
+
+def _crasher(env):
+    def proc():
+        yield env.timeout(1)
+        raise RuntimeError("boom")
+
+    return env.process(proc())
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_run_pauses_the_collector_and_restores_it(collector_on, traced):
+    env = Environment()
+    if traced:
+        Tracer().install(env)
+    seen: list = []
+    _recorder(env, seen)
+    env.run()
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_collector_restored_after_a_crash(collector_on, traced):
+    env = Environment()
+    if traced:
+        Tracer().install(env)
+    _crasher(env)
+    with pytest.raises(SimulationError, match="crashed"):
+        env.run()
+    assert gc.isenabled()
+
+
+def test_collector_restored_when_a_run_stops_early(collector_on):
+    env = Environment()
+    seen: list = []
+    _recorder(env, seen)
+    env.run(until=0.5)
+    assert env._queue, "the run stopped with events still queued"
+    assert seen == [False] and gc.isenabled()
+    stop = env.timeout(0.25)
+    env.run(until=stop)
+    assert env._queue and gc.isenabled()
+    env.run()
+    assert seen == [False, False] and gc.isenabled()
+
+
+def test_collector_left_off_when_off_at_entry(collector_on):
+    gc.disable()
+    env = Environment()
+    seen: list = []
+    _recorder(env, seen)
+    env.run()
+    assert seen == [False, False]
+    assert not gc.isenabled()
+    _crasher(env)
+    with pytest.raises(SimulationError):
+        env.run()
+    assert not gc.isenabled()
+
+
+def test_nested_run_keeps_the_outer_pause(collector_on):
+    outer, inner = Environment(), Environment()
+    seen: list = []
+
+    def nested_run(_event):
+        _recorder(inner, seen)
+        inner.run()
+        seen.append(gc.isenabled())
+
+    _recorder(outer, seen)
+    outer.timeout(0.5).callbacks.append(nested_run)
+    outer.run()
+    # outer start, inner process (twice), after the inner run, outer end
+    assert seen == [False] * 5
+    assert gc.isenabled()
+
+
+def test_shared_exception_keeps_no_waiter_frame():
+    """An event's exception comes back from every waiter it was thrown
+    into with the traceback it had when the event failed."""
+    env = Environment()
+    event = env.event()
+    exc = RuntimeError("shared")
+    caught = []
+
+    def waiter():
+        try:
+            yield event
+        except RuntimeError as err:
+            caught.append(err)
+
+    for _ in range(3):
+        env.process(waiter())
+    event.fail(exc)
+    env.run()
+    assert len(caught) == 3 and all(err is exc for err in caught)
+    assert exc.__traceback__ is None
+
+
+def test_joined_failure_is_freed_by_refcount():
+    """A process that fails and the joiner that catches its exception
+    leave no cycle: the environment dies with its last reference."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env = Environment()
+        caught = []
+
+        def joiner():
+            try:
+                yield _crasher(env)
+            except RuntimeError as err:
+                caught.append(err)
+
+        env.process(joiner())
+        env.run()
+        assert [str(err) for err in caught] == ["boom"]
+        del caught
+        ref = weakref.ref(env)
+        del env
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_crash_report_keeps_the_raising_frame():
+    env = Environment()
+    _crasher(env)
+    with pytest.raises(SimulationError) as info:
+        env.run()
+    cause = info.value.__cause__
+    tb = cause.__traceback__
+    names = []
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert names == ["proc"]
