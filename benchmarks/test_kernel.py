@@ -275,10 +275,10 @@ def test_remerge_heavy_planning(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# cold planning through the fallback chain, as every blocking collective
+# cold planning through engine.plan, as every blocking collective
 # ---------------------------------------------------------------------------
 def _planning_workload():
-    """The remerge-heavy setup above, planned via the fallback chain."""
+    """The remerge-heavy setup above, planned cold."""
     n_ranks, n_nodes, cores = 64, 8, 8
     env = Environment()
     spec = ClusterSpec(nodes=n_nodes, node=NodeSpec(cores=cores))
@@ -311,9 +311,6 @@ def test_plan_cold(benchmark):
     engine, patterns, avail = _planning_workload()
 
     def run():
-        plan, _, _ = engine._plan_with_fallback(
-            patterns, dict(avail), frozenset()
-        )
-        return len(plan.domains)
+        return len(engine.plan(patterns, dict(avail)).domains)
 
     assert benchmark(run) > 0

@@ -66,10 +66,6 @@ def test_vectorized_planning_100k(benchmark):
     }
 
     def run():
-        plan, tier, _ = engine._plan_with_fallback(
-            patterns, dict(avail), frozenset()
-        )
-        assert plan is not None and tier is None  # undegraded MCIO plan
-        return len(plan.domains)
+        return len(engine.plan(patterns, dict(avail)).domains)
 
     assert benchmark(run) > 0

@@ -111,7 +111,7 @@ def main():
         comm, pfs,
         MCIOConfig(
             cb_buffer_size=64 * KIB, msg_ind=4 * MIB, mem_min=0, nah=4,
-            failover=True, fallback_chain=True,
+            failover=True,
         ),
     )
     injector = FaultInjector(env, cluster, pfs, storm())

@@ -18,9 +18,9 @@ Remerging changes earlier domains' extents, so after every remerge the
 whole assignment pass restarts from scratch; each remerge removes one
 leaf, so the loop terminates after at most the initial leaf count passes.
 
-If even a single merged domain cannot be satisfied, the placer either
-falls back to the best available host (allocation marked *paged*) or
-raises, per ``allow_paged_fallback``.
+If even a single merged domain cannot be satisfied, the placer falls
+back to the best available host (allocation marked *paged*): the paged
+placement is the one last resort, so placement always succeeds.
 
 ``placement_policy`` widens step 4: under ``"borrow"``/``"hybrid"`` a
 leaf that would remerge may instead keep its aggregator on the best
@@ -48,30 +48,17 @@ __all__ = ["PlacementError", "place_aggregators", "candidate_hosts"]
 
 
 class PlacementError(RuntimeError):
-    """No host can satisfy a domain's memory requirement.
+    """A group's assignment pass did not converge within its bound.
 
     Attributes
     ----------
     group_id:
         The aggregation group whose assignment failed (None if unknown).
-    domain:
-        The offending domain's extent (None if the whole pass failed).
-    best_mem_avl:
-        Largest remaining ``Mem_avl`` among the candidate hosts, bytes
-        (None when there were no candidates at all).
     """
 
-    def __init__(
-        self,
-        message: str,
-        group_id: Optional[int] = None,
-        domain: Optional[Extent] = None,
-        best_mem_avl: Optional[int] = None,
-    ):
+    def __init__(self, message: str, group_id: Optional[int] = None):
         super().__init__(message)
         self.group_id = group_id
-        self.domain = domain
-        self.best_mem_avl = best_mem_avl
 
 
 def candidate_hosts(
@@ -182,7 +169,7 @@ def place_aggregators(
         Available memory per node id (the allgathered ``Mem_avl``).
     config:
         MCIO parameters (``nah``, ``mem_min``, ``cb_buffer_size``,
-        ``allow_paged_fallback``).
+        ``placement_policy``, ``adaptive_buffer``, ``min_buffer``).
     host_state:
         Cross-group reservation/aggregator-count state.  Groups execute
         concurrently, so memory reservations and the ``N_ah`` cap must be
@@ -379,10 +366,10 @@ def _try_assign(
                 # "Otherwise ... the file domain will be integrated with
                 # the domain nearby" — remerge expands the search area
                 # (pure-borrow mode refuses to shrink parallelism and
-                # degrades to the paged/error path instead)
+                # degrades to the paged placement instead)
                 tree.remerge(leaf)
                 return None
-            elif config.allow_paged_fallback:
+            else:
                 pool = open_hosts if open_hosts else candidates
                 best = max(pool, key=lambda node: (hosts[node].remaining, -node))
                 adaptive_floor = max(config.min_buffer, config.mem_min, nominal // 2, 1)
@@ -395,19 +382,6 @@ def _try_assign(
                 else:
                     buffer = nominal
                     paged = True
-            else:
-                best_avl = max(
-                    (hosts[node].remaining for node in candidates), default=None
-                )
-                raise PlacementError(
-                    f"group {group_id}: no host satisfies {requirement} B "
-                    f"for domain [{domain.offset}, {domain.end}) "
-                    f"({domain.length} B, {len(candidates)} candidate "
-                    f"host(s), best Mem_avl {best_avl} B)",
-                    group_id=group_id,
-                    domain=domain,
-                    best_mem_avl=best_avl,
-                )
 
         state = hosts[best]
         # round-robin over the host's member ranks so N_ah aggregators on

@@ -1,7 +1,7 @@
-"""Byte-conservation auditing across the degradation chain.
+"""Byte-conservation auditing across the degraded modes.
 
 A collective that degrades mid-flight — borrow abort, aggregator
-failover, fallback to two-phase or independent I/O — must still move
+failover, pipeline drain — must still move
 every requested byte exactly as a healthy run would.  The
 :class:`ConservationAuditor` is an opt-in runtime checker of that
 contract: engines report execution attempts and the file extents they
@@ -9,12 +9,10 @@ actually touch, and :meth:`ConservationAuditor.verify` asserts, per
 finalized operation, that
 
 1. **coverage** — the union of file extents read/written covers the
-   union of the extents the ranks requested (no lost bytes, on any
-   tier);
+   union of the extents the ranks requested (no lost bytes);
 2. **shuffle conservation** — the *final* (successful) attempt shuffled
    exactly the requested byte total: every rank's data crossed to its
-   aggregator once, no more, no less (skipped for the independent tier,
-   which shuffles nothing);
+   aggregator once, no more, no less;
 3. **lease hygiene** — the cluster's lease ledger is balanced
    (``granted == released + revoked + expired``) with zero outstanding
    leases, so no borrowed buffer outlives its collective;
@@ -214,8 +212,6 @@ class ConservationAuditor:
             )
 
         expected = sum(p.nbytes for p in patterns)
-        if record.stats.degraded_tier == "independent":
-            expected = 0
         if record.final_attempt_shuffle != expected:
             violations.append(
                 f"shuffle: final attempt moved {record.final_attempt_shuffle} "

@@ -44,6 +44,9 @@ LEASE_RETRY_LIMIT = 4
 #: ``min(LEASE_BACKOFF_CAP, LEASE_BACKOFF_BASE * 2**attempt)``.
 LEASE_BACKOFF_BASE = 1e-4
 LEASE_BACKOFF_CAP = 5e-3
+#: Sim-seconds a granted lease stays valid before it must be renewed;
+#: the borrower renews at a round boundary once less than half remains.
+LEASE_TERM = 1.0
 #: Bytes of uncommitted memory a lender must keep *beyond* the leased
 #: amount (the ledger's ``headroom``); 0 lends everything uncommitted.
 LEND_HEADROOM = 0
@@ -54,7 +57,7 @@ class BorrowDegraded(RuntimeError):
 
     Raised on *every* rank at the same round boundary (or before round 0
     when acquisition fails), after lease teardown.  The engine's caller
-    catches it and re-enters the planning chain with borrowing disabled.
+    catches it and re-plans with borrowing disabled.
 
     Attributes
     ----------
@@ -78,9 +81,8 @@ class BorrowDegraded(RuntimeError):
 class BorrowSession:
     """Shared per-collective lease state (one instance across all ranks)."""
 
-    def __init__(self, ledger, config, op_seq, tenant=None):
+    def __init__(self, ledger, op_seq, tenant=None):
         self.ledger = ledger
-        self.config = config
         self.op_seq = op_seq
         #: Owning job's identity (stamped on every lease this session
         #: grants) in a multi-tenant environment; None otherwise.
@@ -116,7 +118,6 @@ def acquire_leases(run, session: BorrowSession):
     """
     ctx = run.ctx
     env = ctx.env
-    cfg = session.config
     tracer = env.tracer
     pid = run.comm.placement[ctx.rank]
     for did, domain in enumerate(run.domains):
@@ -133,7 +134,7 @@ def acquire_leases(run, session: BorrowSession):
         while True:
             lease = session.ledger.grant(
                 domain.lender_node, ctx.rank, domain.buffer_bytes,
-                now=env.now, term=cfg.lease_term,
+                now=env.now, term=LEASE_TERM,
                 headroom=LEND_HEADROOM, tenant=session.tenant,
             )
             if lease is not None or attempts >= LEASE_RETRY_LIMIT:
@@ -180,7 +181,6 @@ def borrow_round_check(run, session: BorrowSession, t: int):
     ctx, comm = run.ctx, run.comm
     now = ctx.env.now
     ledger = session.ledger
-    cfg = session.config
     reasons = session.round_verdicts.get(t)
     if reasons is None:
         found = []
@@ -202,8 +202,8 @@ def borrow_round_check(run, session: BorrowSession, t: int):
     for did, lease in sorted(session.leases.items()):
         if lease.borrower_rank != ctx.rank:
             continue
-        if lease.active and lease.expires_at - now <= cfg.lease_term / 2:
-            if ledger.renew(lease, now, cfg.lease_term):
+        if lease.active and lease.expires_at - now <= LEASE_TERM / 2:
+            if ledger.renew(lease, now, LEASE_TERM):
                 run.stats.record_lease("renewed")
                 tracer = ctx.env.tracer
                 if tracer.enabled:

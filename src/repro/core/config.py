@@ -87,10 +87,6 @@ class MCIOConfig:
         Nominal aggregation buffer per aggregator, bytes — the quantity
         the paper's evaluation sweeps.  The effective buffer of a domain
         is ``min(cb_buffer_size, domain bytes)``.
-    allow_paged_fallback:
-        If no host in a group can satisfy the memory requirement even
-        after remerging, place the aggregator on the best host anyway
-        (marked paged).  If False, raise instead.
     memory_oblivious:
         Ablation switch: plan as if every node had its full physical
         memory available (disables the memory-aware part of aggregator
@@ -103,19 +99,12 @@ class MCIOConfig:
         lives on a single node, where relocation is impossible.
     min_buffer:
         Smallest buffer the adaptive path accepts; below this the domain
-        is remerged (or placed paged as a last resort).
+        is remerged, or placed paged on the best host as the last resort.
     failover:
         Degraded-mode execution: when an aggregator's host fails
         mid-operation, re-place the orphaned domains on the next-best
         live hosts between lockstep rounds.  With no faults injected
         this is timing-neutral.
-    fallback_chain:
-        Graceful planning degradation: if MCIO planning raises
-        :class:`~repro.core.aggregator_selection.PlacementError`, fall
-        back to a ROMIO-style even plan on the live hosts, and to
-        independent I/O if no live aggregator host exists, instead of
-        crashing the collective.  The tier actually used is recorded in
-        :attr:`~repro.core.metrics.CollectiveStats.degraded_tier`.
     placement_policy:
         What to do when a leaf's candidate hosts cannot supply the
         nominal buffer (the point where the paper remerges):
@@ -126,14 +115,9 @@ class MCIOConfig:
           memory-rich remote node instead (DOLMA-style remote memory);
           buffer staging then crosses the fabric at α–β cost.  If no
           lender qualifies the leaf is *not* remerged — it degrades to
-          the paged/error path;
+          the paged placement;
         * ``"hybrid"`` — try to borrow first, remerge when no lender
           qualifies.
-    lease_term:
-        Sim-seconds a granted lease stays valid before it must be
-        renewed; the borrower renews at every round boundary once less
-        than half the term remains.  Grant retries and the lender's
-        headroom are fixed (:mod:`repro.core.borrow`).
     execution_mode:
         How collectives are simulated (DESIGN.md §11):
 
@@ -158,14 +142,11 @@ class MCIOConfig:
     mem_min: int = 32 * MIB
     nah: int = 2
     cb_buffer_size: int = 16 * MIB
-    allow_paged_fallback: bool = True
     memory_oblivious: bool = False
     adaptive_buffer: bool = True
     min_buffer: int = 1 * MIB
     failover: bool = True
-    fallback_chain: bool = True
     placement_policy: PlacementPolicy = "remerge"
-    lease_term: float = 1.0
     execution_mode: ExecutionMode = "per-rank"
 
     def __post_init__(self) -> None:
@@ -184,7 +165,5 @@ class MCIOConfig:
             raise ValueError("min_buffer must be >= 1")
         if self.placement_policy not in ("remerge", "borrow", "hybrid"):
             raise ValueError(f"bad placement_policy {self.placement_policy!r}")
-        if self.lease_term <= 0:
-            raise ValueError("lease_term must be > 0")
         if self.execution_mode not in ("per-rank", "vectorized"):
             raise ValueError(f"bad execution_mode {self.execution_mode!r}")

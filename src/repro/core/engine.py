@@ -852,11 +852,12 @@ def _read_and_scatter(
     `service` is None in a lockstep run, which reads inline.  A pipelined
     run reads each window in a spawned prefetch process, and unless
     `degraded` starts the next window's prefetch into the other slot
-    before scattering this one.
+    before scattering this one.  A window's bytes count here, where it
+    is consumed, so a prefetch that failover orphans counts nothing.
     """
     ctx = run.ctx
     if service is None:
-        buffer, total_read = yield from _read_window(run, did, window, t)
+        buffer, pieces = yield from _read_window(run, did, window, t)
     else:
         pf = service.pop((did, t), None)
         if pf is None:
@@ -866,7 +867,7 @@ def _read_and_scatter(
                 name=f"rank{ctx.rank}.pf{did}.r{t}",
             )
         yield pf
-        buffer, total_read = pf.value
+        buffer, pieces = pf.value
         nxt = None if degraded else round_window(run.domains[did], t + 1, half=True)
         if nxt is not None and (did, t + 1) not in service:
             # the OST reads of the next window run behind this scatter
@@ -875,6 +876,11 @@ def _read_and_scatter(
                 _read_window(run, did, nxt, t + 1),
                 name=f"rank{ctx.rank}.pf{did}.r{t + 1}",
             )
+    total_read = 0
+    for piece in pieces:
+        total_read += piece.length
+        run.stats.record_bytes(piece.length)
+        run.stats.record_io_extent(piece.offset, piece.length)
     if total_read == 0:
         return
     paged = run.paged_flags[did]
@@ -919,28 +925,27 @@ def _write_pieces(
 
 def _read_window(run: _RunContext, did: int, window: Extent, t: int):
     """Process generator: read `window`'s requested extents; returns
-    ``(buffer, bytes read)`` (buffer None without a datastore)."""
+    ``(buffer, pieces read)`` (buffer None without a datastore)."""
     tracer = run.ctx.env.tracer
     t0 = tracer.now() if tracer.enabled else 0.0
     expected = _expected_senders(run, did, window)
     if not expected:
-        return None, 0
+        return None, ()
     pfs = run.pfs
     buffer: Optional[np.ndarray] = (
         np.zeros(window.length, dtype=np.uint8) if pfs.datastore is not None else None
     )
-    total = 0
-    for piece in window_union(run.views, expected, window):
+    pieces = window_union(run.views, expected, window)
+    for piece in pieces:
         data = yield from pfs.read_extent(run.node, piece)
-        total += piece.length
-        run.stats.record_bytes(piece.length)
-        run.stats.record_io_extent(piece.offset, piece.length)
         if buffer is not None and data is not None:
             rel = piece.offset - window.offset
             buffer[rel : rel + piece.length] = data
     if run.index.half and tracer.enabled:
-        _overlap_span(run, did, t, t0, "prefetch", total)
-    return buffer, total
+        _overlap_span(
+            run, did, t, t0, "prefetch", sum(p.length for p in pieces)
+        )
+    return buffer, pieces
 
 
 def _overlap_span(

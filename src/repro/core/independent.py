@@ -7,8 +7,9 @@ instead moves one large *covering* extent per rank and picks/places the
 requested bytes in memory: reads fetch the hull and extract; writes
 read-modify-write the hull.
 
-These exist as comparison points and for the ablation benchmarks; the
-paper's evaluation compares MCIO against two-phase collective I/O.
+These exist as comparison points: the golden matrix and the unit tests
+run them, no experiment does; the paper's evaluation compares MCIO
+against two-phase collective I/O.
 """
 
 from __future__ import annotations

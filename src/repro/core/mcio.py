@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.aggregator_selection import PlacementError, place_aggregators
+from repro.core.aggregator_selection import place_aggregators
 from repro.core.borrow import BorrowDegraded, BorrowSession
 from repro.core.config import MCIOConfig
 from repro.core.engine import ExecutionPlan, execute_collective
@@ -38,9 +38,9 @@ from repro.core.group_division import divide_groups
 from repro.core.metrics import CollectiveStats, StatsCollector
 from repro.core.partition_tree import PartitionTree
 from repro.core.path import resolve_path
-from repro.core.pattern_array import FileViewIndex, FileViews, file_views
+from repro.core.pattern_array import FileViewIndex, file_views
 from repro.core.request import AccessPattern
-from repro.core.two_phase import CollectiveEngine, default_aggregators, even_plan
+from repro.core.two_phase import CollectiveEngine
 from repro.mpi.comm import SimComm
 from repro.obs.tracer import PID_PLANNER
 from repro.pfs.filesystem import ParallelFileSystem
@@ -234,24 +234,19 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
             nbytes=16,
         )
         views, plan, stats, borrow = self._prepare(seq, patterns, mem_state, op)
-        if stats.path.driver == "independent":
-            # last tier of the fallback chain: uncoordinated independent I/O
-            result = yield from self._independent_tier(ctx, pattern, payload, op, stats)
-        else:
-            try:
-                result = yield from execute_collective(
-                    ctx, self.comm, self.pfs, plan, views, stats, op, seq,
-                    payload=payload,
-                    failover_config=self.config if self.config.failover else None,
-                    borrow=borrow,
-                )
-            except BorrowDegraded:
-                # every rank raises at the same round boundary (after
-                # lease teardown); re-enter the normal degradation chain
-                # with borrowing disabled
-                result = yield from self._borrow_fallback(
-                    ctx, pattern, payload, op, seq, views, stats
-                )
+        try:
+            result = yield from execute_collective(
+                ctx, self.comm, self.pfs, plan, views, stats, op, seq,
+                payload=payload,
+                failover_config=self.config if self.config.failover else None,
+                borrow=borrow,
+            )
+        except BorrowDegraded:
+            # every rank raises at the same round boundary (after lease
+            # teardown); re-plan with borrowing disabled
+            result = yield from self._borrow_fallback(
+                ctx, payload, op, seq, views, stats
+            )
         self._finish(seq, ctx)
         return result
 
@@ -260,22 +255,17 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
         first-arriving rank does the work, every rank shares the result."""
         if seq not in self._plans:
             views = self._views[seq] = FileViewIndex(patterns)
-            plan, tier, reason = self._plan_with_fallback(
-                views, *memory_snapshot(mem_state)
-            )
+            plan = self.plan(views, *memory_snapshot(mem_state))
             self._plans[seq] = plan
-            stats = self._make_collector(op, plan, tier, reason)
+            stats = self._make_collector(op, plan)
             stats.path = resolve_path(self, plan)
             self._stats[seq] = stats
-            borrowed = plan is not None and any(
-                d.lender_node is not None for d in plan.domains
-            )
+            borrowed = any(d.lender_node is not None for d in plan.domains)
             # lease-free plans get no session at all: the borrow machinery
             # must not perturb never-triggered runs
             self._borrows[seq] = (
                 BorrowSession(
-                    self.comm.cluster.memory_ledger, self.config, seq,
-                    tenant=self.tenant,
+                    self.comm.cluster.memory_ledger, seq, tenant=self.tenant
                 )
                 if borrowed
                 else None
@@ -285,47 +275,23 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
             self._borrows[seq],
         )
 
-    def _make_collector(self, op, plan, tier, reason) -> StatsCollector:
+    def _make_collector(self, op, plan) -> StatsCollector:
         """Build one operation's collector (shared with the vectorized driver)."""
         collector = StatsCollector(self.name, op, n_ranks=self.comm.size)
-        collector.n_groups = plan.n_groups if plan is not None else 1
-        collector.set_tier(tier)
+        collector.n_groups = plan.n_groups
         collector.attach_pfs(self.pfs)
-        if reason is not None:
-            collector.extra["fallback_reason"] = reason
         if self.auditor is not None:
             collector.auditor = self.auditor
         return collector
 
-    def _independent_tier(self, ctx, pattern, payload, op, stats):
-        """Process generator: serve the collective as independent I/O."""
-        stats.mark_start(ctx.env.now)
-        stats.record_attempt()
-        if op == "write":
-            yield from self.pfs.write_pattern(ctx.node, pattern, payload)
-            result = payload
-        else:
-            data = yield from self.pfs.read_pattern(ctx.node, pattern)
-            if payload is not None and data is not None:
-                payload[:] = data
-                data = payload
-            result = data
-        stats.record_bytes(pattern.nbytes)
-        for file_off, length, _buf_off in pattern.iter_mapped_extents():
-            stats.record_io_extent(file_off, length)
-        # preserve collective-call semantics: no rank leaves early
-        yield from self.comm.barrier(ctx)
-        return result
-
-    def _borrow_fallback(self, ctx, pattern, payload, op, seq, views, stats):
+    def _borrow_fallback(self, ctx, payload, op, seq, views, stats):
         """Process generator: re-run a degraded borrowed collective.
 
         Every rank arrives here at the same sim instant (the abort round's
-        boundary).  A fresh memory/health allgather feeds the normal
-        degradation chain with ``placement_policy`` forced to
-        ``"remerge"``, so the retry re-enters MCIO → two-phase →
-        independent exactly as a memory-pressured plan would — no second
-        borrow attempt inside the same operation.
+        boundary).  A fresh memory/health allgather feeds a re-plan with
+        ``placement_policy`` forced to ``"remerge"``, which remerges or
+        pages exactly as a memory-pressured plan would — no second borrow
+        attempt inside the same operation.
         """
         mem_state = yield from self.comm.allgather(
             ctx,
@@ -333,19 +299,13 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
             nbytes=16,
         )
         key = ("borrow-fallback", seq)
+        remerge_cfg = _cfg_replace(self.config, placement_policy="remerge")
         if key not in self._plans:
-            remerge_cfg = _cfg_replace(self.config, placement_policy="remerge")
-            plan, tier, reason = self._plan_with_fallback(
+            self._plans[key] = self.plan(
                 views, *memory_snapshot(mem_state), config=remerge_cfg
             )
-            stats.set_tier(tier if tier is not None else "remerge")
-            if reason is not None:
-                stats.extra.setdefault("fallback_reason", reason)
-            self._plans[key] = plan
+            stats.set_tier("remerge")
         plan = self._plans[key]
-        if plan is None:
-            return (yield from self._independent_tier(ctx, pattern, payload, op, stats))
-        remerge_cfg = _cfg_replace(self.config, placement_policy="remerge")
         return (
             yield from execute_collective(
                 ctx, self.comm, self.pfs, plan, views, stats, op,
@@ -362,57 +322,6 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
             # aggregators moved mid-run: every frozen plan now names
             # stale placements
             self._notify_plan_invalidation("failover")
-
-    # ------------------------------------------------------------------
-    def _plan_with_fallback(
-        self,
-        patterns: Sequence[AccessPattern],
-        memory_available: dict[int, int],
-        failed_nodes: frozenset = frozenset(),
-        config: Optional[MCIOConfig] = None,
-    ):
-        """Graceful planning degradation: MCIO → two-phase → independent.
-
-        Returns ``(plan, tier, reason)``: `tier` is None when the MCIO
-        plan succeeded, ``"two-phase"`` for the ROMIO-style even plan on
-        the live hosts, ``"independent"`` (with ``plan=None``) when not
-        even one live aggregator host exists; `reason` carries the
-        triggering :class:`PlacementError` message.  `config` overrides
-        the engine's parameters for this plan only (the borrow fallback
-        re-plans with ``placement_policy="remerge"``).
-        """
-        cfg = self.config if config is None else config
-        views = file_views(patterns)
-        try:
-            plan = self.plan(
-                views, memory_available, failed_nodes=failed_nodes,
-                config=cfg,
-            )
-            return plan, None, None
-        except PlacementError as exc:
-            if not cfg.fallback_chain:
-                raise
-            reason = str(exc)
-        plan = self._two_phase_plan(views, failed_nodes)
-        if plan is not None:
-            return plan, "two-phase", reason
-        return None, "independent", reason
-
-    def _two_phase_plan(
-        self, views: FileViews, failed_nodes: frozenset
-    ) -> Optional[ExecutionPlan]:
-        """ROMIO-style even plan restricted to live hosts, or None when
-        there is data but no live host to aggregate it."""
-        aggs = [
-            r
-            for r in default_aggregators(self.comm.placement)
-            if self.comm.placement[r] not in failed_nodes
-        ]
-        if not aggs and views.any_active:
-            return None
-        return even_plan(
-            views, aggs, self.config.cb_buffer_size, self.pfs.layout.stripe_size
-        )
 
     # ------------------------------------------------------------------
     def plan(

@@ -53,9 +53,8 @@ class CollectiveStats:
     shuffle_inter_node_bytes: int
     n_groups: int = 1
     extra: dict = field(default_factory=dict)
-    #: Which tier actually served the collective when the primary planner
-    #: could not: None = the strategy's own plan, else "two-phase" or
-    #: "independent" (the graceful-degradation chain).
+    #: None = the strategy's own plan served the collective; "remerge"
+    #: when a degraded borrow re-planned with remerging instead.
     degraded_tier: Optional[str] = None
     #: PFS client retries / abandoned requests during this operation.
     io_retries: int = 0

@@ -1,10 +1,9 @@
 """One path decision per collective: which driver runs it, and why.
 
 The drivers: ``"vectorized"`` (node level, DESIGN.md §11), ``"lockstep"``
-(per-rank coroutines walking ROMIO's rounds, the reference),
+(per-rank coroutines walking ROMIO's rounds, the reference) and
 ``"pipelined"`` (lockstep with the PFS stage overlapped: a persistent
-replay's ``overlap=True``, §13) and ``"independent"`` (the last tier of
-the planning fallback chain).  :func:`resolve_path` is the only place
+replay's ``overlap=True``, §13).  :func:`resolve_path` is the only place
 that chooses among them.  Refusals read ``"<refused>:<reason>"`` in
 check order; ``<refused>`` is a driver, or ``"persistent"`` when a
 replay hands its epoch to the blocking entry point.  Mid-run events
@@ -26,10 +25,7 @@ __all__ = [
 UNPLANNED = object()
 
 #: Engine attributes a persistent replay drives (MCIO's planning surface).
-_REPLAY_HOOKS = (
-    "_plan_with_fallback", "_make_collector", "_independent_tier",
-    "add_invalidation_listener",
-)
+_REPLAY_HOOKS = ("plan", "_make_collector", "add_invalidation_listener")
 
 
 @dataclass(frozen=True)
@@ -66,23 +62,21 @@ def resolve_path(
 ) -> PathDecision:
     """Decide, from `engine`'s platform state, which driver runs a collective.
 
-    `plan` is the plan to run, None for the independent tier, or
-    :data:`UNPLANNED`.  The node-level driver asks with `vectorize`
-    (and its `payloads`), a persistent handle with `replay` (and
-    `overlap` for the pipelined executor); a blocking per-rank
-    collective asks with neither.  Reads state, never changes it.
+    `plan` is the plan to run, or :data:`UNPLANNED`.  The node-level
+    driver asks with `vectorize` (and its `payloads`), a persistent
+    handle with `replay` (and `overlap` for the pipelined executor); a
+    blocking per-rank collective asks with neither.  Reads state, never changes it.
     """
     if replay:
         return _replay_path(engine, plan, overlap)
     if vectorize:
         return _vectorized_path(engine, plan, payloads)
-    return PathDecision("independent" if plan is None else "lockstep")
+    return PathDecision("lockstep")
 
 
 def _vectorized_path(engine, plan, payloads) -> PathDecision:
     """Per-rank coroutines stay wherever per-rank behaviour could diverge."""
     cluster = engine.comm.cluster
-    driver = "lockstep"
     if engine.pfs.datastore is not None or payloads is not None:
         reason = "data-plane"
     elif any(len(inj.schedule) > 0 for inj in engine._fault_injectors):
@@ -94,14 +88,12 @@ def _vectorized_path(engine, plan, payloads) -> PathDecision:
         reason = "active-leases"
     elif plan is UNPLANNED:
         return PathDecision("vectorized")
-    elif plan is None:
-        driver, reason = "independent", "independent-tier"
     elif _borrows(plan):
         # the borrow protocol is control flow between rank coroutines
         reason = "lender-domains"
     else:
         return PathDecision("vectorized")
-    return PathDecision(driver, (f"vectorized:{reason}",))
+    return PathDecision("lockstep", (f"vectorized:{reason}",))
 
 
 def _replay_path(engine, plan, overlap: bool) -> PathDecision:
@@ -110,7 +102,7 @@ def _replay_path(engine, plan, overlap: bool) -> PathDecision:
         return PathDecision("lockstep", ("persistent:engine-unsupported",))
     if plan is UNPLANNED:
         return PathDecision("pipelined" if overlap else "lockstep")
-    if plan is not None and _borrows(plan):
+    if _borrows(plan):
         # leases are a per-operation protocol: a frozen replay cannot
         # hold them across epochs, and the blocking path never overlaps
         refusals = ("persistent:borrow-lease",)
@@ -120,8 +112,6 @@ def _replay_path(engine, plan, overlap: bool) -> PathDecision:
     refusals = ()
     if vectorization_requested(engine):
         refusals += ("vectorized:persistent-collective",)
-    if plan is None:
-        return PathDecision("independent", refusals)
     if overlap and engine.comm.cluster.any_failed:
         # the overlapped path handles failures arising mid-run (drain,
         # then lockstep + failover) but never starts degraded

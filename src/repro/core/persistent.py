@@ -34,8 +34,8 @@ lease grant/revoke/expire, fault apply/revert (for injectors wired via
 counter, and the next ``start()`` re-plans from fresh allgathers.  An
 event landing *between* ``start()`` and ``wait()`` never perturbs the
 in-flight epoch — the executor's own degradation machinery (drain, then
-lockstep + failover, then the MCIO → two-phase → independent chain)
-carries it to completion — it only forces the re-plan afterwards.
+lockstep + failover) carries it to completion — it only forces the
+re-plan afterwards.
 
 Path decision
 -------------
@@ -111,8 +111,6 @@ class PersistentCollective:
         self.managed = not resolve_path(self.engine, replay=True).delegated
         # frozen plan state
         self._plan = None
-        self._tier = None
-        self._reason = None
         self._views = None
         self._plan_gen = -1
         self._inval_gen = 0
@@ -233,12 +231,7 @@ class PersistentCollective:
                 # the frozen plan keeps its views' index beside it: one
                 # index per handle, replaced only by the next re-plan
                 views = FileViewIndex(patterns)
-                plan, tier, reason = engine._plan_with_fallback(
-                    views, *memory_snapshot(mem_state)
-                )
-                self._plan = plan
-                self._tier = tier
-                self._reason = reason
+                self._plan = engine.plan(views, *memory_snapshot(mem_state))
                 self._views = views
                 self._plan_gen = ep.gen
                 self.replans += 1
@@ -251,9 +244,7 @@ class PersistentCollective:
         if ep.decision.delegated:
             return (yield from self._delegate(ctx, ep, pattern, payload))
         if ep.stats is None:
-            stats = engine._make_collector(
-                self.op, self._plan, self._tier, self._reason
-            )
+            stats = engine._make_collector(self.op, self._plan)
             stats.path = ep.decision
             stats.extra["persistent"] = self.pc_id
             stats.extra["persistent_epoch"] = ep.index
@@ -262,13 +253,6 @@ class PersistentCollective:
         stats = ep.stats
         if self.op == "read" and payload is None and engine.pfs.datastore is not None:
             payload = np.zeros(pattern.nbytes, dtype=np.uint8)
-        if ep.decision.driver == "independent":
-            # last tier of the fallback chain, same as the blocking path
-            result = yield from engine._independent_tier(
-                ctx, pattern, payload, self.op, stats
-            )
-            stats.mark_end(ctx.env.now)
-            return result
         return (
             yield from execute_collective(
                 ctx, comm, engine.pfs, self._plan, self._views, stats, self.op,

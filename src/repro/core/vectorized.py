@@ -26,7 +26,7 @@ When the planner refuses
 Per-rank coroutines are retained wherever genuinely per-rank behaviour
 could diverge.  :func:`~repro.core.path.resolve_path` owns those rules
 (data plane, fault schedule, failed nodes, live leases, and after
-planning the independent tier and lender-backed domains).  This driver
+planning lender-backed domains).  This driver
 asks it once before planning and once with the plan; on a refusal it
 runs the reference per-rank path, whose stats carry its own decision
 with the ``"vectorized:<reason>"`` refusal in front
@@ -138,9 +138,7 @@ def run_vectorized_collective(
         ).tolist()
     }
     views = file_views(patterns)
-    plan, tier, reason_txt = engine._plan_with_fallback(
-        views, memory_available, frozenset()
-    )
+    plan = engine.plan(views, memory_available)
     # the refused run plans again on its own, exactly as a plain
     # per-rank run would
     decision = resolve_path(engine, plan, vectorize=True, payloads=payloads)
@@ -148,7 +146,7 @@ def run_vectorized_collective(
         return _per_rank_fallback(engine, patterns, op, decision, payloads)
 
     seq = engine._advance_seq()
-    stats = engine._make_collector(op, plan, tier, reason_txt)
+    stats = engine._make_collector(op, plan)
     stats.path = decision
 
     env = comm.env

@@ -10,10 +10,9 @@ each degrades:
 * the PFS client retry policy (timeout + capped exponential backoff)
   absorbs server outage windows for *both* strategies;
 * MCIO additionally re-plans around degraded hosts (soft exclusion of
-  failed nodes), fails aggregators over to live hosts between rounds,
-  and falls back to a two-phase or independent plan when placement is
-  impossible — the baseline has none of these, so the gap widens with
-  the fault rate.
+  failed nodes) and fails aggregators over to live hosts between rounds
+  — the baseline has neither, so the gap widens with the fault rate.
+  ``mcio-static`` is the same planner without mid-run failover.
 
 At fault rate 0 the schedule is empty and both engines execute exactly
 the code path of a fault-free run (the degraded-mode hooks add no
@@ -211,14 +210,12 @@ def _chaos_cell(cell, tracer=None) -> ChaosPoint:
             TwoPhaseConfig(cb_buffer_size=64 * KIB),
         )
     else:
-        # "mcio-static" ablates the degraded modes: same planner,
-        # no mid-run failover and no fallback chain
-        degraded = strategy == "mcio"
+        # "mcio-static" ablates mid-run failover: same planner
         engine = MemoryConsciousCollectiveIO(
             platform.comm, platform.pfs,
             MCIOConfig(
                 cb_buffer_size=64 * KIB, msg_ind=4 * MIB, mem_min=0,
-                nah=4, failover=degraded, fallback_chain=degraded,
+                nah=4, failover=strategy == "mcio",
             ),
         )
         engine.watch_faults(injector)

@@ -14,8 +14,9 @@ seed-reproducible schedules:
 
 Recovery lives with the components it protects:
 :class:`~repro.pfs.filesystem.RetryPolicy` (client retries),
-aggregator failover in :mod:`repro.core.engine`, and the planning
-fallback chain in :mod:`repro.core.mcio`.
+aggregator failover in :mod:`repro.core.engine`, and soft exclusion
+of failed hosts in :mod:`repro.core.mcio`'s planner, whose last resort
+is a paged placement.
 """
 
 from .injector import FaultInjector

@@ -2,9 +2,8 @@
 
 The :mod:`repro.sim` package provides the event engine
 (:class:`~repro.sim.engine.Environment`, processes-as-generators), shared
-resources (:class:`~repro.sim.resources.Resource`,
-:class:`~repro.sim.resources.Container`) with callback-driven timed holds
-on them (:class:`~repro.sim.resources.Hold`), and seeded RNG streams
+resources (:class:`~repro.sim.resources.Resource`) with callback-driven
+timed holds on them (:class:`~repro.sim.resources.Hold`), and seeded RNG streams
 (:class:`~repro.sim.rng.RngFactory`).  Everything above it — the cluster,
 the MPI runtime, the parallel file system — is built from these pieces.
 """
@@ -19,13 +18,12 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Container, Countdown, Hold, Request, Resource, start_holds
+from .resources import Countdown, Hold, Request, Resource, start_holds
 from .rng import RngFactory, derive_seed
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Countdown",
     "Environment",
     "Event",

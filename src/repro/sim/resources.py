@@ -1,17 +1,10 @@
 """Shared-resource primitives for the simulation kernel.
 
-Two resource kinds cover everything the cluster model needs:
-
-:class:`Resource`
-    A counted FIFO resource (``capacity`` concurrent holders).  Used for I/O
-    server service slots, NIC transmit/receive engines, and memory-bus
-    channels.  Contention shows up as queueing delay.
-
-:class:`Container`
-    A levelled resource holding a continuous amount (e.g. bytes of memory).
-    ``get``/``put`` block until satisfiable, FIFO-fairly.
-
-Both are deterministic: waiters are served strictly in request order.
+:class:`Resource` is a counted FIFO resource (``capacity`` concurrent
+holders).  Used for I/O server service slots, NIC transmit/receive
+engines, and memory-bus channels.  Contention shows up as queueing
+delay.  It is deterministic: waiters are served strictly in request
+order.
 
 :class:`Hold` is a timed hold of one :class:`Resource` slot (request,
 hold for a delay fixed at the grant, release) run as callbacks rather
@@ -34,7 +27,7 @@ from .engine import (
     SimulationError,
 )
 
-__all__ = ["Resource", "Request", "Container", "Hold", "Countdown", "start_holds"]
+__all__ = ["Resource", "Request", "Hold", "Countdown", "start_holds"]
 
 
 class Request(Event):
@@ -212,73 +205,6 @@ class Resource:
             self._account()
             self._holders.add(nxt)
             nxt.succeed()
-
-
-class Container:
-    """A continuous-quantity store (bytes, tokens, ...).
-
-    ``get`` requests block FIFO-fairly until the level is sufficient; a large
-    ``get`` at the head of the queue blocks later small ones (no overtaking),
-    which keeps behaviour deterministic and starvation-free.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "",
-    ):
-        if init < 0 or init > capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self.name = name
-        self._level = float(init)
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current stored amount."""
-        return self._level
-
-    def get(self, amount: float) -> Event:
-        """Withdraw `amount`; the event fires once withdrawn."""
-        if amount < 0:
-            raise ValueError(f"negative get amount: {amount}")
-        ev = Event(self.env)
-        self._getters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def put(self, amount: float) -> Event:
-        """Deposit `amount`; the event fires once it fits under capacity."""
-        if amount < 0:
-            raise ValueError(f"negative put amount: {amount}")
-        ev = Event(self.env)
-        self._putters.append((ev, amount))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    ev.succeed(amount)
-                    progressed = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if amount <= self._level:
-                    self._getters.popleft()
-                    self._level -= amount
-                    ev.succeed(amount)
-                    progressed = True
 
 
 class Hold(Event):

@@ -1,12 +1,6 @@
 """Tests for memory-aware aggregator placement (paper §3.3)."""
 
-import pytest
-
-from repro.core.aggregator_selection import (
-    PlacementError,
-    candidate_hosts,
-    place_aggregators,
-)
+from repro.core.aggregator_selection import candidate_hosts, place_aggregators
 from repro.core.config import MCIOConfig
 from repro.core.partition_tree import PartitionTree
 from repro.core.request import AccessPattern, Extent
@@ -117,19 +111,6 @@ def test_total_memory_crunch_falls_back_paged():
     )
     assert len(domains) == 1
     assert domains[0].paged
-
-
-def test_total_memory_crunch_raises_when_fallback_disabled():
-    patterns = serial_patterns(2, width=100)
-    ranks = [0, 1]
-    placement = [0, 1]
-    tree = make_tree(patterns, ranks, Extent(0, 200), msg_ind=100)
-    with pytest.raises(PlacementError):
-        place_aggregators(
-            tree, 0, ranks, patterns, placement,
-            memory_available={0: 10, 1: 10},
-            config=cfg(cb_buffer_size=200, allow_paged_fallback=False),
-        )
 
 
 def test_mem_min_floor_enforced():

@@ -17,6 +17,7 @@ from repro.core import (
     MCIOConfig,
     MemoryConsciousCollectiveIO,
 )
+from repro.core import borrow
 from repro.core.request import AccessPattern, StridedSegment
 from repro.obs import Tracer
 
@@ -177,7 +178,7 @@ class TestLeaseProtocolObservability:
         assert "borrow.release" in names
         assert "borrow.abort" not in names
 
-    def test_lease_renewal_on_long_collective(self):
+    def test_lease_renewal_on_long_collective(self, monkeypatch):
         """A lease term shorter than the run forces mid-flight renewals.
 
         The term is sized from a fault-free probe so a round boundary
@@ -193,9 +194,10 @@ class TestLeaseProtocolObservability:
         payloads = [rank_payload(r, NBYTES) for r in range(N_RANKS)]
         elapsed = run_write(probe_stack, probe, patterns, payloads).elapsed
 
+        monkeypatch.setattr(borrow, "LEASE_TERM", elapsed * 0.8)
         stack = make_borrow_stack()
         engine = MemoryConsciousCollectiveIO(
-            stack.comm, stack.pfs, mcio_cfg("borrow", lease_term=elapsed * 0.8)
+            stack.comm, stack.pfs, mcio_cfg("borrow")
         )
         stats = run_write(stack, engine, patterns, payloads)
         assert stats.leases_renewed > 0

@@ -1,7 +1,7 @@
 """Byte-conservation auditor: unit semantics + chaos-sweep property.
 
-The auditor is the referee for every degraded tier this repo grows:
-remerge, borrow-abort, failover, two-phase fallback, independent I/O.
+The auditor is the referee for every degraded mode this repo grows:
+remerge, borrow-abort, failover, pipeline drain.
 These tests pin its mechanics (attempt delimiting, coverage gap walk,
 ledger/memory hygiene) on synthetic inputs where violations are
 constructed on purpose, then assert the real invariant — no lost bytes —
@@ -166,15 +166,6 @@ class TestVerifyViolations:
         assert "coverage" in joined and "1024" in joined
         assert "shuffle" in joined
 
-    def test_independent_tier_expects_zero_shuffle(self):
-        auditor = ConservationAuditor()
-        patterns = _block_patterns(4, KIB)
-        ok = self._record([Extent(0, 4 * KIB)], 0, tier="independent")
-        auditor.verify(patterns, record=ok)
-        bad = self._record([Extent(0, 4 * KIB)], 4 * KIB, tier="independent")
-        with pytest.raises(ConservationError, match="shuffle"):
-            auditor.verify(patterns, record=bad)
-
     def test_no_finalized_operation_is_a_violation(self):
         with pytest.raises(ConservationError, match="no finalized"):
             ConservationAuditor().verify(_block_patterns())
@@ -245,8 +236,7 @@ class TestChaosProperty:
         from repro.experiments import resilience
 
         # audit=True verifies every cell in-line, raising
-        # ConservationError on any lost byte across retry, failover,
-        # two-phase fallback, and independent tiers
+        # ConservationError on any lost byte across retry and failover
         result = resilience.run(
             fault_rates=(0.0, 1.0),
             seed=seed,

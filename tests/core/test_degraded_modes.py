@@ -1,7 +1,6 @@
-"""Graceful degradation: planning fallbacks and chaos determinism."""
+"""Graceful degradation: the paged last resort and chaos determinism."""
 
 import numpy as np
-import pytest
 
 from repro.cluster.background import BackgroundLoad
 from repro.core import (
@@ -11,7 +10,6 @@ from repro.core import (
     TwoPhaseCollectiveIO,
     TwoPhaseConfig,
 )
-from repro.core.aggregator_selection import PlacementError
 from repro.core.request import AccessPattern, Extent, StridedSegment
 from repro.faults import FaultInjector, FaultSchedule
 
@@ -57,28 +55,6 @@ def verify_contiguous(stack, payloads, width):
 
 
 class TestPlanFailurePaths:
-    def test_mem_min_floor_raises_enriched_error(self):
-        stack = make_stack()
-        engine = make_engine(stack, mem_min=10**15, allow_paged_fallback=False)
-        patterns = contiguous_patterns(stack.comm.size, 64 * KIB)
-        memory = {n: 10**6 for n in range(3)}
-        with pytest.raises(PlacementError) as exc_info:
-            engine.plan(patterns, memory)
-        err = exc_info.value
-        assert err.group_id is not None
-        assert err.domain is not None
-        assert err.best_mem_avl is not None
-        assert err.best_mem_avl < 10**15
-
-    def test_paged_fallback_disabled_raises(self):
-        stack = make_stack()
-        engine = make_engine(stack, allow_paged_fallback=False)
-        patterns = contiguous_patterns(stack.comm.size, 1 * MIB)
-        # nothing fits anywhere: every placement would page
-        memory = {n: 1024 for n in range(3)}
-        with pytest.raises(PlacementError):
-            engine.plan(patterns, memory)
-
     def test_paged_fallback_enabled_plans_anyway(self):
         stack = make_stack()
         engine = make_engine(stack)
@@ -96,54 +72,23 @@ class TestPlanFailurePaths:
         for d in plan.domains:
             assert stack.comm.placement[d.aggregator_rank] != 0
 
-
-class TestFallbackChain:
-    WIDTH = 256 * KIB
-
-    def test_placement_failure_degrades_to_two_phase(self):
+    def test_every_node_failed_pages_every_aggregator(self):
+        """No live host at all: the paged placement is the last resort,
+        so the write still plans, runs lockstep and round-trips."""
         stack = make_stack()
-        engine = make_engine(
-            stack, mem_min=10**15, allow_paged_fallback=False,
-            fallback_chain=True,
-        )
+        for node in stack.cluster.nodes:
+            node.fail()
+        engine = make_engine(stack)
+        width = 256 * KIB
         payloads = roundtrip_write(
-            stack, engine, lambda r: AccessPattern.contiguous(
-                r * self.WIDTH, self.WIDTH)
+            stack, engine, lambda r: AccessPattern.contiguous(r * width, width)
         )
         stats = engine.history[-1]
-        assert stats.degraded_tier == "two-phase"
-        assert stats.tier == "two-phase"
-        assert stats.extra.get("fallback_reason")
-        verify_contiguous(stack, payloads, self.WIDTH)
-
-    def test_placement_failure_without_chain_raises(self):
-        stack = make_stack()
-        engine = make_engine(
-            stack, mem_min=10**15, allow_paged_fallback=False,
-            fallback_chain=False,
-        )
-        with pytest.raises(PlacementError):
-            roundtrip_write(
-                stack, engine, lambda r: AccessPattern.contiguous(
-                    r * self.WIDTH, self.WIDTH)
-            )
-
-    def test_two_phase_failure_degrades_to_independent(self, monkeypatch):
-        stack = make_stack()
-        engine = make_engine(
-            stack, mem_min=10**15, allow_paged_fallback=False,
-            fallback_chain=True,
-        )
-        monkeypatch.setattr(
-            engine, "_two_phase_plan", lambda *a, **kw: None
-        )
-        payloads = roundtrip_write(
-            stack, engine, lambda r: AccessPattern.contiguous(
-                r * self.WIDTH, self.WIDTH)
-        )
-        stats = engine.history[-1]
-        assert stats.degraded_tier == "independent"
-        verify_contiguous(stack, payloads, self.WIDTH)
+        assert stats.path.driver == "lockstep"
+        assert stats.degraded_tier is None
+        assert stats.agg_buffer_bytes
+        assert stats.paged_aggregators == len(stats.agg_buffer_bytes)
+        verify_contiguous(stack, payloads, width)
 
 
 class TestExactUnionAtScale:

@@ -116,8 +116,7 @@ class TestFailoverEndToEnd:
         engine = MemoryConsciousCollectiveIO(
             stack.comm, stack.pfs,
             MCIOConfig(msg_ind=4 * MIB, mem_min=0, nah=4,
-                       cb_buffer_size=64 * KIB, failover=failover,
-                       fallback_chain=failover),
+                       cb_buffer_size=64 * KIB, failover=failover),
         )
         schedule = FaultSchedule(
             [FaultEvent(time=fail_at, kind="node_failure", target=0,
@@ -191,8 +190,7 @@ class TestFailoverPromotesOutsider:
         engine = MemoryConsciousCollectiveIO(
             stack.comm, stack.pfs,
             MCIOConfig(msg_ind=4 * MIB, mem_min=0, nah=4,
-                       cb_buffer_size=64 * KIB, failover=True,
-                       fallback_chain=True),
+                       cb_buffer_size=64 * KIB, failover=True),
         )
         auditor = ConservationAuditor(cluster=stack.cluster).attach(engine)
         injector = FaultInjector(

@@ -41,7 +41,6 @@ def test_blocking_collectives_run_lockstep_or_independent():
     engine = engine_on(make_stack(n_ranks=N_RANKS, with_data=False))
     assert resolve_path(engine, LOCAL_PLAN) == PathDecision("lockstep")
     assert resolve_path(engine, BORROWED_PLAN) == PathDecision("lockstep")
-    assert resolve_path(engine, None) == PathDecision("independent")
 
 
 class TestVectorized:
@@ -69,15 +68,12 @@ class TestVectorized:
         stack = make_stack(n_ranks=N_RANKS, with_data=False)
         engine = engine_on(stack)
         stack.cluster.nodes[1].fail()
-        assert resolve_path(engine, None, vectorize=True) == PathDecision(
+        assert resolve_path(engine, LOCAL_PLAN, vectorize=True) == PathDecision(
             "lockstep", ("vectorized:failed-nodes",)
         )
 
     def test_post_plan_refusals(self):
         engine = engine_on(make_stack(n_ranks=N_RANKS, with_data=False))
-        assert resolve_path(engine, None, vectorize=True) == PathDecision(
-            "independent", ("vectorized:independent-tier",)
-        )
         assert resolve_path(engine, BORROWED_PLAN, vectorize=True) == (
             PathDecision("lockstep", ("vectorized:lender-domains",))
         )
@@ -118,12 +114,6 @@ class TestReplay:
         )
         assert not decision.delegated
         assert decision.reasons("pipelined") == ("failed-nodes",)
-
-    def test_independent_tier_replays_without_overlap_refusal(self):
-        engine = engine_on(make_stack(n_ranks=N_RANKS, with_data=False))
-        assert resolve_path(engine, None, replay=True, overlap=True) == (
-            PathDecision("independent")
-        )
 
 
 def test_pre_decision_documents_keep_their_mode():

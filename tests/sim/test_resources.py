@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Container."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, SimulationError
+from repro.sim import Environment, Resource, SimulationError
 
 
 def make_user(env, res, log, tag, hold):
@@ -117,94 +117,6 @@ def test_resource_peak_queue():
         env.process(make_user(env, res, log, tag, 1))
     env.run()
     assert res.peak_queue_length == 3
-
-
-def test_container_get_blocks_until_put():
-    env = Environment()
-    box = Container(env, capacity=100, init=0)
-    log = []
-
-    def getter(env):
-        yield box.get(10)
-        log.append(("got", env.now))
-
-    def putter(env):
-        yield env.timeout(5)
-        yield box.put(10)
-
-    env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    assert log == [("got", 5)]
-    assert box.level == 0
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    box = Container(env, capacity=10, init=10)
-    log = []
-
-    def putter(env):
-        yield box.put(5)
-        log.append(("put", env.now))
-
-    def getter(env):
-        yield env.timeout(3)
-        yield box.get(5)
-
-    env.process(putter(env))
-    env.process(getter(env))
-    env.run()
-    assert log == [("put", 3)]
-    assert box.level == 10
-
-
-def test_container_fifo_no_overtaking():
-    env = Environment()
-    box = Container(env, capacity=100, init=0)
-    log = []
-
-    def getter(env, tag, amount, arrive):
-        yield env.timeout(arrive)
-        yield box.get(amount)
-        log.append(tag)
-
-    def putter(env):
-        yield env.timeout(1)
-        yield box.put(5)  # enough for "small" but "big" is ahead
-        yield env.timeout(1)
-        yield box.put(50)
-
-    env.process(getter(env, "big", 40, 0.1))
-    env.process(getter(env, "small", 5, 0.2))
-    env.process(putter(env))
-    env.run()
-    assert log == ["big", "small"]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-    box = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        box.get(-1)
-    with pytest.raises(ValueError):
-        box.put(-1)
-
-
-def test_container_immediate_when_available():
-    env = Environment()
-    box = Container(env, capacity=10, init=10)
-
-    def proc(env):
-        yield box.get(4)
-        return env.now
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == 0.0
-    assert box.level == 6
 
 
 @pytest.mark.parametrize("initial_time", [0.0, 5.0])

@@ -111,11 +111,10 @@ def test_vectorized_matches_per_rank(workload, config, memory_regime, op):
     assert_stats_equivalent(ref, vec)
 
     # the vectorized path only falls back when the plan demands it
-    # (lender-backed domains under "hybrid", or the independent tier)
+    # (lender-backed domains under "hybrid")
     assert vec.path in (
         PathDecision("vectorized"),
         PathDecision("lockstep", ("vectorized:lender-domains",)),
-        PathDecision("independent", ("vectorized:independent-tier",)),
     )
 
     # byte-conservation audit on both paths, with identical records
