@@ -81,9 +81,8 @@ class BorrowDegraded(RuntimeError):
 class BorrowSession:
     """Shared per-collective lease state (one instance across all ranks)."""
 
-    def __init__(self, ledger, op_seq, tenant=None):
+    def __init__(self, ledger, tenant=None):
         self.ledger = ledger
-        self.op_seq = op_seq
         #: Owning job's identity (stamped on every lease this session
         #: grants) in a multi-tenant environment; None otherwise.
         self.tenant = tenant

@@ -73,7 +73,9 @@ __all__ = ["ExecutionPlan", "execute_collective"]
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """Everything the runtime needs: domains plus per-domain sender lists."""
+    """Everything the runtime needs: domains plus per-domain sender lists,
+    and each window's layout (senders, sizes, I/O pieces, each sender's
+    clipped view), memoized on first use for every run of the plan."""
 
     domains: tuple[FileDomain, ...]
     #: ``senders[i]`` = ranks with data inside ``domains[i]``.
@@ -87,6 +89,11 @@ class ExecutionPlan:
         # rank running this plan (the instance is shared across the
         # whole collective)
         object.__setattr__(self, "_windows", {})
+        # (domain, window) -> its I/O pieces, and (domain, window, rank)
+        # -> that sender's view clipped to it: a window's layout, derived
+        # on first use and kept for every later epoch of the plan
+        object.__setattr__(self, "_pieces", {})
+        object.__setattr__(self, "_clips", {})
         # round indexes, built on the first per-rank lookup (the
         # vectorized driver never asks, so never pays for them)
         object.__setattr__(self, "_rounds", {})
@@ -114,6 +121,35 @@ class ExecutionPlan:
         for key, ranks in zip(todo, found):
             nbytes = views.bytes_in_many(ranks, key[1], key[2]).tolist()
             self._windows[key] = (list(ranks), dict(zip(ranks, nbytes)))
+
+    def pieces(
+        self, did: int, window: Extent, views: FileViews
+    ) -> tuple[Extent, ...]:
+        """The I/O pieces of `window` of domain `did`: the exact union of
+        its senders' blocks in it (:func:`window_union`).  Memoized like
+        :meth:`window`; failover moves aggregators, never extents or
+        senders, so a plan's pieces stay valid for all its runs."""
+        key = (did, window.offset, window.end)
+        pieces = self._pieces.get(key)
+        if pieces is None:
+            senders = self.window(did, window.offset, window.end, views)[0]
+            pieces = self._pieces[key] = tuple(
+                window_union(views, senders, window)
+            )
+        return pieces
+
+    def clip(
+        self, did: int, window: Extent, rank: int, views: FileViews
+    ) -> AccessPattern:
+        """`rank`'s file view clipped to `window` of domain `did`,
+        memoized like :meth:`pieces`."""
+        key = (did, window.offset, window.end, rank)
+        clipped = self._clips.get(key)
+        if clipped is None:
+            clipped = self._clips[key] = views[rank].clip(
+                window.offset, window.end
+            )
+        return clipped
 
     def round_index(
         self,
@@ -691,9 +727,9 @@ def _member_exchange(
     if run.op == "write":
         data = None
         if run.payload is not None:
-            pattern = run.views[ctx.rank]
             data = _pack_payload(
-                pattern, run.payload, pattern.clip(window.offset, window.end)
+                run.views[ctx.rank], run.payload,
+                run.plan.clip(did, window, ctx.rank, run.views),
             )
         run.stats.record_shuffle(nbytes, same_node=same_node)
         # physical effect, not a planning decision: if the aggregator's
@@ -707,10 +743,9 @@ def _member_exchange(
         msg = yield from comm.recv(ctx, source=agg, tag=tag)
         run.stats.record_shuffle(msg.nbytes, same_node=same_node)
         if run.payload is not None and msg.payload is not None:
-            pattern = run.views[ctx.rank]
             _unpack_payload(
-                pattern, run.payload, pattern.clip(window.offset, window.end),
-                msg.payload,
+                run.views[ctx.rank], run.payload,
+                run.plan.clip(did, window, ctx.rank, run.views), msg.payload,
             )
 
 
@@ -743,27 +778,24 @@ def _borrow_stage(run: _RunContext, did: int, lease, nbytes: int, inbound: bool)
         )
 
 
-def _expected_senders(run: _RunContext, did: int, window: Extent) -> list[int]:
-    return run.plan.window(did, window.offset, window.end, run.views)[0]
-
-
-def _gather_window(run: _RunContext, did: int, window: Extent, t: int, expected):
+def _gather_window(run: _RunContext, did: int, window: Extent, t: int):
     """Receive each expected sender's slice of `window`.
 
     Returns ``(buffer, received)``: the assembled window (None when no
     payload bytes travel) and the total bytes received.
     """
     ctx, comm = run.ctx, run.comm
+    senders = run.plan.window(did, window.offset, window.end, run.views)[0]
     buffer: Optional[np.ndarray] = None
     received = 0
-    for _ in range(len(expected)):
+    for _ in range(len(senders)):
         msg = yield from comm.recv(ctx, tag=(run.op_seq, did, t))
         received += msg.nbytes
         if msg.payload is None:
             continue
         if buffer is None:
             buffer = np.zeros(window.length, dtype=np.uint8)
-        q = run.views[msg.source].clip(window.offset, window.end)
+        q = run.plan.clip(did, window, msg.source, run.views)
         for off, ln, qbuf in q.iter_mapped_extents():
             rel = off - window.offset
             buffer[rel : rel + ln] = msg.payload[qbuf : qbuf + ln]
@@ -771,20 +803,21 @@ def _gather_window(run: _RunContext, did: int, window: Extent, t: int, expected)
 
 
 def _scatter_window(
-    run: _RunContext, did: int, window: Extent, t: int, expected,
+    run: _RunContext, did: int, window: Extent, t: int,
     buffer: Optional[np.ndarray], paged: bool,
 ):
     """Send each expected rank its slice of `window`, one message apiece."""
     ctx, comm = run.ctx, run.comm
-    lo, hi = window.offset, window.end
-    sizes = run.plan.window(did, lo, hi, run.views)[1]
+    lo = window.offset
+    senders, sizes = run.plan.window(did, lo, window.end, run.views)
     sends = []
-    for r in expected:
+    for r in senders:
         nbytes = sizes[r]
         data = None
         if buffer is not None:
             data = np.empty(nbytes, dtype=np.uint8)
-            for off, ln, qbuf in run.views[r].clip(lo, hi).iter_mapped_extents():
+            q = run.plan.clip(did, window, r, run.views)
+            for off, ln, qbuf in q.iter_mapped_extents():
                 rel = off - lo
                 data[qbuf : qbuf + ln] = buffer[rel : rel + ln]
         sends.append(
@@ -812,8 +845,7 @@ def _collect_and_write(
         prev = service.pop((did, t - 2), None)
         if prev is not None:
             yield prev
-    expected = _expected_senders(run, did, window)
-    buffer, received = yield from _gather_window(run, did, window, t, expected)
+    buffer, received = yield from _gather_window(run, did, window, t)
     if received == 0:
         return
     lease = run.borrow.lease_for(did) if run.borrow is not None else None
@@ -827,7 +859,7 @@ def _collect_and_write(
         # both live inside the planned buffer)
         yield from run.node.memcopy(received, paged=run.paged_flags[did])
 
-    pieces = window_union(run.views, expected, window)
+    pieces = run.plan.pieces(did, window, run.views)
     if lease is not None and pieces:
         # pull the assembled round back from the lender for the write
         yield from _borrow_stage(
@@ -893,8 +925,7 @@ def _read_and_scatter(
     else:
         # stage the buffer through the memory system before scattering
         yield from run.node.memcopy(total_read, paged=paged)
-    expected = _expected_senders(run, did, window)
-    yield from _scatter_window(run, did, window, t, expected, buffer, paged)
+    yield from _scatter_window(run, did, window, t, buffer, paged)
 
 
 def _count_overlap(run: _RunContext) -> None:
@@ -928,14 +959,13 @@ def _read_window(run: _RunContext, did: int, window: Extent, t: int):
     ``(buffer, pieces read)`` (buffer None without a datastore)."""
     tracer = run.ctx.env.tracer
     t0 = tracer.now() if tracer.enabled else 0.0
-    expected = _expected_senders(run, did, window)
-    if not expected:
+    pieces = run.plan.pieces(did, window, run.views)
+    if not pieces:
         return None, ()
     pfs = run.pfs
     buffer: Optional[np.ndarray] = (
         np.zeros(window.length, dtype=np.uint8) if pfs.datastore is not None else None
     )
-    pieces = window_union(run.views, expected, window)
     for piece in pieces:
         data = yield from pfs.read_extent(run.node, piece)
         if buffer is not None and data is not None:

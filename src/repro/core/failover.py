@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
-from repro.core.aggregator_selection import PlacementError, place_aggregators
+from repro.core.aggregator_selection import place_aggregators
 from repro.core.config import MCIOConfig
 from repro.core.filedomain import FileDomain
 from repro.core.partition_tree import PartitionTree
@@ -45,9 +45,9 @@ class FailoverDecision:
     moved:
         Indices whose aggregator rank changed.
     kept:
-        Indices whose aggregator host failed but for which no live host
-        could satisfy the placement (the old aggregator is kept and the
-        operation limps along at the failed host's speed).
+        Indices whose aggregator host failed with no live rank left to
+        take them over (the old aggregator is kept and the operation
+        limps along at the failed host's speed).
     """
 
     def __init__(
@@ -179,21 +179,16 @@ def replace_failed_domains(
             msg_ind=max(1, domain_data(ext.offset, ext.end), ext.length),
             stripe_size=0,
         )
-        try:
-            replacement = place_aggregators(
-                tree,
-                domain.group_id,
-                ranks,
-                views,
-                placement,
-                live_memory,
-                config,
-                host_state=host_state,
-            )
-        except PlacementError:
-            kept.append(did)
-            continue
-        new = replacement[0]
+        new = place_aggregators(
+            tree,
+            domain.group_id,
+            ranks,
+            views,
+            placement,
+            live_memory,
+            config,
+            host_state=host_state,
+        )[0]
         # keep the in-flight round geometry: extent and buffer size are
         # frozen, only the aggregator (and its paged status) change
         out[did] = replace(

@@ -264,9 +264,7 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
             # lease-free plans get no session at all: the borrow machinery
             # must not perturb never-triggered runs
             self._borrows[seq] = (
-                BorrowSession(
-                    self.comm.cluster.memory_ledger, seq, tenant=self.tenant
-                )
+                BorrowSession(self.comm.cluster.memory_ledger, tenant=self.tenant)
                 if borrowed
                 else None
             )

@@ -180,7 +180,7 @@ def _pipeline_cell(cell, tracer=None) -> PipelinePoint:
         elapsed=platform.env.now,
         replans=replans,
         overlapped=overlapped,
-        datastore_sha256=hashlib.sha256(np.asarray(image).tobytes()).hexdigest(),
+        datastore_sha256=hashlib.sha256(np.asarray(image)).hexdigest(),
         stats=engine.history[-1],
     )
 
@@ -238,7 +238,7 @@ def _tenant_pipeline_cell(cell, tracer=None) -> PipelinePoint:
         elapsed=max(r.finished for r in records),
         replans=replans,
         overlapped=overlapped,
-        datastore_sha256=hashlib.sha256(np.asarray(image).tobytes()).hexdigest(),
+        datastore_sha256=hashlib.sha256(np.asarray(image)).hexdigest(),
         stats=host.engines["t0"].history[-1],
         tenants=tenants,
         fairness=jain_index([r.elapsed for r in records]),

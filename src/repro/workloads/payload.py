@@ -19,4 +19,4 @@ _PERIOD = 251
 def pattern_bytes(nbytes: int, salt: int) -> np.ndarray:
     """``nbytes`` fresh bytes, byte ``i`` equal to ``(31 * i + salt) % 251``."""
     period = (np.arange(_PERIOD, dtype=np.int64) * 31 + salt) % _PERIOD
-    return np.resize(period.astype(np.uint8), nbytes)
+    return np.tile(period.astype(np.uint8), -(-nbytes // _PERIOD))[:nbytes]

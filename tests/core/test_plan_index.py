@@ -1,4 +1,4 @@
-"""ExecutionPlan's rank→domain participation index.
+"""ExecutionPlan's rank→domain participation index and window layout.
 
 ``ExecutionPlan.build`` asks the view set for every domain's senders in
 one pass over the ranks' segment rows (``FileViews.senders_in_each``),
@@ -7,6 +7,9 @@ rounds and work items, which the per-rank round loops read.  These tests
 pin both against brute force — the ``bytes_in > 0`` probe of every
 (rank, domain) pair, and a walk of every domain in every round, kept
 here as oracles only — on the shapes that trip up interval reasoning.
+They also pin the plan's memoised window layout (``pieces``, ``clip``)
+against direct derivation, and that a persistent handle derives each
+window's pieces once for all its epochs.
 """
 
 from __future__ import annotations
@@ -14,12 +17,18 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import repro.core.engine as engine_mod
+from repro.core import MCIOConfig, MemoryConsciousCollectiveIO
 from repro.core.engine import ExecutionPlan, round_window
 from repro.core.filedomain import FileDomain
 from repro.core.pattern_array import file_views
-from repro.core.request import AccessPattern, Extent, StridedSegment
+from repro.core.request import AccessPattern, Extent, StridedSegment, window_union
+from repro.mpi import SimFile, contiguous_view
+
+from tests.helpers import make_stack, rank_payload
 
 try:
     from hypothesis import given, settings
@@ -98,7 +107,31 @@ def check(domains, patterns):
             if p.bytes_in(lo, hi)
         }
         assert senders == list(want) and sizes == want
+    check_layout(plan, domains, patterns)
     return plan
+
+
+def check_layout(plan, domains, patterns):
+    """Every window's memoised pieces are the union of every rank's
+    blocks in it, as a tuple, and each sender's memoised clip is its
+    view's clip; both are derived once."""
+    views = file_views(patterns)
+    everyone = range(len(patterns))
+    for half in (False, True):
+        for did, domain in enumerate(domains):
+            t = 0
+            while (w := round_window(domain, t, half)) is not None:
+                pieces = plan.pieces(did, w, views)
+                assert isinstance(pieces, tuple)
+                assert pieces == tuple(window_union(patterns, everyone, w))
+                assert plan.pieces(did, w, views) is pieces
+                for r in plan.window(did, w.offset, w.end, views)[0]:
+                    clipped = plan.clip(did, w, r, views)
+                    assert clipped.segments == (
+                        patterns[r].clip(w.offset, w.end).segments
+                    )
+                    assert plan.clip(did, w, r, views) is clipped
+                t += 1
 
 
 def ior_interleaved(n_ranks, block, segments):
@@ -290,3 +323,95 @@ def test_ntimes_once_per_plan():
     assert "ntimes" in vars(plan) and "half_ntimes" in vars(plan)
     assert ExecutionPlan((), ()).ntimes == 0
     assert ExecutionPlan((), ()).half_ntimes == 0
+
+
+# ---------------------------------------------------------------------------
+# a persistent handle derives each window's layout once for all epochs
+# ---------------------------------------------------------------------------
+N_RANKS = 8
+BLOCK = 1200
+EPOCHS = 6
+
+
+@pytest.fixture
+def union_calls(monkeypatch):
+    """The engine's ``window_union`` calls, each keyed by (view set,
+    window): a plan always runs with the view set it was built from."""
+    calls = []
+    real = engine_mod.window_union
+
+    def counted(views, senders, window):
+        calls.append((id(views), window.offset, window.end))
+        return real(views, senders, window)
+
+    monkeypatch.setattr(engine_mod, "window_union", counted)
+    return calls
+
+
+def checkpoint_loop(mode, calls):
+    """A 6-epoch write loop, then a 6-epoch read loop, of 8 ranks on 2
+    nodes in multi-round windows.  `mode` is "blocking", "persistent"
+    or "persistent+overlap".  Returns the datastore image, each rank's
+    reads, the length of `calls` after each persistent epoch, and the
+    drivers the collectives ran on."""
+    stack = make_stack(n_ranks=N_RANKS, n_nodes=2, cores=4)
+    config = MCIOConfig(
+        msg_group=16 * 1024, msg_ind=2 * 1024, mem_min=0, nah=2,
+        cb_buffer_size=1024, min_buffer=1,
+    )
+    engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, config)
+    fh = SimFile.open(stack.comm, engine)
+    after_epoch = {"write": [], "read": []}
+
+    def main(ctx):
+        fh.set_view(ctx, contiguous_view(ctx.rank * BLOCK, BLOCK))
+        payload = rank_payload(ctx.rank, BLOCK)
+        got = []
+        for op in ("write", "read"):
+            pc = None
+            if mode != "blocking":
+                init = fh.write_all_init if op == "write" else fh.read_all_init
+                pc = init(ctx, overlap=(mode == "persistent+overlap"))
+            for _ in range(EPOCHS):
+                if pc is not None:
+                    pc.start(ctx, payload if op == "write" else None)
+                    data = yield from pc.wait(ctx)
+                    if ctx.rank == 0:
+                        after_epoch[op].append(len(calls))
+                elif op == "write":
+                    yield from fh.write_all(ctx, payload)
+                else:
+                    data = yield from fh.read_all(ctx)
+                if op == "read":
+                    got.append(data.copy())
+            if pc is not None:
+                assert pc.replans == 1
+        return got
+
+    reads = stack.run_spmd(main)
+    image = stack.pfs.datastore.read(0, N_RANKS * BLOCK)
+    return image, reads, after_epoch, {s.path.driver for s in engine.history}
+
+
+@pytest.mark.parametrize("mode", ["persistent", "persistent+overlap"])
+def test_persistent_handle_derives_each_window_once(mode, union_calls):
+    image, reads, after_epoch, drivers = checkpoint_loop(mode, union_calls)
+    assert drivers == {"pipelined" if mode == "persistent+overlap" else "lockstep"}
+    # once per (plan, window)
+    assert union_calls and len(union_calls) == len(set(union_calls))
+    for op in ("write", "read"):
+        counts = after_epoch[op]
+        assert len(counts) == EPOCHS
+        # epoch 1 derives every window; epochs 2-6 add nothing
+        assert counts[1:] == [counts[0]] * (EPOCHS - 1)
+    assert after_epoch["write"][0] > 0
+    assert after_epoch["read"][0] > after_epoch["write"][-1]
+
+    blocking_image, blocking_reads, _, _ = checkpoint_loop("blocking", union_calls)
+    assert np.array_equal(image, blocking_image)
+    for r in range(N_RANKS):
+        want = rank_payload(r, BLOCK)
+        assert len(reads[r]) == EPOCHS
+        assert all(np.array_equal(data, want) for data in reads[r])
+        for mine, blocking in zip(reads[r], blocking_reads[r]):
+            assert np.array_equal(mine, blocking)
