@@ -32,7 +32,7 @@ Package map
 ``repro.core``
     The collective-I/O strategies and their planning components.
 ``repro.workloads``
-    coll_perf, IOR, and synthetic access-pattern generators.
+    coll_perf and IOR access-pattern generators, job arrivals, payloads.
 ``repro.experiments``
     Table 1 / Figures 6-8 reproductions, memory-pressure and ablation
     studies.
@@ -52,9 +52,7 @@ from repro.cluster import (
 from repro.core import (
     AccessPattern,
     CollectiveStats,
-    DataSievingIO,
     Extent,
-    IndependentIO,
     MCIOConfig,
     MemoryConsciousCollectiveIO,
     StridedSegment,
@@ -74,12 +72,7 @@ from repro.mpi import (
 )
 from repro.pfs import ParallelFileSystem, RetryPolicy, SparseFile
 from repro.sim import Environment, RngFactory
-from repro.workloads import (
-    CollPerfWorkload,
-    IORWorkload,
-    SkewedWorkload,
-    SmallRequestWorkload,
-)
+from repro.workloads import CollPerfWorkload, IORWorkload
 
 __version__ = "1.0.0"
 
@@ -89,14 +82,12 @@ __all__ = [
     "ClusterSpec",
     "CollPerfWorkload",
     "CollectiveStats",
-    "DataSievingIO",
     "Environment",
     "Extent",
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
     "IORWorkload",
-    "IndependentIO",
     "MCIOConfig",
     "MemoryConsciousCollectiveIO",
     "NodeSpec",
@@ -106,8 +97,6 @@ __all__ = [
     "RngFactory",
     "SimComm",
     "SimFile",
-    "SkewedWorkload",
-    "SmallRequestWorkload",
     "SparseFile",
     "StorageSpec",
     "StridedSegment",

@@ -6,9 +6,6 @@ Public surface:
   baseline;
 * :class:`~repro.core.mcio.MemoryConsciousCollectiveIO` — the paper's
   memory-conscious strategy;
-* :class:`~repro.core.independent.IndependentIO` /
-  :class:`~repro.core.independent.DataSievingIO` — non-collective
-  comparison points;
 * the planning building blocks (extent algebra, group division, partition
   tree, aggregator placement) for users who want to compose their own
   strategy.
@@ -22,7 +19,6 @@ from .engine import ExecutionPlan, execute_collective
 from .failover import FailoverDecision, replace_failed_domains
 from .filedomain import FileDomain, even_domains, rounds_for
 from .group_division import AggregationGroup, divide_groups
-from .independent import DataSievingIO, IndependentIO
 from .mcio import MemoryConsciousCollectiveIO
 from .metrics import CollectiveStats, StatsCollector
 from .partition_tree import PartitionNode, PartitionTree
@@ -41,14 +37,12 @@ __all__ = [
     "CollectiveStats",
     "ConservationAuditor",
     "ConservationError",
-    "DataSievingIO",
     "ExecutionPlan",
     "Extent",
     "FailoverDecision",
     "FileDomain",
     "FileViewIndex",
     "FileViews",
-    "IndependentIO",
     "MCIOConfig",
     "MemoryConsciousCollectiveIO",
     "PartitionNode",

@@ -28,7 +28,8 @@ Window unions go through the kernel both drivers share,
 clipped blocks as arrays (:meth:`FileViews.clipped_blocks`).
 
 Indexing either storage yields a real :class:`AccessPattern`, so per-rank
-code (payload packing, independent I/O) reads ``views[rank]`` unchanged.
+code (payload packing, a sender's window clip) reads ``views[rank]``
+unchanged.
 ``tests/core/test_file_view_index.py`` pins every query against the
 per-pattern oracles and the two storages against each other;
 ``tests/core/test_pattern_array.py`` pins the planner's results.

@@ -1,17 +1,16 @@
 """Parallel file system facade: striping + servers + optional real data.
 
-Clients (rank processes) call :meth:`ParallelFileSystem.write_extent` /
-:meth:`read_extent` for contiguous transfers (what aggregators issue) and
-:meth:`write_pattern` / :meth:`read_pattern` for noncontiguous requests
-(what independent I/O issues).  Timing charges:
+Clients (rank processes: collective aggregators, ``SimFile`` independent
+ops) call :meth:`ParallelFileSystem.write_extent` / :meth:`read_extent`,
+one contiguous extent per call.  Timing charges:
 
 * the client node's NIC (injection/ejection), so a node hosting many
   aggregators bottlenecks on its own interface;
-* each touched server's FIFO queue: ``requests x overhead + bytes/bw``.
+* each touched server's FIFO queue: one request, ``overhead + bytes/bw``.
 
-A contiguous extent costs one request per touched server; a noncontiguous
-pattern costs one request per *block* — which is exactly why two-phase
-aggregation wins, and what the simulator must preserve.
+The plan of one I/O is the extent's ``(server, nbytes)`` pairs
+(:meth:`~repro.pfs.layout.StripeLayout.extent_load`), one request per
+touched server.
 
 Both charges are callback-driven holds (:class:`~repro.sim.Hold`), not
 processes: one client I/O starts its NIC hold and its server requests
@@ -36,7 +35,7 @@ import numpy as np
 
 from repro.cluster import Node
 from repro.cluster.spec import StorageSpec
-from repro.core.request import AccessPattern, Extent, block_arrays
+from repro.core.request import Extent
 from repro.sim import Countdown, Environment, Event, Hold, start_holds
 
 from .datastore import SparseFile
@@ -200,25 +199,9 @@ class ParallelFileSystem:
         self.io_abandons = 0
 
     # ------------------------------------------------------------------
-    # accounting helpers
-    # ------------------------------------------------------------------
-    def _per_server_plan(self, pattern: AccessPattern) -> list[tuple[int, int, int]]:
-        """``(server, nbytes, requests)`` per touched server for a pattern."""
-        nbytes, requests = self.layout.server_load(*block_arrays(pattern.segments))
-        return [
-            (s, int(nbytes[s]), int(requests[s]))
-            for s in np.flatnonzero(nbytes).tolist()
-        ]
-
-    def _extent_plan(self, ext: Extent) -> list[tuple[int, int, int]]:
-        """``(server, nbytes, requests)`` for one contiguous extent."""
-        return [(s, nbytes, 1) for s, nbytes in self.layout.extent_load(ext)]
-
-    # ------------------------------------------------------------------
     # timing core
     # ------------------------------------------------------------------
-    def _serve_with_retry(self, server: IOServer, nbytes: int, requests: int,
-                          write: bool):
+    def _serve_with_retry(self, server: IOServer, nbytes: int, write: bool):
         """Process generator: one server request under the retry policy.
 
         Races each attempt against the per-request timeout; outage
@@ -230,7 +213,7 @@ class ParallelFileSystem:
         attempt = 0
         while True:
             attempt += 1
-            request = server.submit(nbytes, requests, write=write)
+            request = server.submit(nbytes, write=write)
             try:
                 served = yield _Deadline(env, request, policy.request_timeout)
             except ServerUnavailableError:
@@ -246,8 +229,9 @@ class ParallelFileSystem:
             self.io_retries += 1
             yield env.timeout(policy.backoff(attempt))
 
-    def _do_io(self, client: Node, plan: list[tuple[int, int, int]], write: bool):
-        """Run one client I/O against the servers in `plan`, in parallel.
+    def _do_io(self, client: Node, plan: list[tuple[int, int]], write: bool):
+        """Run one client I/O against the ``(server, nbytes)`` pairs of
+        `plan`, in parallel.
 
         Holds the client NIC (tx for writes, rx for reads) for the wire
         time of the full transfer, concurrently with server service.
@@ -256,7 +240,7 @@ class ParallelFileSystem:
         event and the I/O completes through one :class:`Countdown`; with
         one, each server request runs in its own retry process.
         """
-        total = sum(nbytes for _, nbytes, _ in plan)
+        total = sum(nbytes for _, nbytes in plan)
         if total == 0:
             return
         env = self.env
@@ -265,18 +249,16 @@ class ParallelFileSystem:
         if self.retry is None:
             holds = [nic]
             servers = self.servers
-            for server_id, nbytes, requests in plan:
-                holds.append(ServerRequest(servers[server_id], nbytes, requests, write))
+            for server_id, nbytes in plan:
+                holds.append(ServerRequest(servers[server_id], nbytes, write))
             done.join(holds)
             start_holds(env, holds)
         else:
             done.watch(nic)
             start_holds(env, (nic,))
-            for server_id, nbytes, requests in plan:
+            for server_id, nbytes in plan:
                 done.watch(env.process(
-                    self._serve_with_retry(
-                        self.servers[server_id], nbytes, requests, write
-                    ),
+                    self._serve_with_retry(self.servers[server_id], nbytes, write),
                     name=f"pfs.ost{server_id}",
                 ))
         yield done
@@ -286,7 +268,7 @@ class ParallelFileSystem:
             self.bytes_read += total
 
     # ------------------------------------------------------------------
-    # contiguous ops (aggregator path)
+    # client ops
     # ------------------------------------------------------------------
     def write_extent(
         self, client: Node, ext: Extent, payload: Optional[np.ndarray] = None
@@ -299,47 +281,16 @@ class ParallelFileSystem:
                 )
             if self.datastore is not None:
                 self.datastore.write(ext.offset, payload)
-        yield from self._do_io(client, self._extent_plan(ext), write=True)
+        yield from self._do_io(client, self.layout.extent_load(ext), write=True)
 
     def read_extent(self, client: Node, ext: Extent):
         """Process generator: read one contiguous extent; returns bytes or None.
 
         Returns a numpy uint8 array when a datastore is attached, else None.
         """
-        yield from self._do_io(client, self._extent_plan(ext), write=False)
+        yield from self._do_io(client, self.layout.extent_load(ext), write=False)
         if self.datastore is not None:
             return self.datastore.read(ext.offset, ext.length)
-        return None
-
-    # ------------------------------------------------------------------
-    # noncontiguous ops (independent-I/O path)
-    # ------------------------------------------------------------------
-    def write_pattern(
-        self, client: Node, pattern: AccessPattern, payload: Optional[np.ndarray] = None
-    ):
-        """Process generator: write a noncontiguous pattern request-by-request."""
-        if payload is not None:
-            if len(payload) != pattern.nbytes:
-                raise ValueError(
-                    f"payload {len(payload)} B != pattern {pattern.nbytes} B"
-                )
-            if self.datastore is not None:
-                for off, ln, buf in pattern.iter_mapped_extents():
-                    self.datastore.write(off, payload[buf : buf + ln])
-        yield from self._do_io(client, self._per_server_plan(pattern), write=True)
-
-    def read_pattern(self, client: Node, pattern: AccessPattern):
-        """Process generator: read a noncontiguous pattern; returns packed bytes.
-
-        Returns a numpy uint8 array (pattern order) when a datastore is
-        attached, else None.
-        """
-        yield from self._do_io(client, self._per_server_plan(pattern), write=False)
-        if self.datastore is not None:
-            out = np.zeros(pattern.nbytes, dtype=np.uint8)
-            for off, ln, buf in pattern.iter_mapped_extents():
-                out[buf : buf + ln] = self.datastore.read(off, ln)
-            return out
         return None
 
     # ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """I/O server (OST) model.
 
 Each server owns a FIFO service queue (one request in service at a time by
-default) and charges::
+default) and charges each request::
 
-    requests * request_overhead + nbytes / server_bandwidth
+    request_overhead + nbytes / server_bandwidth
 
 The per-request overhead is the mechanism that makes many small requests
 slower than one large request — the inefficiency collective I/O exists to
@@ -121,14 +121,14 @@ class IOServer:
         self._outages -= 1
 
     # ------------------------------------------------------------------
-    def service_time(self, nbytes: int, requests: int = 1, write: bool = False) -> float:
-        """Healthy-state time to serve `requests` requests totalling `nbytes`."""
-        if nbytes < 0 or requests < 0:
-            raise ValueError("nbytes/requests must be >= 0")
+    def service_time(self, nbytes: int, write: bool = False) -> float:
+        """Healthy-state time to serve one request of `nbytes`."""
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
         bw = self.bandwidth * (self.write_bandwidth_factor if write else 1.0)
-        return requests * self.request_overhead + nbytes / bw
+        return self.request_overhead + nbytes / bw
 
-    def submit(self, nbytes: int, requests: int = 1, write: bool = False) -> "ServerRequest":
+    def submit(self, nbytes: int, write: bool = False) -> "ServerRequest":
         """Issue one request; the returned event fires once it is served.
 
         The request starts at the current time, like a freshly spawned
@@ -140,7 +140,7 @@ class IOServer:
         :meth:`ServerRequest.interrupt` abandons it and always reclaims
         the queue slot.
         """
-        request = ServerRequest(self, nbytes, requests, write)
+        request = ServerRequest(self, nbytes, write)
         start_holds(self.env, (request,))
         return request
 
@@ -164,7 +164,7 @@ class IOServer:
         if not self.available:
             self.outage_rejections += 1
             raise ServerUnavailableError(self.server_id)
-        t = self.service_time(request.nbytes, request.requests, write=request.write)
+        t = self.service_time(request.nbytes, write=request.write)
         return t * self.degradation
 
 
@@ -174,17 +174,16 @@ class ServerRequest(Hold):
     A callback-driven :class:`~repro.sim.Hold` of one queue slot: it is
     rejected at issue inside an outage, takes its service delay from
     :meth:`IOServer.serve` at the grant, and at the end of service counts
-    its bytes and requests and records its ``pfs.serve`` span.  Create
+    its bytes and one request and records its ``pfs.serve`` span.  Create
     one with :meth:`IOServer.submit`.
     """
 
-    __slots__ = ("server", "nbytes", "requests", "write", "_t0", "_t2")
+    __slots__ = ("server", "nbytes", "write", "_t0", "_t2")
 
-    def __init__(self, server: IOServer, nbytes: int, requests: int, write: bool):
+    def __init__(self, server: IOServer, nbytes: int, write: bool):
         super().__init__(server.queue)
         self.server = server
         self.nbytes = nbytes
-        self.requests = requests
         self.write = write
         #: Issue and service-start instants, read only while tracing.
         self._t0 = 0.0
@@ -207,7 +206,7 @@ class ServerRequest(Hold):
     def _served(self) -> None:
         server = self.server
         server.bytes_served += self.nbytes
-        server.requests_served += self.requests
+        server.requests_served += 1
         tracer = self.env.tracer
         if tracer.enabled:
             # the span lasts the observed service time, and its
@@ -216,6 +215,6 @@ class ServerRequest(Hold):
             tracer.complete(
                 "pfs", "pfs.serve", PID_PFS, server.server_id,
                 t2, tracer.now() - t2,
-                bytes=self.nbytes, requests=self.requests,
+                bytes=self.nbytes, requests=1,
                 write=self.write, degradation=server.degradation,
             )

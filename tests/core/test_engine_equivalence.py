@@ -2,17 +2,14 @@
 
 Property-based: for arbitrary non-overlapping rank workloads, a
 collective write followed by a collective read must be byte-exact under
-*any* strategy (two-phase, MCIO, independent, sieving), at any buffer
-size — and all strategies must leave the file in the identical state.
+*either* strategy (two-phase, MCIO), at any buffer size — and both
+strategies must leave the file in the identical state.
 """
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
-    DataSievingIO,
-    IndependentIO,
     MCIOConfig,
     MemoryConsciousCollectiveIO,
     TwoPhaseCollectiveIO,
@@ -56,8 +53,6 @@ def engines(stack, buffer_size):
         MCIOConfig(msg_group=512, msg_ind=128, mem_min=0, nah=2,
                    cb_buffer_size=buffer_size, min_buffer=1),
     )
-    yield IndependentIO(stack.comm, stack.pfs)
-    yield DataSievingIO(stack.comm, stack.pfs)
 
 
 @given(
@@ -115,7 +110,6 @@ def test_strategies_same_bytes_written_metric():
             MCIOConfig(msg_group=600, msg_ind=300, mem_min=0, nah=2,
                        min_buffer=1, cb_buffer_size=512),
         ),
-        lambda s: IndependentIO(s.comm, s.pfs),
     ):
         stack = make_stack(n_ranks=4, n_nodes=2)
         engine = factory(stack)

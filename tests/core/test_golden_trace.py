@@ -2,7 +2,7 @@
 
 The fixtures under ``tests/goldens/`` were recorded by running the
 pre-optimisation engine over the seeded workload matrix
-``{mcio, two-phase, independent} x {read, write} x 3 cluster specs``
+``{mcio, two-phase} x {read, write} x 3 cluster specs``
 (see :mod:`tests.goldens.cases`).  This suite re-runs every cell on the
 current engine and asserts the results are **bit-identical**:
 

@@ -77,7 +77,7 @@ class TestWindowedFaults:
         def client(env):
             yield env.timeout(1.0)
             try:
-                yield server.submit(1024, 1)
+                yield server.submit(1024)
             except ServerUnavailableError as exc:
                 failures.append(exc)
 

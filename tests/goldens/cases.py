@@ -1,7 +1,7 @@
 """The golden-trace workload matrix.
 
 Each case is a fully deterministic simulated collective:
-``{mcio, two-phase, independent} x {read, write} x 3 cluster specs``.
+``{mcio, two-phase} x {read, write} x 3 cluster specs``.
 The generator (:mod:`tests.goldens.generate`) records each case's
 :class:`~repro.core.metrics.CollectiveStats` at **full float precision**
 (``float.hex``), the final simulated clock, and a digest of the PFS
@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core import (
-    IndependentIO,
     MCIOConfig,
     MemoryConsciousCollectiveIO,
     TwoPhaseCollectiveIO,
@@ -36,7 +35,7 @@ from tests.helpers import make_stack, rank_payload
 
 MIB = 1024 * 1024
 
-STRATEGIES = ("two-phase", "mcio", "independent")
+STRATEGIES = ("two-phase", "mcio")
 OPS = ("write", "read")
 
 
@@ -160,8 +159,6 @@ def make_engine(
         return MemoryConsciousCollectiveIO(
             stack.comm, stack.pfs, MCIOConfig(**kwargs)
         )
-    if strategy == "independent":
-        return IndependentIO(stack.comm, stack.pfs)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, StorageSpec
-from repro.core.request import AccessPattern, Extent, StridedSegment
+from repro.core.request import Extent
 from repro.pfs import ParallelFileSystem, SparseFile
 from repro.sim import Environment, RngFactory
 
@@ -78,85 +78,6 @@ def test_extent_costs_one_request_per_touched_server():
         assert b == 100 and r == 1
 
 
-def test_noncontiguous_pattern_pays_per_block_overhead():
-    env, cluster, pfs = make_pfs(servers=1, request_overhead=1.0, stripe_size=10**6)
-    node = cluster.nodes[0]
-    # 10 blocks of 10 bytes: 10 requests x 1s + 100/100 s
-    pattern = AccessPattern((StridedSegment(0, 10, 100, 10),))
-
-    def proc():
-        yield from pfs.write_pattern(node, pattern)
-        return env.now
-
-    t = run(env, proc())
-    assert t == pytest.approx(11.0, rel=1e-3)
-
-
-def test_pattern_on_one_server_is_charged_exactly_at_scale():
-    """70,000 blocks that all stripe onto server 0: every block is a
-    request on that server, however many blocks the pattern has."""
-    env, cluster, pfs = make_pfs(servers=4, request_overhead=1.0, stripe_size=100)
-    node = cluster.nodes[0]
-    count = 70_000
-    pattern = AccessPattern((StridedSegment(0, 10, 100 * 4, count),))
-
-    def proc():
-        yield from pfs.write_pattern(node, pattern)
-        return env.now
-
-    t = run(env, proc())
-    # count requests x 1 s + 10 * count B / 100 B/s, all on one server
-    assert t == pytest.approx(count * 1.0 + 10 * count / 100.0, rel=1e-9)
-    assert pfs.server_stats() == [
-        (0, 10 * count, count), (1, 0, 0), (2, 0, 0), (3, 0, 0)
-    ]
-
-
-def test_contiguous_beats_noncontiguous_same_bytes():
-    """The core premise: merged large requests are faster than many small."""
-
-    def time_noncontig():
-        env, cluster, pfs = make_pfs(servers=2, request_overhead=0.5, with_data=False)
-        node = cluster.nodes[0]
-        pattern = AccessPattern((StridedSegment(0, 10, 50, 40),))
-
-        def proc():
-            yield from pfs.write_pattern(node, pattern)
-            return env.now
-
-        return run(env, proc())
-
-    def time_contig():
-        env, cluster, pfs = make_pfs(servers=2, request_overhead=0.5, with_data=False)
-        node = cluster.nodes[0]
-
-        def proc():
-            yield from pfs.write_extent(node, Extent(0, 400))
-            return env.now
-
-        return run(env, proc())
-
-    assert time_contig() < time_noncontig() / 3
-
-
-def test_pattern_data_roundtrip():
-    env, cluster, pfs = make_pfs()
-    node = cluster.nodes[0]
-    pattern = AccessPattern((StridedSegment(7, 5, 20, 6),))
-    payload = (np.arange(pattern.nbytes) % 251).astype(np.uint8)
-
-    def proc():
-        yield from pfs.write_pattern(node, pattern, payload)
-        got = yield from pfs.read_pattern(node, pattern)
-        return got
-
-    got = run(env, proc())
-    assert (got == payload).all()
-    # and the bytes landed at the right file offsets
-    assert (pfs.datastore.read(7, 5) == payload[:5]).all()
-    assert (pfs.datastore.read(27, 5) == payload[5:10]).all()
-
-
 def test_server_queue_serializes_concurrent_clients():
     env, cluster, pfs = make_pfs(servers=1, request_overhead=0.0, stripe_size=10**6)
     times = []
@@ -192,7 +113,7 @@ def test_zero_length_ops_complete_instantly():
 
     def proc():
         yield from pfs.write_extent(node, Extent(10, 0))
-        got = yield from pfs.read_pattern(node, AccessPattern(()))
+        got = yield from pfs.read_extent(node, Extent(10, 0))
         return (env.now, got)
 
     t, got = run(env, proc())

@@ -1,15 +1,9 @@
 """Tests for workload generators."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads import (
-    CollPerfWorkload,
-    IORWorkload,
-    SkewedWorkload,
-    SmallRequestWorkload,
-)
+from repro.workloads import CollPerfWorkload, IORWorkload
 
 
 def check_disjoint_cover(patterns, total_bytes):
@@ -142,35 +136,3 @@ class TestIOR:
         w = IORWorkload(n_ranks=n, block_size=block, segments=segments,
                         layout=layout, seed=9)
         check_disjoint_cover(w.patterns(), w.total_bytes)
-
-
-class TestSynthetic:
-    def test_small_requests_tile(self):
-        w = SmallRequestWorkload(n_ranks=4, request_size=16, requests_per_rank=8)
-        check_disjoint_cover(w.patterns(), w.total_bytes)
-
-    def test_small_requests_block_count(self):
-        w = SmallRequestWorkload(n_ranks=4, request_size=16, requests_per_rank=8)
-        assert w.pattern(0).block_count == 8
-
-    def test_skewed_sizes_decay(self):
-        w = SkewedWorkload(n_ranks=5, max_bytes=1000, min_bytes=10, decay=0.5)
-        sizes = w.sizes()
-        assert sizes[0] == 1000
-        assert sizes == sorted(sizes, reverse=True)
-        assert all(s >= 10 for s in sizes)
-
-    def test_skewed_patterns_serial(self):
-        w = SkewedWorkload(n_ranks=4, max_bytes=100, min_bytes=10)
-        check_disjoint_cover(w.patterns(), w.total_bytes)
-        patterns = w.patterns()
-        for a, b in zip(patterns, patterns[1:]):
-            assert a.end == b.start
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SmallRequestWorkload(n_ranks=0)
-        with pytest.raises(ValueError):
-            SkewedWorkload(max_bytes=5, min_bytes=10)
-        with pytest.raises(ValueError):
-            SkewedWorkload(decay=0)
