@@ -7,7 +7,7 @@ node-level memory/bandwidth models, and the interconnect.
 
 from .background import BackgroundLoad
 from .cluster import Cluster
-from .memory import Allocation, Lease, LeaseLedger, MemoryModel
+from .memory import Allocation, MemoryModel
 from .network import Network
 from .node import Node
 from .placement import (
@@ -38,8 +38,6 @@ __all__ = [
     "ClusterSpec",
     "GIB",
     "KIB",
-    "Lease",
-    "LeaseLedger",
     "MIB",
     "MemoryModel",
     "Network",

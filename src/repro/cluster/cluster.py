@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.sim import Environment, RngFactory
 
-from .memory import LeaseLedger
 from .network import Network
 from .node import Node
 from .spec import ClusterSpec, MIB
@@ -55,8 +54,6 @@ class Cluster:
             rack_size=spec.rack_size,
             uplink_bandwidth=spec.uplink_bandwidth,
         )
-        #: Shared remote-memory lease registry (borrowed aggregation buffers).
-        self.memory_ledger = LeaseLedger(self.nodes)
 
     def node_of(self, node_id: int) -> Node:
         """Return the node with the given id."""

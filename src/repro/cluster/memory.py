@@ -14,16 +14,6 @@ size, σ = 50 MB).  This module models the node-side mechanics:
   of swap/thrash the paper argues aggregators suffer;
 * committed/peak statistics feed the memory-pressure and memory-variance
   metrics reported by the experiments.
-
-Remote-memory borrowing (DOLMA-style disaggregation) adds a second
-allocation channel: a :class:`LeaseLedger` hands out sim-time-bounded
-:class:`Lease` claims on a *lender* node's available memory, backed by a
-real :class:`Allocation` on the lender's :class:`MemoryModel`.  The
-ledger is the shared source of truth the collective engine's
-round-boundary checks read — lender death, a memory shock squeezing the
-leased bytes, or plain expiry all surface as a revocation verdict, and
-every lifecycle edge notifies registered listeners (engines stale their
-persistent handles' frozen plans on grants and revocations).
 """
 
 from __future__ import annotations
@@ -31,14 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim.subscribers import Subscribers
-
-__all__ = [
-    "Allocation",
-    "Lease",
-    "LeaseLedger",
-    "MemoryModel",
-]
+__all__ = ["Allocation", "MemoryModel"]
 
 
 @dataclass
@@ -218,225 +201,3 @@ class MemoryModel:
             raise ValueError("bandwidth must be positive")
         t = nbytes / bandwidth
         return t * self.paging_penalty if paged else t
-
-
-@dataclass
-class Lease:
-    """A sim-time-bounded claim on a lender node's memory.
-
-    Backed by a live :class:`Allocation` on the lender's
-    :class:`MemoryModel`; the allocation is released exactly once, when
-    the lease leaves the ``active`` state (release, revoke, or expiry).
-
-    Attributes
-    ----------
-    lease_id:
-        Ledger-unique, monotonically increasing id (grant order).
-    lender_node:
-        Node id of the node whose memory backs the lease.
-    borrower_rank:
-        Rank that acquired the lease (the aggregator of a borrowed
-        file domain) — the only rank allowed to renew or release it.
-    nbytes:
-        Leased capacity.
-    granted_at / expires_at:
-        Sim-time lease term; :meth:`LeaseLedger.renew` pushes
-        ``expires_at`` forward.
-    tenant:
-        Owning job's identity in a multi-tenant environment (None for
-        single-job runs).  Invalidation listeners filter on it so one
-        tenant's lease churn never stales another tenant's frozen
-        plans; an untagged lease conservatively invalidates
-        everyone.
-    state:
-        ``active`` | ``released`` | ``revoked`` | ``expired``.
-    outcome_reason:
-        Why the lease left the active state (``lender-failed``,
-        ``memory-squeeze``, ``expired``, ...); None while active or
-        after a normal release.
-    """
-
-    lease_id: int
-    lender_node: int
-    borrower_rank: int
-    nbytes: int
-    granted_at: float
-    expires_at: float
-    label: str = ""
-    tenant: Optional[str] = None
-    state: str = "active"
-    outcome_reason: Optional[str] = None
-    _alloc: Optional[Allocation] = field(default=None, repr=False)
-
-    @property
-    def active(self) -> bool:
-        return self.state == "active"
-
-
-class LeaseLedger:
-    """Cluster-wide registry of remote-memory leases.
-
-    One ledger per :class:`~repro.cluster.cluster.Cluster`; all ranks
-    share it, which makes it the single source of truth the engine's
-    deterministic round-boundary checks read.  Mutations (grant, renew,
-    release, revoke) are performed only by the borrowing rank; other
-    ranks observe state through :meth:`soundness` snapshots taken at
-    barrier-aligned instants.
-
-    Listeners registered with :meth:`add_listener` are called as
-    ``listener(lease, event)`` for events ``grant``, ``renew``,
-    ``release``, ``revoke``, and ``expire`` — each engine subscribes so
-    frozen plans never replay against a changed lease landscape.
-    Bound-method listeners are held weakly (see
-    :class:`~repro.sim.subscribers.Subscribers`), so subscribing never
-    keeps an engine alive.
-
-    The ledger holds the cluster's node list, not the cluster: the
-    cluster owns its ledger, and a back-reference would make every
-    platform a reference cycle.
-    """
-
-    def __init__(self, nodes: list):
-        self._nodes = nodes
-        self._next_id = 0
-        self._active: dict[int, Lease] = {}
-        self.history: list[Lease] = []
-        self._listeners = Subscribers()
-        # lifecycle counters
-        self.granted = 0
-        self.renewed = 0
-        self.released = 0
-        self.revoked = 0
-        self.expired = 0
-        self.denied = 0
-        self.granted_bytes = 0
-
-    # ------------------------------------------------------------------
-    def add_listener(self, listener) -> None:
-        """Register ``listener(lease, event)`` for lifecycle events."""
-        self._listeners.add(listener)
-
-    def _notify(self, lease: Lease, event: str) -> None:
-        self._listeners.notify(lease, event)
-
-    @property
-    def outstanding(self) -> int:
-        """Number of currently active leases."""
-        return len(self._active)
-
-    @property
-    def outstanding_bytes(self) -> int:
-        """Bytes currently held under active leases."""
-        return sum(lease.nbytes for lease in self._active.values())
-
-    def active_leases(self) -> list[Lease]:
-        """Active leases in grant order."""
-        return [self._active[k] for k in sorted(self._active)]
-
-    # ------------------------------------------------------------------
-    def grant(
-        self,
-        lender_node: int,
-        borrower_rank: int,
-        nbytes: int,
-        now: float,
-        term: float,
-        headroom: int = 0,
-        tenant: Optional[str] = None,
-    ) -> Optional[Lease]:
-        """Try to lease `nbytes` on `lender_node`; None on denial.
-
-        A grant is denied — and counted — when the lender is failed,
-        the request is empty, or the lender's uncommitted available
-        memory cannot cover the request plus the configured `headroom`.
-        The backing allocation is a first-class commitment on the
-        lender's memory model, so a later shock can push the lender into
-        overcommit, which :meth:`soundness` reports as a squeeze.
-        """
-        node = self._nodes[lender_node]
-        if nbytes <= 0 or term <= 0 or node.failed:
-            self.denied += 1
-            return None
-        if node.memory.free_available < nbytes + max(0, headroom):
-            self.denied += 1
-            return None
-        lease_id = self._next_id
-        self._next_id += 1
-        label = f"lease.{lease_id}.r{borrower_rank}"
-        lease = Lease(
-            lease_id=lease_id,
-            lender_node=lender_node,
-            borrower_rank=borrower_rank,
-            nbytes=int(nbytes),
-            granted_at=float(now),
-            expires_at=float(now) + float(term),
-            label=label,
-            tenant=tenant,
-            _alloc=node.memory.alloc(int(nbytes), label=label),
-        )
-        self._active[lease_id] = lease
-        self.history.append(lease)
-        self.granted += 1
-        self.granted_bytes += lease.nbytes
-        self._notify(lease, "grant")
-        return lease
-
-    def renew(self, lease: Lease, now: float, term: float) -> bool:
-        """Extend an active, healthy lease's term; False otherwise."""
-        if not lease.active or self.soundness(lease, now) is not None:
-            return False
-        lease.expires_at = float(now) + float(term)
-        self.renewed += 1
-        self._notify(lease, "renew")
-        return True
-
-    def release(self, lease: Lease, now: float) -> None:
-        """Normal end-of-use teardown by the borrower (idempotent)."""
-        if not lease.active:
-            return
-        lease.state = "released"
-        self._retire(lease)
-        self.released += 1
-        self._notify(lease, "release")
-
-    def revoke(self, lease: Lease, now: float, reason: str) -> None:
-        """Forcible teardown: lender failure, squeeze, expiry (idempotent)."""
-        if not lease.active:
-            return
-        lease.outcome_reason = reason
-        if reason == "expired":
-            lease.state = "expired"
-            self._retire(lease)
-            self.expired += 1
-            self._notify(lease, "expire")
-        else:
-            lease.state = "revoked"
-            self._retire(lease)
-            self.revoked += 1
-            self._notify(lease, "revoke")
-
-    def _retire(self, lease: Lease) -> None:
-        self._active.pop(lease.lease_id, None)
-        if lease._alloc is not None:
-            self._nodes[lease.lender_node].memory.free(lease._alloc)
-            lease._alloc = None
-
-    # ------------------------------------------------------------------
-    def soundness(self, lease: Lease, now: float) -> Optional[str]:
-        """Why this lease must be revoked right now, or None if healthy.
-
-        Pure read — safe for every rank to evaluate at the same sim
-        instant.  Checks, in order: lender death, a memory squeeze on
-        the lender (committed memory, leases included, exceeds its
-        post-shock availability), and term expiry.
-        """
-        if not lease.active:
-            return lease.outcome_reason or lease.state
-        node = self._nodes[lease.lender_node]
-        if node.failed:
-            return "lender-failed"
-        if node.memory.overcommitted:
-            return "memory-squeeze"
-        if now >= lease.expires_at:
-            return "expired"
-        return None

@@ -123,7 +123,10 @@ class Network:
             uplinks = [self._uplinks[lo], self._uplinks[hi]]
         return src.spec.nic_latency, wire_bw, uplinks
 
-    def transfer(self, src: "Node", dst: "Node", nbytes: int, paged_dst: bool = False):
+    def transfer(
+        self, src: "Node", dst: "Node", nbytes: int, paged_dst: bool = False,
+        messages: int = 1,
+    ):
         """Process generator: move `nbytes` from `src` to `dst`.
 
         Parameters
@@ -136,58 +139,30 @@ class Network:
             If true, an endpoint buffer spilled past available memory; the
             wire is throttled by the destination's paging penalty (the NIC
             cannot move data faster than the memory system pages it).
+        messages:
+            How many back-to-back messages the `nbytes` stand for: the
+            closed-form serialization model for aggregated shuffle
+            traffic.  The transfer charges every message's injection
+            latency once up front (``latency * messages``), then streams
+            the bytes through the chunked NIC/uplink machinery once.
+            Byte and message accounting match `messages` individual
+            transfers; what disappears is the per-message simulation
+            events, not the cost.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         if src.node_id == dst.node_id:
             self.intra_node_bytes += nbytes
-            yield self.env.sleep(self.intra_node_latency)
+            yield self.env.sleep(self.intra_node_latency * messages)
             yield from src.memcopy(nbytes, paged=paged_dst)
             return
         self.inter_node_bytes += nbytes
-        self.inter_node_messages += 1
-        yield from self._wire(src, dst, nbytes, 1, paged_dst)
-
-    def batched_transfer(
-        self, src: "Node", dst: "Node", sizes: list[int], paged_dst: bool = False
-    ):
-        """Process generator: move `len(sizes)` messages as one transfer.
-
-        The closed-form serialization model for aggregated shuffle
-        traffic: the constituent messages ride the wire back-to-back, so
-        the batch charges every message's injection latency once up front
-        (``latency * n``) and then streams ``sum(sizes)`` bytes through
-        the same chunked NIC/uplink machinery as :meth:`transfer`.  Byte
-        and message accounting match `n` individual transfers; what
-        disappears is the per-message simulation events, not the cost.
-        """
-        total = 0
-        for s in sizes:
-            if s < 0:
-                raise ValueError("nbytes must be >= 0")
-            total += s
-        n = len(sizes)
-        if n == 0:
-            return
-        if src.node_id == dst.node_id:
-            self.intra_node_bytes += total
-            yield self.env.sleep(self.intra_node_latency * n)
-            yield from src.memcopy(total, paged=paged_dst)
-            return
-        self.inter_node_bytes += total
-        self.inter_node_messages += n
-        yield from self._wire(src, dst, total, n, paged_dst)
-
-    def _wire(
-        self, src: "Node", dst: "Node", nbytes: int, n_messages: int,
-        paged_dst: bool,
-    ):
-        """Chunked inter-node wire movement shared by both transfer paths."""
+        self.inter_node_messages += messages
         latency, wire_bw, uplinks = self.link_cost(src, dst)
         if uplinks:
             self.inter_rack_bytes += nbytes
         env = self.env
-        yield env.sleep(latency * n_messages)
+        yield env.sleep(latency * messages)
         chunk_bytes = self.chunk_bytes
         sent = 0
         while sent < nbytes or (nbytes == 0 and sent == 0):

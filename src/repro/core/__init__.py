@@ -13,7 +13,6 @@ Public surface:
 
 from .aggregator_selection import PlacementError, candidate_hosts, place_aggregators
 from .audit import AuditRecord, ConservationAuditor, ConservationError
-from .borrow import BorrowDegraded, BorrowSession
 from .config import MCIOConfig, TwoPhaseConfig
 from .engine import ExecutionPlan, execute_collective
 from .failover import FailoverDecision, replace_failed_domains
@@ -32,8 +31,6 @@ __all__ = [
     "AccessPattern",
     "AggregationGroup",
     "AuditRecord",
-    "BorrowDegraded",
-    "BorrowSession",
     "CollectiveStats",
     "ConservationAuditor",
     "ConservationError",

@@ -21,13 +21,6 @@ leaf, so the loop terminates after at most the initial leaf count passes.
 If even a single merged domain cannot be satisfied, the placer falls
 back to the best available host (allocation marked *paged*): the paged
 placement is the one last resort, so placement always succeeds.
-
-``placement_policy`` widens step 4: under ``"borrow"``/``"hybrid"`` a
-leaf that would remerge may instead keep its aggregator on the best
-candidate host while *leasing* the aggregation buffer from the
-memory-richest other node (any node, candidate or not — lending does
-not consume an ``N_ah`` slot).  The domain is tagged with
-``lender_node``; the actual lease is acquired at execution time.
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.borrow import LEND_HEADROOM
 from repro.core.config import MCIOConfig
 from repro.core.filedomain import FileDomain
 from repro.core.partition_tree import PartitionTree
@@ -169,7 +161,7 @@ def place_aggregators(
         Available memory per node id (the allgathered ``Mem_avl``).
     config:
         MCIO parameters (``nah``, ``mem_min``, ``cb_buffer_size``,
-        ``placement_policy``, ``adaptive_buffer``, ``min_buffer``).
+        ``adaptive_buffer``, ``min_buffer``).
     host_state:
         Cross-group reservation/aggregator-count state.  Groups execute
         concurrently, so memory reservations and the ``N_ah`` cap must be
@@ -228,36 +220,6 @@ def _buffer_for(domain: Extent, state: "_HostState", config: MCIOConfig) -> int:
     nominal = min(config.cb_buffer_size, domain.length)
     generous = state.available // config.nah
     return max(1, min(domain.length, max(nominal, generous), state.remaining))
-
-
-def _find_lender(
-    open_hosts: Mapping[int, Sequence[int]],
-    hosts: Mapping[int, "_HostState"],
-    nominal: int,
-    requirement: int,
-):
-    """Borrow placement for a leaf none of whose hosts can buffer it.
-
-    The aggregator runs on the open candidate host with the most
-    remaining memory (it still does the CPU work and the PFS I/O); the
-    nominal buffer is reserved on the memory-richest *other* node that
-    can cover ``requirement + LEND_HEADROOM``.  Returns
-    ``(agg_host, lender_node, buffer)`` or None when no lender
-    qualifies; the lender reservation is recorded in `hosts`.
-    """
-    agg_host = max(open_hosts, key=lambda node: (hosts[node].remaining, -node))
-    need = requirement + LEND_HEADROOM
-    lenders = [
-        node
-        for node, state in hosts.items()
-        if node != agg_host and state.remaining >= need
-    ]
-    if not lenders:
-        return None
-    lender = max(lenders, key=lambda node: (hosts[node].remaining, -node))
-    buffer = nominal
-    hosts[lender].reserved += buffer
-    return agg_host, lender, buffer
 
 
 def _try_assign(
@@ -320,7 +282,6 @@ def _try_assign(
         }
 
         paged = False
-        lender_node = None
         if satisfied:
             # every satisfied host has enough memory, so pick the one
             # owning the most of the domain's data — keeping the shuffle
@@ -344,29 +305,15 @@ def _try_assign(
                 for node, members in open_hosts.items()
                 if hosts[node].remaining >= adaptive_floor
             }
-            borrowed = None
-            if (
-                not (config.adaptive_buffer and adaptive)
-                and config.placement_policy != "remerge"
-                and open_hosts
-            ):
-                borrowed = _find_lender(open_hosts, hosts, nominal, requirement)
             if config.adaptive_buffer and adaptive:
                 pool = adaptive
                 best = max(pool, key=lambda node: (hosts[node].remaining, -node))
                 # shrink the buffer to what the host has: with a swap-like
                 # paging penalty, extra rounds are cheaper than thrash
                 buffer = max(1, min(domain.length, int(hosts[best].remaining)))
-            elif borrowed is not None:
-                # lease the buffer remotely instead of shrinking the
-                # domain's parallelism away
-                best, lender_node, buffer = borrowed
-                pool = open_hosts
-            elif config.placement_policy != "borrow" and tree.n_leaves > 1:
+            elif tree.n_leaves > 1:
                 # "Otherwise ... the file domain will be integrated with
                 # the domain nearby" — remerge expands the search area
-                # (pure-borrow mode refuses to shrink parallelism and
-                # degrades to the paged placement instead)
                 tree.remerge(leaf)
                 return None
             else:
@@ -389,9 +336,7 @@ def _try_assign(
         members = pool[best]
         agg_rank = members[state.aggregators % len(members)]
         state.aggregators += 1
-        if lender_node is None:
-            state.reserved += buffer
-        # (borrowed buffers were reserved on the lender in _find_lender)
+        state.reserved += buffer
         domains.append(
             FileDomain(
                 extent=domain,
@@ -399,7 +344,6 @@ def _try_assign(
                 buffer_bytes=buffer,
                 paged=paged,
                 group_id=group_id,
-                lender_node=lender_node,
             )
         )
     return domains, hosts

@@ -1,8 +1,8 @@
 """Byte-conservation auditing across the degraded modes.
 
-A collective that degrades mid-flight — borrow abort, aggregator
-failover, pipeline drain — must still move
-every requested byte exactly as a healthy run would.  The
+A collective that degrades mid-flight — aggregator failover, pipeline
+drain — must still move every requested byte exactly as a healthy run
+would.  The
 :class:`ConservationAuditor` is an opt-in runtime checker of that
 contract: engines report execution attempts and the file extents they
 actually touch, and :meth:`ConservationAuditor.verify` asserts, per
@@ -13,11 +13,8 @@ finalized operation, that
 2. **shuffle conservation** — the *final* (successful) attempt shuffled
    exactly the requested byte total: every rank's data crossed to its
    aggregator once, no more, no less;
-3. **lease hygiene** — the cluster's lease ledger is balanced
-   (``granted == released + revoked + expired``) with zero outstanding
-   leases, so no borrowed buffer outlives its collective;
-4. **allocation hygiene** — no node retains committed memory, i.e.
-   every staging/aggregation/lease allocation was freed.
+3. **allocation hygiene** — no node retains committed memory, i.e.
+   every staging/aggregation allocation was freed.
 
 Attempts are delimited without any engine-side attempt id: every rank
 reports through :meth:`~repro.core.metrics.StatsCollector.record_attempt`
@@ -107,16 +104,12 @@ class ConservationAuditor:
 
     Parameters
     ----------
-    ledger:
-        The cluster's :class:`~repro.cluster.memory.LeaseLedger`;
-        defaults to the attached engine's.
     cluster:
         The cluster whose node memories the hygiene check inspects;
         defaults to the attached engine's.
     """
 
-    def __init__(self, ledger=None, cluster=None):
-        self.ledger = ledger
+    def __init__(self, cluster=None):
         self.cluster = cluster
         #: One record per finalized operation, in completion order.
         self.records: list[AuditRecord] = []
@@ -128,8 +121,6 @@ class ConservationAuditor:
     def attach(self, engine) -> "ConservationAuditor":
         """Audit every operation `engine` runs from now on."""
         engine.auditor = self
-        if self.ledger is None:
-            self.ledger = engine.comm.cluster.memory_ledger
         if self.cluster is None:
             self.cluster = engine.comm.cluster
         return self
@@ -216,10 +207,9 @@ class ConservationAuditor:
             violations.append(
                 f"shuffle: final attempt moved {record.final_attempt_shuffle} "
                 f"bytes, requested {expected} "
-                f"(tier={record.stats.tier}, attempts={record.attempts})"
+                f"(strategy={record.stats.strategy}, attempts={record.attempts})"
             )
 
-        violations.extend(self._ledger_violations())
         if check_memory and self.cluster is not None:
             for node in self.cluster.nodes:
                 if node.memory.committed != 0:
@@ -230,21 +220,3 @@ class ConservationAuditor:
         if violations:
             raise ConservationError(violations)
         return record
-
-    def _ledger_violations(self) -> list[str]:
-        if self.ledger is None:
-            return []
-        out = []
-        ledger = self.ledger
-        balance = ledger.released + ledger.revoked + ledger.expired
-        if ledger.granted != balance:
-            out.append(
-                f"ledger: granted {ledger.granted} != released+revoked+expired "
-                f"{balance}"
-            )
-        if ledger.outstanding:
-            out.append(
-                f"ledger: {ledger.outstanding} leases still outstanding "
-                f"({ledger.outstanding_bytes} bytes)"
-            )
-        return out

@@ -27,10 +27,8 @@ __all__ = [
     "TwoPhaseConfig",
     "MCIOConfig",
     "ExecutionMode",
-    "PlacementPolicy",
 ]
 
-PlacementPolicy = Literal["remerge", "borrow", "hybrid"]
 ExecutionMode = Literal["per-rank", "vectorized"]
 
 
@@ -105,19 +103,6 @@ class MCIOConfig:
         mid-operation, re-place the orphaned domains on the next-best
         live hosts between lockstep rounds.  With no faults injected
         this is timing-neutral.
-    placement_policy:
-        What to do when a leaf's candidate hosts cannot supply the
-        nominal buffer (the point where the paper remerges):
-
-        * ``"remerge"`` — the paper's behaviour, fold the leaf back into
-          its sibling (default; bit-identical to the pre-borrow engine);
-        * ``"borrow"`` — lease aggregation-buffer capacity on a
-          memory-rich remote node instead (DOLMA-style remote memory);
-          buffer staging then crosses the fabric at α–β cost.  If no
-          lender qualifies the leaf is *not* remerged — it degrades to
-          the paged placement;
-        * ``"hybrid"`` — try to borrow first, remerge when no lender
-          qualifies.
     execution_mode:
         How collectives are simulated (DESIGN.md §11):
 
@@ -127,8 +112,8 @@ class MCIOConfig:
         * ``"vectorized"`` — co-located ranks are folded into one
           node-level process carrying numpy-backed per-rank accounting.
           :func:`~repro.core.path.resolve_path` still *refuses*
-          vectorization per collective whenever faults, borrow leases,
-          failed hosts, or a live data plane demand per-rank behaviour;
+          vectorization per collective whenever faults, failed hosts,
+          or a live data plane demand per-rank behaviour;
           the collective then runs per-rank and the refusal is recorded
           in :attr:`~repro.core.metrics.CollectiveStats.path`.
 
@@ -146,7 +131,6 @@ class MCIOConfig:
     adaptive_buffer: bool = True
     min_buffer: int = 1 * MIB
     failover: bool = True
-    placement_policy: PlacementPolicy = "remerge"
     execution_mode: ExecutionMode = "per-rank"
 
     def __post_init__(self) -> None:
@@ -163,7 +147,5 @@ class MCIOConfig:
             raise ValueError("nah must be >= 1")
         if self.min_buffer < 1:
             raise ValueError("min_buffer must be >= 1")
-        if self.placement_policy not in ("remerge", "borrow", "hybrid"):
-            raise ValueError(f"bad placement_policy {self.placement_policy!r}")
         if self.execution_mode not in ("per-rank", "vectorized"):
             raise ValueError(f"bad execution_mode {self.execution_mode!r}")

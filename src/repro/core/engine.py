@@ -34,8 +34,8 @@ a rank idle from round t to u-1 arrives at all of those barriers at once
 (:meth:`~repro.mpi.comm.SimComm.counted_barrier`) and wakes for the
 release of round u-1, in the order a barrier per round would have woken
 it.  A host failure wakes every sleeper at the next round boundary, so
-failover still sees every rank there; while a lease is live or a host is
-down, ranks take every round's barrier.
+failover still sees every rank there; while a host is down, ranks take
+every round's barrier.
 
 Every rank exchanges its own shuffle messages here: one protocol, one
 message per (sender, aggregator, window).  Coalescing a node's traffic
@@ -53,12 +53,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.borrow import (
-    acquire_leases,
-    borrow_round_check,
-    check_acquisition,
-    release_leases,
-)
 from repro.core.failover import replace_failed_domains
 from repro.core.filedomain import FileDomain, rounds_for
 from repro.core.metrics import StatsCollector
@@ -336,7 +330,7 @@ class _RunContext:
     __slots__ = (
         "ctx", "comm", "pfs", "plan", "views", "stats", "op", "op_seq",
         "payload", "node", "domains", "allocs", "paged_flags",
-        "failover_config", "borrow", "index", "mine",
+        "failover_config", "index", "mine",
     )
 
     def __init__(self, ctx, comm, pfs, plan, views, stats, op, op_seq, payload):
@@ -357,8 +351,6 @@ class _RunContext:
         self.allocs: dict[int, object] = {}
         self.paged_flags: dict[int, bool] = {}
         self.failover_config = None
-        #: Active :class:`~repro.core.borrow.BorrowSession`, or None.
-        self.borrow = None
         #: The collective's :class:`RoundIndex` for `domains`, and this
         #: rank's entry of it; a failover move rebinds both.
         self.index: Optional[RoundIndex] = None
@@ -395,18 +387,17 @@ def _sleep_rounds(run: _RunContext, t: int, stop: int):
     """Process generator: pass idle rounds ``t..stop-1`` of this rank;
     returns the round it resumes at.
 
-    One counted barrier covers the whole stretch.  While a lease is live
-    or a host is down the stretch is one round, so every round boundary
-    sees this rank (the lease and failover checks run there).  Past the
-    last round with any work nobody is left to arrive late, so those
-    barriers are plain.
+    One counted barrier covers the whole stretch.  While a host is down
+    the stretch is one round, so every round boundary sees this rank
+    (the failover check runs there).  Past the last round with any work
+    nobody is left to arrive late, so those barriers are plain.
     """
     comm, ctx = run.comm, run.ctx
     worked = run.index.worked
     if t >= worked:
         yield from comm.barrier(ctx)
         return t + 1
-    if run.borrow is not None or comm.cluster.any_failed:
+    if comm.cluster.any_failed:
         count = 1
     else:
         count = min(stop, worked) - t
@@ -424,7 +415,6 @@ def execute_collective(
     op_seq: int,
     payload: Optional[np.ndarray] = None,
     failover_config=None,
-    borrow=None,
 ):
     """Process generator: one rank's role in a planned collective op.
 
@@ -460,14 +450,6 @@ def execute_collective(
         when it degrades), or None for fault-oblivious execution.  With
         no failed hosts the check adds no simulation events, so
         fault-free timing is unchanged.
-    borrow:
-        A :class:`~repro.core.borrow.BorrowSession` when the plan
-        contains lender-backed domains, else None.  Needs the lockstep
-        driver (the lease protocol needs round boundaries).  Lease
-        acquisition runs before round 0; an acquisition failure or a
-        mid-run unsound lease raises
-        :class:`~repro.core.borrow.BorrowDegraded` on every rank after
-        local teardown — the caller re-plans without borrowing.
 
     Returns
     -------
@@ -481,7 +463,6 @@ def execute_collective(
     run = _RunContext(
         ctx, comm, pfs, plan, file_views(patterns), stats, op, op_seq, payload
     )
-    run.borrow = borrow
     run.bind_rounds(half=stats.path.driver == "pipelined")
 
     tracer = env.tracer
@@ -497,28 +478,13 @@ def execute_collective(
             domain = run.domains[did]
             if domain.aggregator_rank != ctx.rank:
                 continue
-            if borrow is not None and domain.lender_node is not None:
-                # the buffer lives on the lender once the lease lands
-                # (recorded at grant time); only the round count is known now
-                run.paged_flags[did] = False
-                stats.record_rounds(
-                    rounds_for(domain.extent.length, domain.buffer_bytes)
-                )
-                continue
             _alloc_aggregator_buffer(run, did, domain)
             stats.record_rounds(
                 rounds_for(domain.extent.length, domain.buffer_bytes)
             )
 
         try:
-            if borrow is not None:
-                yield from acquire_leases(run, borrow)
-                # make grant outcomes common knowledge before round 0
-                yield from comm.barrier(ctx)
-                check_acquisition(run, borrow)
             yield from _run_rounds(run, failover_config)
-            if borrow is not None:
-                release_leases(run, borrow)
         finally:
             for alloc in run.allocs.values():
                 ctx.node.memory.free(alloc)
@@ -589,11 +555,6 @@ def _run_rounds(run: _RunContext, failover_config):
     degraded = False
     t = 0
     while t < ntimes:
-        if run.borrow is not None:
-            # lease health first: a borrowed domain cannot be failed
-            # over (its buffer is remote), so borrow aborts preempt
-            # the failover machinery for those domains
-            borrow_round_check(run, run.borrow, t)
         if service is not None and not degraded and comm.cluster.any_failed:
             # drain the in-flight windows, then run the rest of the
             # operation without overlap, with failover
@@ -752,32 +713,6 @@ def _member_exchange(
 # ---------------------------------------------------------------------------
 # aggregator side
 # ---------------------------------------------------------------------------
-def _borrow_stage(run: _RunContext, did: int, lease, nbytes: int, inbound: bool):
-    """Move `nbytes` between the aggregator and its leased remote buffer.
-
-    A borrowed aggregation buffer lives on the lender node, so buffer
-    assembly (`inbound`) and drain (outbound) cross the fabric at α–β
-    cost instead of the local memory bus.  A lender that failed mid-round
-    slows the transfer through the network's failure model; the lease
-    itself is only revoked at the next round boundary.
-    """
-    ctx, comm = run.ctx, run.comm
-    lender = comm.cluster.node_of(lease.lender_node)
-    tracer = ctx.env.tracer
-    t0 = tracer.now() if tracer.enabled else 0.0
-    if inbound:
-        yield from comm.cluster.network.transfer(ctx.node, lender, nbytes)
-    else:
-        yield from comm.cluster.network.transfer(lender, ctx.node, nbytes)
-    run.stats.record_borrow_bytes(nbytes)
-    if tracer.enabled:
-        tracer.complete(
-            "borrow", "borrow.stage" if inbound else "borrow.fetch",
-            comm.placement[ctx.rank], ctx.rank, t0, tracer.now() - t0,
-            domain=did, lender=lease.lender_node, bytes=nbytes,
-        )
-
-
 def _gather_window(run: _RunContext, did: int, window: Extent, t: int):
     """Receive each expected sender's slice of `window`.
 
@@ -848,23 +783,12 @@ def _collect_and_write(
     buffer, received = yield from _gather_window(run, did, window, t)
     if received == 0:
         return
-    lease = run.borrow.lease_for(did) if run.borrow is not None else None
-    if lease is not None:
-        # assembly lands in the lender's leased buffer: α–β fabric cost
-        # instead of the local memory bus
-        yield from _borrow_stage(run, did, lease, received, inbound=True)
-    else:
-        # assemble the collective buffer: off-chip memory traffic,
-        # throttled for paged buffers (a pipelined run's two half-slots
-        # both live inside the planned buffer)
-        yield from run.node.memcopy(received, paged=run.paged_flags[did])
+    # assemble the collective buffer: off-chip memory traffic, throttled
+    # for paged buffers (a pipelined run's two half-slots both live
+    # inside the planned buffer)
+    yield from run.node.memcopy(received, paged=run.paged_flags[did])
 
     pieces = run.plan.pieces(did, window, run.views)
-    if lease is not None and pieces:
-        # pull the assembled round back from the lender for the write
-        yield from _borrow_stage(
-            run, did, lease, sum(p.length for p in pieces), inbound=False
-        )
     if service is None or degraded:
         yield from _write_pieces(run, did, window, t, buffer, pieces)
         return
@@ -916,15 +840,8 @@ def _read_and_scatter(
     if total_read == 0:
         return
     paged = run.paged_flags[did]
-    lease = run.borrow.lease_for(did) if run.borrow is not None else None
-    if lease is not None:
-        # park the fresh read in the lender's leased buffer, then pull
-        # it back for the scatter — both legs cross the fabric
-        yield from _borrow_stage(run, did, lease, total_read, inbound=True)
-        yield from _borrow_stage(run, did, lease, total_read, inbound=False)
-    else:
-        # stage the buffer through the memory system before scattering
-        yield from run.node.memcopy(total_read, paged=paged)
+    # stage the buffer through the memory system before scattering
+    yield from run.node.memcopy(total_read, paged=paged)
     yield from _scatter_window(run, did, window, t, buffer, paged)
 
 

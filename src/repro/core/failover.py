@@ -140,12 +140,6 @@ def replace_failed_domains(
     kept: list[int] = []
     if not failed_nodes:
         return FailoverDecision(out, moved, kept)
-    if config.placement_policy != "remerge":
-        # A mid-flight re-placement may not mint borrowed domains: a
-        # lender assignment is only valid when the engine drives the
-        # lease protocol from before round 0.  Borrowed domains that
-        # lose their host abort via the borrow round check instead.
-        config = replace(config, placement_policy="remerge")
 
     # shared reservation state so multiple orphans re-placed in one pass
     # do not pile onto the same host
@@ -195,7 +189,6 @@ def replace_failed_domains(
             domain,
             aggregator_rank=new.aggregator_rank,
             paged=new.paged,
-            lender_node=None,
         )
         moved.append(did)
     return FailoverDecision(out, moved, kept)

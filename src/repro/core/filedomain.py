@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.request import Extent
 
@@ -35,11 +34,6 @@ class FileDomain:
     group_id:
         Aggregation group the domain belongs to (0 for the baseline's
         single implicit group).
-    lender_node:
-        When set, the aggregation buffer does not live on the
-        aggregator's host: it is leased from this node id at execution
-        time (borrowed remote memory), and buffer staging crosses the
-        fabric instead of the local memory bus.
     """
 
     extent: Extent
@@ -47,7 +41,6 @@ class FileDomain:
     buffer_bytes: int
     paged: bool = False
     group_id: int = 0
-    lender_node: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.buffer_bytes < 1:

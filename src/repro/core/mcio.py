@@ -24,14 +24,12 @@ Execution is the shared machinery in :mod:`repro.core.engine`.
 
 from __future__ import annotations
 
-from dataclasses import replace as _cfg_replace
 from time import perf_counter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.aggregator_selection import place_aggregators
-from repro.core.borrow import BorrowDegraded, BorrowSession
 from repro.core.config import MCIOConfig
 from repro.core.engine import ExecutionPlan, execute_collective
 from repro.core.group_division import divide_groups
@@ -123,28 +121,17 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
         comm: SimComm,
         pfs: ParallelFileSystem,
         config: Optional[MCIOConfig] = None,
-        tenant: Optional[str] = None,
     ):
         super().__init__(comm, pfs, config if config is not None else MCIOConfig())
-        #: Owning job's identity when several engines share one cluster
-        #: (see :mod:`repro.tenancy`).  Leases this engine grants are
-        #: tagged with it, and lease events from *other* tenants' tagged
-        #: leases never stale this engine's persistent handles.  None
-        #: (the default) preserves the single-job behaviour: every lease
-        #: event invalidates.
-        self.tenant = tenant
         #: Fault injectors wired via :meth:`watch_faults`; a non-empty
         #: schedule on any of them refuses vectorization
         #: (:func:`~repro.core.path.resolve_path`).
         self._fault_injectors: list = []
-        #: Per-operation shared lease state (None for lease-free plans).
-        self._borrows: dict = {}
         #: Callbacks fired when externally frozen plans go stale (see
         #: :meth:`add_invalidation_listener`); persistent collectives
-        #: subscribe here so lease churn, faults, and failover force a
-        #: re-plan at their next ``start()``.
+        #: subscribe here so faults and failover force a re-plan at
+        #: their next ``start()``.
         self._invalidation_listeners = Subscribers()
-        self.comm.cluster.memory_ledger.add_listener(self._on_lease_event)
 
     # ------------------------------------------------------------------
     def watch_faults(self, injector) -> None:
@@ -163,9 +150,8 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
     def add_invalidation_listener(self, fn) -> None:
         """Register ``fn(reason)`` to fire whenever frozen plans go stale.
 
-        Fires on lease grant/revoke/expire, fault apply/revert (for
-        injectors wired via :meth:`watch_faults`), and mid-run aggregator
-        failover.  :class:`~repro.core.persistent.PersistentCollective`
+        Fires on fault apply/revert (for injectors wired via
+        :meth:`watch_faults`) and mid-run aggregator failover.  :class:`~repro.core.persistent.PersistentCollective`
         handles use this to drop their frozen plan and re-plan at the
         next ``start()``.  A bound method is held weakly: a handle
         that is dropped without :meth:`free` stops being notified
@@ -179,24 +165,6 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
 
     def _notify_plan_invalidation(self, reason: str) -> None:
         self._invalidation_listeners.notify(reason)
-
-    def _on_lease_event(self, lease, event) -> None:
-        # renew/release keep the buffer map intact; only grants and
-        # losses move memory between hosts
-        if event not in ("grant", "revoke", "expire"):
-            return
-        # another tenant's tagged lease changes *its* buffer map, not
-        # ours: the memory it pins reaches our next plan through the
-        # lenders' committed bytes, so staling our frozen plans for it
-        # would be pure cross-tenant bleed
-        lease_tenant = getattr(lease, "tenant", None)
-        if (
-            self.tenant is not None
-            and lease_tenant is not None
-            and lease_tenant != self.tenant
-        ):
-            return
-        self._notify_plan_invalidation(f"lease-{event}")
 
     def _on_fault_event(self, event, phase) -> None:
         self._notify_plan_invalidation(f"fault-{phase}")
@@ -233,20 +201,12 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
             (ctx.node.node_id, ctx.node.memory.free_available, ctx.node.failed),
             nbytes=16,
         )
-        views, plan, stats, borrow = self._prepare(seq, patterns, mem_state, op)
-        try:
-            result = yield from execute_collective(
-                ctx, self.comm, self.pfs, plan, views, stats, op, seq,
-                payload=payload,
-                failover_config=self.config if self.config.failover else None,
-                borrow=borrow,
-            )
-        except BorrowDegraded:
-            # every rank raises at the same round boundary (after lease
-            # teardown); re-plan with borrowing disabled
-            result = yield from self._borrow_fallback(
-                ctx, payload, op, seq, views, stats
-            )
+        views, plan, stats = self._prepare(seq, patterns, mem_state, op)
+        result = yield from execute_collective(
+            ctx, self.comm, self.pfs, plan, views, stats, op, seq,
+            payload=payload,
+            failover_config=self.config if self.config.failover else None,
+        )
         self._finish(seq, ctx)
         return result
 
@@ -260,18 +220,7 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
             stats = self._make_collector(op, plan)
             stats.path = resolve_path(self, plan)
             self._stats[seq] = stats
-            borrowed = any(d.lender_node is not None for d in plan.domains)
-            # lease-free plans get no session at all: the borrow machinery
-            # must not perturb never-triggered runs
-            self._borrows[seq] = (
-                BorrowSession(self.comm.cluster.memory_ledger, tenant=self.tenant)
-                if borrowed
-                else None
-            )
-        return (
-            self._views[seq], self._plans[seq], self._stats[seq],
-            self._borrows[seq],
-        )
+        return self._views[seq], self._plans[seq], self._stats[seq]
 
     def _make_collector(self, op, plan) -> StatsCollector:
         """Build one operation's collector (shared with the vectorized driver)."""
@@ -282,40 +231,7 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
             collector.auditor = self.auditor
         return collector
 
-    def _borrow_fallback(self, ctx, payload, op, seq, views, stats):
-        """Process generator: re-run a degraded borrowed collective.
-
-        Every rank arrives here at the same sim instant (the abort round's
-        boundary).  A fresh memory/health allgather feeds a re-plan with
-        ``placement_policy`` forced to ``"remerge"``, which remerges or
-        pages exactly as a memory-pressured plan would — no second borrow
-        attempt inside the same operation.
-        """
-        mem_state = yield from self.comm.allgather(
-            ctx,
-            (ctx.node.node_id, ctx.node.memory.free_available, ctx.node.failed),
-            nbytes=16,
-        )
-        key = ("borrow-fallback", seq)
-        remerge_cfg = _cfg_replace(self.config, placement_policy="remerge")
-        if key not in self._plans:
-            self._plans[key] = self.plan(
-                views, *memory_snapshot(mem_state), config=remerge_cfg
-            )
-            stats.set_tier("remerge")
-        plan = self._plans[key]
-        return (
-            yield from execute_collective(
-                ctx, self.comm, self.pfs, plan, views, stats, op,
-                ("bfb", seq),
-                payload=payload,
-                failover_config=remerge_cfg if self.config.failover else None,
-            )
-        )
-
     def _finished(self, seq, final: CollectiveStats) -> None:
-        self._borrows.pop(seq, None)
-        self._plans.pop(("borrow-fallback", seq), None)
         if final.failovers:
             # aggregators moved mid-run: every frozen plan now names
             # stale placements
@@ -327,16 +243,14 @@ class MemoryConsciousCollectiveIO(CollectiveEngine):
         patterns: Sequence[AccessPattern],
         memory_available: dict[int, int],
         failed_nodes: frozenset = frozenset(),
-        config: Optional[MCIOConfig] = None,
     ) -> ExecutionPlan:
         """Run the four-component MCIO planning pipeline.
 
         Hosts in `failed_nodes` are soft-excluded: they plan as if they
         had no memory at all, so the placer only lands on them when no
-        live candidate exists (and marks the placement paged).  `config`
-        (when given) overrides the engine's parameters for this plan.
+        live candidate exists (and marks the placement paged).
         """
-        cfg = self.config if config is None else config
+        cfg = self.config
         stripe = self.pfs.layout.stripe_size
         views = file_views(patterns)
         # Planning costs no simulated time: its spans sit at the current

@@ -53,24 +53,14 @@ class CollectiveStats:
     shuffle_inter_node_bytes: int
     n_groups: int = 1
     extra: dict = field(default_factory=dict)
-    #: None = the strategy's own plan served the collective; "remerge"
-    #: when a degraded borrow re-planned with remerging instead.
+    #: Always None; kept so stored documents and benchmark records keep
+    #: their shape.
     degraded_tier: Optional[str] = None
     #: PFS client retries / abandoned requests during this operation.
     io_retries: int = 0
     io_abandons: int = 0
     #: Aggregator failovers performed mid-operation (failed host replaced).
     failovers: int = 0
-    #: Remote-memory lease lifecycle counts for this collective
-    #: (borrowed aggregation buffers; all zero outside borrow placements).
-    leases_granted: int = 0
-    leases_renewed: int = 0
-    leases_revoked: int = 0
-    leases_expired: int = 0
-    #: Bytes staged to / fetched from leased remote buffers over the fabric.
-    borrow_bytes: int = 0
-    #: Mid-collective borrow aborts that degraded the run back to remerge.
-    borrow_fallbacks: int = 0
     #: Which driver ran this collective and every refusal on the way
     #: (:func:`~repro.core.path.resolve_path`).
     path: PathDecision = PathDecision()
@@ -133,16 +123,8 @@ class CollectiveStats:
             return 0
         return max(self.agg_overcommit_bytes.values())
 
-    @property
-    def tier(self) -> str:
-        """The tier that served the collective ("mcio", "two-phase", ...)."""
-        return self.degraded_tier if self.degraded_tier else self.strategy
-
     def summary(self) -> str:
         """One-line human-readable digest."""
-        degraded = (
-            f", degraded->{self.degraded_tier}" if self.degraded_tier else ""
-        )
         resilience = ""
         if self.io_retries or self.failovers or self.io_abandons:
             resilience = (
@@ -152,7 +134,7 @@ class CollectiveStats:
             f"{self.strategy} {self.op}: {self.bandwidth_mib:8.1f} MiB/s  "
             f"({self.total_bytes / 1024 / 1024:.0f} MiB in {self.elapsed:.3f} s, "
             f"{self.n_aggregators} aggs, {self.paged_aggregators} paged, "
-            f"{self.rounds_total} rounds{degraded}{resilience})"
+            f"{self.rounds_total} rounds{resilience})"
         )
 
     # ------------------------------------------------------------------
@@ -236,17 +218,6 @@ class StatsCollector:
         self.agg_overcommit_bytes: dict[int, int] = {}
         #: Ranks whose aggregation buffers spilled to paging.
         self.paged_aggregators: set[int] = set()
-        #: Remote-memory lease lifecycle events (releases are not part
-        #: of :class:`CollectiveStats`).
-        self.leases_granted = 0
-        self.leases_renewed = 0
-        self.leases_released = 0
-        self.leases_revoked = 0
-        self.leases_expired = 0
-        #: Bytes staged to/fetched from leased remote buffers.
-        self.borrow_bytes = 0
-        #: Mid-collective borrow aborts degraded back to remerge.
-        self.borrow_fallbacks = 0
         #: Driver decision for this collective (DESIGN.md §11).
         self.path = PathDecision()
         self.start_time: Optional[float] = None
@@ -301,26 +272,9 @@ class StatsCollector:
         """Add bytes moved to/from the file system."""
         self.total_bytes += nbytes
 
-    def set_tier(self, tier: Optional[str]) -> None:
-        """Record the degradation tier that served the collective."""
-        self.degraded_tier = tier
-
     def record_failover(self, count: int = 1) -> None:
         """Count aggregator failovers performed during the run."""
         self.failovers += count
-
-    def record_lease(self, event: str) -> None:
-        """Count one lease lifecycle event (granted/renewed/...)."""
-        name = f"leases_{event}"
-        setattr(self, name, getattr(self, name) + 1)
-
-    def record_borrow_bytes(self, nbytes: int) -> None:
-        """Add bytes moved to/from a leased remote buffer."""
-        self.borrow_bytes += nbytes
-
-    def record_borrow_fallback(self) -> None:
-        """Count one mid-collective borrow abort (degrade to remerge)."""
-        self.borrow_fallbacks += 1
 
     def record_attempt(self, n: int = 1) -> None:
         """Notify the auditor `n` ranks entered an execution attempt.

@@ -7,8 +7,8 @@ replay's ``overlap=True``, §13).  :func:`resolve_path` is the only place
 that chooses among them.  Refusals read ``"<refused>:<reason>"`` in
 check order; ``<refused>`` is a driver, or ``"persistent"`` when a
 replay hands its epoch to the blocking entry point.  Mid-run events
-(failover, pipeline drain, borrow fallback, ``degraded_tier``) are not
-path decisions and stay where they happen.
+(failover, pipeline drain) are not path decisions and stay where they
+happen.
 """
 
 from __future__ import annotations
@@ -52,29 +52,26 @@ def vectorization_requested(engine) -> bool:
     return getattr(config, "execution_mode", "per-rank") == "vectorized"
 
 
-def _borrows(plan) -> bool:
-    return any(d.lender_node is not None for d in plan.domains)
-
-
 def resolve_path(
     engine, plan=UNPLANNED, *, vectorize=False, replay=False, overlap=False,
     payloads=None,
 ) -> PathDecision:
     """Decide, from `engine`'s platform state, which driver runs a collective.
 
-    `plan` is the plan to run, or :data:`UNPLANNED`.  The node-level
-    driver asks with `vectorize` (and its `payloads`), a persistent
-    handle with `replay` (and `overlap` for the pipelined executor); a
-    blocking per-rank collective asks with neither.  Reads state, never changes it.
+    `plan` is the plan to run, or :data:`UNPLANNED`; only a replay's
+    decision reads it.  The node-level driver asks with `vectorize` (and
+    its `payloads`), a persistent handle with `replay` (and `overlap` for
+    the pipelined executor); a blocking per-rank collective asks with
+    neither.  Reads state, never changes it.
     """
     if replay:
         return _replay_path(engine, plan, overlap)
     if vectorize:
-        return _vectorized_path(engine, plan, payloads)
+        return _vectorized_path(engine, payloads)
     return PathDecision("lockstep")
 
 
-def _vectorized_path(engine, plan, payloads) -> PathDecision:
+def _vectorized_path(engine, payloads) -> PathDecision:
     """Per-rank coroutines stay wherever per-rank behaviour could diverge."""
     cluster = engine.comm.cluster
     if engine.pfs.datastore is not None or payloads is not None:
@@ -84,13 +81,6 @@ def _vectorized_path(engine, plan, payloads) -> PathDecision:
     elif cluster.any_failed:
         # degraded-mode timing and failover live in rank coroutines
         reason = "failed-nodes"
-    elif cluster.memory_ledger.outstanding > 0:
-        reason = "active-leases"
-    elif plan is UNPLANNED:
-        return PathDecision("vectorized")
-    elif _borrows(plan):
-        # the borrow protocol is control flow between rank coroutines
-        reason = "lender-domains"
     else:
         return PathDecision("vectorized")
     return PathDecision("lockstep", (f"vectorized:{reason}",))
@@ -102,13 +92,6 @@ def _replay_path(engine, plan, overlap: bool) -> PathDecision:
         return PathDecision("lockstep", ("persistent:engine-unsupported",))
     if plan is UNPLANNED:
         return PathDecision("pipelined" if overlap else "lockstep")
-    if _borrows(plan):
-        # leases are a per-operation protocol: a frozen replay cannot
-        # hold them across epochs, and the blocking path never overlaps
-        refusals = ("persistent:borrow-lease",)
-        if overlap:
-            refusals += ("pipelined:borrow-lease",)
-        return PathDecision("lockstep", refusals)
     refusals = ()
     if vectorization_requested(engine):
         refusals += ("vectorized:persistent-collective",)

@@ -29,8 +29,8 @@ A frozen plan names concrete aggregator hosts and buffer sizes, so any
 event that moves memory or kills hosts makes it stale.  The handle
 subscribes to the engine's plan-invalidation feed
 (:meth:`~repro.core.mcio.MemoryConsciousCollectiveIO.add_invalidation_listener`):
-lease grant/revoke/expire, fault apply/revert (for injectors wired via
-``watch_faults``), and mid-run aggregator failover all bump a generation
+fault apply/revert (for injectors wired via ``watch_faults``) and
+mid-run aggregator failover both bump a generation
 counter, and the next ``start()`` re-plans from fresh allgathers.  An
 event landing *between* ``start()`` and ``wait()`` never perturbs the
 in-flight epoch — the executor's own degradation machinery (drain, then
@@ -41,9 +41,9 @@ Path decision
 -------------
 Each epoch asks :func:`~repro.core.path.resolve_path` once, after
 planning, how to replay; ``stats.path`` records the answer.  Epochs
-that cannot be replayed safely (borrow leases, engines without the
-planning hooks) are *delegated* whole to the engine's blocking entry
-point, whose stats then carry the ``"persistent:<reason>"`` refusal.
+of an engine without the planning hooks cannot be replayed and are
+*delegated* whole to the engine's blocking entry point, whose stats
+then carry the ``"persistent:<reason>"`` refusal.
 """
 
 from __future__ import annotations

@@ -4,20 +4,19 @@ The per-rank engine simulates every rank as its own coroutine; at
 10^5–10^6 ranks the event count alone makes a sweep intractable.  This
 driver runs one whole collective from a *single* simulation process,
 carrying per-rank accounting in numpy arrays and charging each
-window's traffic as one
-:meth:`~repro.cluster.network.Network.batched_transfer` per (source
-node, aggregator) pair.  It is the only place shuffle traffic is
+window's traffic as one multi-message
+:meth:`~repro.cluster.network.Network.transfer` per (source node,
+aggregator) pair.  It is the only place shuffle traffic is
 aggregated by node: the per-rank engine sends one message per rank.
 
 Equivalence contract
 --------------------
-For any fault-free, lease-free, metadata-only collective the vectorized
-driver produces a :class:`~repro.core.metrics.CollectiveStats` whose
+For any fault-free, metadata-only collective the vectorized driver
+produces a :class:`~repro.core.metrics.CollectiveStats` whose
 deterministic accounting fields (bytes, rounds, aggregators, shuffle
-locality split, tiers, groups — everything except ``elapsed`` and the
-path decision itself) are
-*identical* to the per-rank reference, and feeds the byte-conservation
-auditor the same attempt/extent stream.  ``tests/sim`` pins this with a
+locality split, groups — everything except ``elapsed`` and the path
+decision itself) are *identical* to the per-rank reference, and feeds
+the byte-conservation auditor the same attempt/extent stream.  ``tests/sim`` pins this with a
 differential harness; simulated time is pinned separately by the
 vectorized golden traces.
 
@@ -25,10 +24,9 @@ When the planner refuses
 ------------------------
 Per-rank coroutines are retained wherever genuinely per-rank behaviour
 could diverge.  :func:`~repro.core.path.resolve_path` owns those rules
-(data plane, fault schedule, failed nodes, live leases, and after
-planning lender-backed domains).  This driver
-asks it once before planning and once with the plan; on a refusal it
-runs the reference per-rank path, whose stats carry its own decision
+(data plane, fault schedule, failed nodes).  This driver asks it once,
+before planning; on a refusal it runs the reference per-rank path,
+whose stats carry its own decision
 with the ``"vectorized:<reason>"`` refusal in front
 (``CollectiveStats.path``).
 
@@ -139,11 +137,6 @@ def run_vectorized_collective(
     }
     views = file_views(patterns)
     plan = engine.plan(views, memory_available)
-    # the refused run plans again on its own, exactly as a plain
-    # per-rank run would
-    decision = resolve_path(engine, plan, vectorize=True, payloads=payloads)
-    if decision.driver != "vectorized":
-        return _per_rank_fallback(engine, patterns, op, decision, payloads)
 
     seq = engine._advance_seq()
     stats = engine._make_collector(op, plan)
@@ -166,8 +159,9 @@ def run_vectorized_collective(
         for node_id, sizes in traffic:
             nbytes = sum(sizes)
             stats.record_shuffle(nbytes, same_node=node_id == agg_node.node_id)
-            yield from network.batched_transfer(
-                nodes[node_id], agg_node, sizes, paged_dst=paged_wire
+            yield from network.transfer(
+                nodes[node_id], agg_node, nbytes, paged_dst=paged_wire,
+                messages=len(sizes),
             )
             received += nbytes
         if received == 0:
@@ -192,11 +186,11 @@ def run_vectorized_collective(
             return
         yield from agg_node.memcopy(total_read, paged=paged)
         for node_id, sizes in traffic:
-            stats.record_shuffle(
-                sum(sizes), same_node=node_id == agg_node.node_id
-            )
-            yield from network.batched_transfer(
-                agg_node, nodes[node_id], sizes, paged_dst=paged
+            nbytes = sum(sizes)
+            stats.record_shuffle(nbytes, same_node=node_id == agg_node.node_id)
+            yield from network.transfer(
+                agg_node, nodes[node_id], nbytes, paged_dst=paged,
+                messages=len(sizes),
             )
 
     def _driver():

@@ -12,7 +12,6 @@ a ``main()`` CLI entry point::
     python -m repro.experiments.dynamic_memory
     python -m repro.experiments.topology
     python -m repro.experiments.resilience
-    python -m repro.experiments.borrow
     python -m repro.experiments.pipeline
     python -m repro.experiments.tenancy
 
@@ -39,7 +38,6 @@ __all__ = [
     "SweepPoint",
     "ablation",
     "average_improvements",
-    "borrow",
     "dynamic_memory",
     "figure6",
     "figure7",

@@ -96,8 +96,8 @@ def run_collective(
     Engines configured with ``execution_mode="vectorized"`` hand each
     op to the node-level driver
     (:func:`~repro.core.vectorized.run_vectorized_collective`), whose
-    path decision falls back to the per-rank path whenever faults,
-    leases or the data plane demand per-rank coroutines.
+    path decision falls back to the per-rank path whenever faults or
+    the data plane demand per-rank coroutines.
     """
     if len(patterns) != platform.comm.size:
         raise ValueError(

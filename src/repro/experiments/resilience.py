@@ -81,7 +81,7 @@ class ResilienceResult:
                     str(p.node_failures),
                     str(st.io_retries),
                     str(st.failovers),
-                    st.tier,
+                    st.strategy,
                 )
             )
         return out

@@ -19,7 +19,7 @@ whole sweep (all ladder points, write + read each) exceeds it, which is
 how CI keeps the 10^5-rank smoke sweep honest and how the acceptance
 criterion (10^6 ranks in under five minutes) stays pinned.  Every point
 must report ``execution_mode == "vectorized"`` with zero refusals —
-these are fault-free, lease-free, metadata-only runs, exactly the
+these are fault-free, metadata-only runs, exactly the
 regime vectorization targets — and the CLI exits nonzero otherwise.
 """
 

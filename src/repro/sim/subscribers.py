@@ -1,8 +1,7 @@
 """A callback registry that does not keep its subscribers alive.
 
-Platform objects publish events to whoever is interested: the lease
-ledger to engines, a fault injector to the engines it
-drives, an engine to its persistent handles.  A registry that held those
+Platform objects publish events to whoever is interested: a fault
+injector to the engines it drives, an engine to its persistent handles.  A registry that held those
 subscribers strongly would tie every subscriber's lifetime to the
 publisher's and, since subscribers usually refer to the publisher, form a
 reference cycle that only the cyclic collector can reclaim.

@@ -4,8 +4,8 @@ The rest of the simulator runs one collective at a time; real
 extreme-scale PFS pain is N concurrent jobs hammering the same OSTs.
 This package hosts multiple jobs — each with its *own* communicator,
 engine, and file handle — on one :class:`~repro.sim.engine.Environment`,
-sharing the cluster's nodes, network links, PFS servers, and lease
-ledger, so cross-job interference is simulated rather than assumed:
+sharing the cluster's nodes, network links and PFS servers, so
+cross-job interference is simulated rather than assumed:
 
 * :class:`TenantJob` / :class:`JobRecord` — one job's spec (placement,
   arrival time, op, size, execution mode) and its measured lifecycle;
@@ -17,11 +17,6 @@ ledger, so cross-job interference is simulated rather than assumed:
 * fairness metrics (:func:`jain_index`, :class:`FairnessReport`) —
   per-job slowdown vs. an isolated baseline, the Jain fairness index
   over those slowdowns, and aggregate PFS utilization.
-
-Each tenant's engine is constructed with ``tenant=job.name``, so lease
-grant/revoke events from one job never invalidate another job's
-persistent handles (see
-:meth:`repro.core.mcio.MemoryConsciousCollectiveIO.add_invalidation_listener`).
 """
 
 from .job import JobRecord, TenantJob, jobs_from_arrivals

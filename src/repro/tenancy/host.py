@@ -1,7 +1,7 @@
 """The tenancy host: N concurrent jobs on one sim clock.
 
 One :class:`TenancyHost` owns the shared platform — environment,
-cluster (and therefore the lease ledger), parallel file system — and
+cluster, parallel file system — and
 drives every submitted :class:`~repro.tenancy.job.TenantJob` through
 the same lifecycle:
 
@@ -11,10 +11,9 @@ the same lifecycle:
    head whenever the queue could move (an arrival or a completion);
    admitted jobs leave the queue strictly in arrival order;
 3. **run** — the job gets its *own* communicator on the shared cluster,
-   its own engine (``tenant=job.name``), and its own file handle, and
-   its rank processes execute concurrently with every other admitted
-   job's — shuffle traffic, PFS requests, and lease grants all contend
-   on the shared resources;
+   its own engine, and its own file handle, and its rank processes
+   execute concurrently with every other admitted job's — shuffle
+   traffic and PFS requests all contend on the shared resources;
 4. **completion** — the lifecycle is recorded and the queue is pumped
    again.
 
@@ -184,9 +183,7 @@ class TenancyHost:
                 job=job.name, policy=self.policy.name,
             )
         comm = SimComm(env, self.cluster, list(job.placement))
-        engine = MemoryConsciousCollectiveIO(
-            comm, self.pfs, job.config, tenant=job.name
-        )
+        engine = MemoryConsciousCollectiveIO(comm, self.pfs, job.config)
         self.engines[job.name] = engine
         fh = SimFile.open(comm, engine)
         self.files[job.name] = fh

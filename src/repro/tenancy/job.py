@@ -27,8 +27,8 @@ class TenantJob:
     Parameters
     ----------
     name:
-        Tenant identity; stamped on the job's engine (and therefore its
-        leases) so invalidation stays per-job.  Must be unique per host.
+        Tenant identity, the key of the job's engine, file and record.
+        Must be unique per host.
     placement:
         ``placement[rank]`` = node id on the *shared* cluster.  Jobs may
         occupy disjoint node subsets or co-locate ranks on the same

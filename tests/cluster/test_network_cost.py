@@ -1,12 +1,12 @@
-"""The single shared link-cost model: estimate == simulated, batched == closed form.
+"""The single shared link-cost model: estimate == simulated, multi-message == closed form.
 
 :meth:`Network.transfer` (the simulated data path) and
 :meth:`Network.estimate_transfer_time` (the planning estimate) both
 derive their arithmetic from :meth:`Network.link_cost`, so on an
 *uncontended* link the estimate must match the simulated completion
 time exactly — full float equality, not approximately.  These tests pin
-that, plus the closed-form serialization model of
-:meth:`Network.batched_transfer`.
+that, plus the closed-form serialization model of a multi-message
+:meth:`Network.transfer` (``messages > 1``).
 """
 
 import pytest
@@ -40,10 +40,10 @@ def make_cluster(n_nodes=2, rack_size=None, uplink=None, chunk_bytes=None):
     return env, cluster
 
 
-def simulate_transfer(env, cluster, src, dst, nbytes):
+def simulate_transfer(env, cluster, src, dst, nbytes, messages=1):
     def proc():
         yield from cluster.network.transfer(
-            cluster.nodes[src], cluster.nodes[dst], nbytes
+            cluster.nodes[src], cluster.nodes[dst], nbytes, messages=messages
         )
         return env.now
 
@@ -109,56 +109,44 @@ def test_link_cost_returns_uplinks_only_across_racks():
 
 
 # ---------------------------------------------------------------------------
-# batched transfers: closed-form serialization
+# multi-message transfers: closed-form serialization
 # ---------------------------------------------------------------------------
-def run_batched(env, cluster, src, dst, sizes):
-    def proc():
-        yield from cluster.network.batched_transfer(
-            cluster.nodes[src], cluster.nodes[dst], sizes
-        )
-        return env.now
-
-    p = env.process(proc())
-    env.run()
-    return p.value
-
-
-def test_batched_transfer_charges_latency_per_message_and_bytes_once():
+def test_multi_message_transfer_charges_latency_per_message():
     env, cluster = make_cluster()
     sizes = [64, 128, 256, 64]
-    elapsed = run_batched(env, cluster, 0, 1, sizes)
+    elapsed = simulate_transfer(env, cluster, 0, 1, sum(sizes), len(sizes))
     # closed form: n x latency up front, then the summed bytes at wire bw
     assert elapsed == len(sizes) * 0.5 + sum(sizes) / NIC_BW
     assert cluster.network.inter_node_bytes == sum(sizes)
     assert cluster.network.inter_node_messages == len(sizes)
 
 
-def test_batched_transfer_intra_node():
+def test_multi_message_transfer_intra_node():
     env, cluster = make_cluster()
     sizes = [64, 64]
-    elapsed = run_batched(env, cluster, 0, 0, sizes)
+    elapsed = simulate_transfer(env, cluster, 0, 0, sum(sizes), len(sizes))
     assert cluster.network.intra_node_bytes == sum(sizes)
     assert cluster.network.inter_node_messages == 0
     assert elapsed > 0
 
 
-def test_batched_transfer_empty_and_negative():
-    env, cluster = make_cluster()
-    assert run_batched(env, cluster, 0, 1, []) == 0.0
+def test_negative_transfer_rejected():
+    _, cluster = make_cluster()
     with pytest.raises(ValueError):
         # drive the generator directly: validation happens on first step
         next(
-            cluster.network.batched_transfer(
-                cluster.nodes[0], cluster.nodes[1], [64, -1]
+            cluster.network.transfer(
+                cluster.nodes[0], cluster.nodes[1], -1, messages=2
             )
         )
 
 
-def test_batched_matches_back_to_back_serial_transfers():
+def test_multi_message_matches_back_to_back_serial_transfers():
     """Uncontended, the closed form equals n back-to-back transfers.
 
-    The batch removes per-message simulation events and contention
-    points, never modelled cost — so on an idle link the times agree.
+    Folding messages into one transfer removes per-message simulation
+    events and contention points, never modelled cost — so on an idle
+    link the times agree.
     """
     sizes = [256] * 8
 
@@ -176,8 +164,8 @@ def test_batched_matches_back_to_back_serial_transfers():
     serial_time = p.value
 
     env_b, cluster_b = make_cluster()
-    batched_time = run_batched(env_b, cluster_b, 0, 1, sizes)
-    assert batched_time == serial_time  # back-to-back == closed form here
+    folded_time = simulate_transfer(env_b, cluster_b, 0, 1, sum(sizes), len(sizes))
+    assert folded_time == serial_time  # back-to-back == closed form here
     # byte/message accounting identical either way
     assert (
         cluster_b.network.inter_node_bytes,

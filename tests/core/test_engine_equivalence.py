@@ -123,16 +123,16 @@ def test_strategies_same_bytes_written_metric():
 
 
 def test_retired_config_fields_rejected():
-    """Knobs no caller ever moved off their defaults are fixed now (stripe
-    alignment always on; ``borrow.LEASE_*``/``LEND_HEADROOM`` constants;
-    the paged placement is the one last resort of planning); passing one
+    """Retired knobs (stripe alignment always on; the lease tuning and
+    the placement policy went with remote-memory borrowing; the paged
+    placement is the one last resort of planning) are gone; passing one
     is an error, not a silent no-op."""
     with pytest.raises(TypeError):
         TwoPhaseConfig(stripe_align=False)
     for field in (
         "stripe_align", "lease_retry_limit", "lease_backoff_base",
         "lease_backoff_cap", "lend_headroom", "lease_term",
-        "allow_paged_fallback", "fallback_chain",
+        "allow_paged_fallback", "fallback_chain", "placement_policy",
     ):
         with pytest.raises(TypeError):
             MCIOConfig(**{field: 1})

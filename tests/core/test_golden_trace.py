@@ -71,42 +71,6 @@ def test_golden_trace_bit_identical(strategy, op, case):
     ), f"{key}: a rank's read-back payload diverged"
 
 
-MCIO_CELLS = [(s, o, c) for s, o, c in CELLS if s == "mcio"]
-
-
-# the "pressure" case has skewed memory, so hybrid placement genuinely
-# borrows there (covered by tests/core/test_borrow.py); the replay below
-# asserts the *never-triggered* cells instead
-NO_LENDER_CELLS = [(s, o, c) for s, o, c in MCIO_CELLS if c.name != "pressure"]
-
-
-@pytest.mark.parametrize(
-    "strategy,op,case",
-    NO_LENDER_CELLS,
-    ids=[case_id(s, o, c) + "/hybrid" for s, o, c in NO_LENDER_CELLS],
-)
-def test_golden_trace_with_hybrid_placement(strategy, op, case):
-    """Borrow-*capable* placement must not perturb fault-free goldens.
-
-    These cells are either uniformly memory-rich (no domain ever needs a
-    remote buffer) or uniformly tight (adaptive shrinking wins before a
-    lender is sought), so ``placement_policy="hybrid"`` takes the exact
-    remerge code path: no lease is granted, no ``borrow.*`` event fires,
-    and simulated time, stats, and datastore bytes stay bit-identical.
-    """
-    expected = GOLDENS[case_id(strategy, op, case)]
-    actual = run_case(
-        strategy, op, case, mcio_overrides={"placement_policy": "hybrid"}
-    )
-    for field, want in expected["stats"].items():
-        assert actual["stats"][field] == want, f"stats.{field} diverged"
-    assert actual["final_now_hex"] == expected["final_now_hex"]
-    assert actual["datastore_sha256"] == expected["datastore_sha256"]
-    assert actual.get("rank_payload_sha256") == expected.get(
-        "rank_payload_sha256"
-    )
-
-
 @pytest.mark.parametrize("strategy", ["mcio", "two-phase"])
 @pytest.mark.parametrize("op", OPS)
 def test_tiny_mem_goldens_pin_paged_aggregators(strategy, op):

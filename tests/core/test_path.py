@@ -24,9 +24,8 @@ from tests.helpers import make_stack
 
 N_RANKS = 8
 BLOCK = 512
-#: A stand-in plan: the rules only look at whether a domain is lender-backed.
-LOCAL_PLAN = SimpleNamespace(domains=(SimpleNamespace(lender_node=None),))
-BORROWED_PLAN = SimpleNamespace(domains=(SimpleNamespace(lender_node=1),))
+#: A stand-in plan: only a replay's decision reads whether it is planned.
+LOCAL_PLAN = SimpleNamespace(domains=())
 
 
 def engine_on(stack, **overrides) -> MemoryConsciousCollectiveIO:
@@ -40,7 +39,6 @@ def engine_on(stack, **overrides) -> MemoryConsciousCollectiveIO:
 def test_blocking_collectives_run_lockstep_or_independent():
     engine = engine_on(make_stack(n_ranks=N_RANKS, with_data=False))
     assert resolve_path(engine, LOCAL_PLAN) == PathDecision("lockstep")
-    assert resolve_path(engine, BORROWED_PLAN) == PathDecision("lockstep")
 
 
 class TestVectorized:
@@ -52,31 +50,22 @@ class TestVectorized:
         )
 
     def test_first_failing_check_is_the_only_refusal(self):
-        """A data plane, a failed host and a live lease all at once: the
-        decision names the first check, as the checks run in order."""
+        """A data plane and a failed host at once: the decision names
+        the first check, as the checks run in order."""
         stack = make_stack(n_ranks=N_RANKS, with_data=True)
         engine = engine_on(stack)
         stack.cluster.nodes[1].fail()
-        stack.cluster.memory_ledger.grant(
-            lender_node=0, borrower_rank=0, nbytes=64, now=0.0, term=1e9
-        )
         want = PathDecision("lockstep", ("vectorized:data-plane",))
         assert resolve_path(engine, vectorize=True) == want
         assert resolve_path(engine, LOCAL_PLAN, vectorize=True) == want
 
-    def test_pre_plan_refusals_win_over_post_plan_ones(self):
+    def test_failed_host_refuses_with_or_without_the_plan(self):
         stack = make_stack(n_ranks=N_RANKS, with_data=False)
         engine = engine_on(stack)
         stack.cluster.nodes[1].fail()
-        assert resolve_path(engine, LOCAL_PLAN, vectorize=True) == PathDecision(
-            "lockstep", ("vectorized:failed-nodes",)
-        )
-
-    def test_post_plan_refusals(self):
-        engine = engine_on(make_stack(n_ranks=N_RANKS, with_data=False))
-        assert resolve_path(engine, BORROWED_PLAN, vectorize=True) == (
-            PathDecision("lockstep", ("vectorized:lender-domains",))
-        )
+        want = PathDecision("lockstep", ("vectorized:failed-nodes",))
+        assert resolve_path(engine, vectorize=True) == want
+        assert resolve_path(engine, LOCAL_PLAN, vectorize=True) == want
 
 
 class TestReplay:
@@ -88,17 +77,6 @@ class TestReplay:
             "lockstep", ("persistent:engine-unsupported",)
         )
         assert decision.delegated
-
-    def test_borrowed_plan_delegates_and_refuses_the_overlap(self):
-        engine = engine_on(make_stack(n_ranks=N_RANKS, with_data=False))
-        decision = resolve_path(engine, BORROWED_PLAN, replay=True, overlap=True)
-        assert decision.refusals == (
-            "persistent:borrow-lease", "pipelined:borrow-lease",
-        )
-        assert decision.delegated
-        assert resolve_path(engine, BORROWED_PLAN, replay=True).refusals == (
-            "persistent:borrow-lease",
-        )
 
     def test_overlap_over_a_failed_host_runs_lockstep(self):
         stack = make_stack(n_ranks=N_RANKS, with_data=False)

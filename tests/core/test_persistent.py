@@ -9,8 +9,8 @@
   never being slower than blocking in the concentrated-aggregator regime;
 * the plan really is frozen — exactly one planning pass across N epochs;
 * seams that cannot compose record their reason: the vectorized
-  driver refuses ("persistent-collective"), borrow-lease plans and
-  hook-less engines delegate whole epochs to the blocking path.
+  driver refuses ("persistent-collective"), and hook-less engines
+  delegate whole epochs to the blocking path.
 """
 
 import math
@@ -216,36 +216,6 @@ def test_two_phase_engine_delegates_every_epoch():
     for r in range(N_RANKS):
         got = stack.pfs.datastore.read(r * BLOCK, BLOCK)
         assert np.array_equal(got, step_bytes(r, STEPS - 1))
-
-
-def test_borrow_lease_plans_delegate():
-    stack = make_stack(n_ranks=12, n_nodes=3, cores=4)
-    for node in stack.cluster.nodes:
-        node.memory.set_available(10**9 if node.node_id == 2 else 6000)
-    engine = MemoryConsciousCollectiveIO(
-        stack.comm,
-        stack.pfs,
-        MCIOConfig(
-            placement_policy="borrow", adaptive_buffer=False, mem_min=0,
-            cb_buffer_size=8 * KIB, msg_ind=4 * KIB, msg_group=1 << 30,
-            nah=2, min_buffer=1,
-        ),
-    )
-    fh = SimFile.open(stack.comm, engine)
-    pc = run_write_loop(stack, fh, "persistent", block=4 * KIB)
-    # every epoch delegates, and each delegated epoch's lease grant/
-    # release traffic invalidates the frozen plan, forcing a re-plan
-    assert pc.replans == STEPS
-    assert pc.delegations == STEPS
-    assert len(engine.history) == STEPS
-    for stats in engine.history:
-        assert stats.path == PathDecision(
-            "lockstep", ("persistent:borrow-lease",)
-        )
-    assert any(r.startswith("lease-") for r in pc.invalidations)
-    for r in range(12):
-        got = stack.pfs.datastore.read(r * 4 * KIB, 4 * KIB)
-        assert np.array_equal(got, step_bytes(r, STEPS - 1, 4 * KIB))
 
 
 # ---------------------------------------------------------------------------

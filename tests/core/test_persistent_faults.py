@@ -1,6 +1,6 @@
 """Persistent collectives under faults: invalidation and mid-pipeline drain.
 
-A frozen plan names concrete hosts and buffer sizes, so lease traffic and
+A frozen plan names concrete hosts and buffer sizes, so memory and
 host faults must (a) never perturb the epoch already in flight and
 (b) force a re-plan at the *next* ``start()``.  A failure noticed in the
 middle of a pipelined epoch drains the in-flight PFS windows, finishes
@@ -30,9 +30,9 @@ def step_bytes(rank, step, nbytes):
 
 
 # ---------------------------------------------------------------------------
-# lease events between start() and wait()
+# fault events between start() and wait()
 # ---------------------------------------------------------------------------
-def test_lease_event_in_flight_replans_next_epoch():
+def test_fault_event_in_flight_replans_next_epoch():
     stack = make_stack(n_ranks=8, n_nodes=2, cores=4)
     engine = MemoryConsciousCollectiveIO(
         stack.comm,
@@ -42,30 +42,39 @@ def test_lease_event_in_flight_replans_next_epoch():
     )
     fh = SimFile.open(stack.comm, engine)
     block, steps = 1200, 3
-    ledger = stack.cluster.memory_ledger
+    # fires while epoch 0 is between start() and wait(): a memory shock
+    # on node 0, applied and reverted before the epoch ends
+    schedule = FaultSchedule(
+        [FaultEvent(time=1e-6, kind="memory_shock", target=0,
+                    duration=1e-6, magnitude=4 * KIB)]
+    )
+    injector = FaultInjector(stack.env, stack.cluster, stack.pfs, schedule)
+    engine.watch_faults(injector)
+    fired = []
+    injector.add_listener(lambda event, phase: fired.append(stack.env.now))
+    injector.start()
+    epoch0_done = []
 
     def main(ctx):
         fh.set_view(ctx, contiguous_view(ctx.rank * block, block))
         pc = fh.write_all_init(ctx, overlap=False)
-        if ctx.rank == 0:
-            def saboteur():
-                # fires while epoch 0 is between start() and wait():
-                # a foreign tenant leases (and returns) lender memory
-                yield ctx.env.sleep(1e-6)
-                lease = ledger.grant(0, 99, 4 * KIB, now=ctx.env.now, term=1.0)
-                assert lease is not None
-                ledger.release(lease, now=ctx.env.now)
-            ctx.spawn(saboteur(), name="saboteur")
         for step in range(steps):
             pc.start(ctx, step_bytes(ctx.rank, step, block))
             yield from pc.wait(ctx)
+            if step == 0:
+                epoch0_done.append(ctx.env.now)
         return pc
 
     pc = stack.run_spmd(main)[0]
-    # epoch 0 planned; the in-flight lease events staled the handle, so
+    injector.stop()
+    assert injector.applied == {"memory_shock": 1}
+    assert stack.cluster.nodes[0].memory.shock_bytes == 0
+    # both events landed while every rank was still inside epoch 0
+    assert len(fired) == 2 and max(fired) < min(epoch0_done)
+    # epoch 0 planned; the in-flight fault events staled the handle, so
     # epoch 1 re-planned; epoch 2 replayed frozen
     assert pc.replans == 2
-    assert any(r.startswith("lease-") for r in pc.invalidations)
+    assert pc.invalidations == ["fault-apply", "fault-revert"]
     assert [s.extra["persistent_replanned"] for s in engine.history] == [
         True, True, False,
     ]
@@ -132,7 +141,7 @@ def test_node_failure_mid_pipeline_drains_then_fails_over():
         stack.comm.placement[a] for a in e1.aggregator_ranks
     }
 
-    # no bytes lost in either epoch, leases balanced, memory clean
+    # no bytes lost in either epoch, memory clean
     patterns = [contiguous_view(r * block, block) for r in range(16)]
     assert len(auditor.records) == steps
     for rec in auditor.records:

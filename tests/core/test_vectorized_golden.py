@@ -1,15 +1,12 @@
 """Golden-trace replay for the node-level vectorized driver.
 
-The fixtures in ``tests/goldens/goldens_vectorized.json`` pin four
-cells — ``{write, read} x {remerge, borrow}`` (see
-:mod:`tests.goldens.vectorized_cases`):
-
-* the accepted-path cells pin the vectorized driver's own stats and
-  simulated clock, so changes to its batched-transfer arithmetic,
-  window staging, or barrier charges are diff-detectable;
-* the refused-path cells pin the ``lender-domains`` refusal and the
-  per-rank borrow fallback it triggers, so the refusal seam cannot
-  silently drift.
+The fixtures in ``tests/goldens/goldens_vectorized.json`` pin two
+cells — ``{write, read}`` of the ``remerge`` case (see
+:mod:`tests.goldens.vectorized_cases`): the vectorized driver's own
+stats and simulated clock, so changes to its multi-message transfer
+arithmetic, window staging, or barrier charges are diff-detectable.
+The refused path is pinned against the kernel goldens by
+``tests/sim/test_vectorized_equivalence.py``.
 
 Regenerate only by deliberate decision via
 ``python -m tests.goldens.generate_vectorized``.
@@ -72,14 +69,10 @@ def test_vectorized_golden_matrix_is_complete():
     )
 
 
-def test_goldens_pin_both_paths():
-    """The matrix must cover an accepted and a refused vectorization."""
-    drivers = {rec["stats"]["path"]["driver"] for rec in GOLDENS.values()}
-    assert drivers == {"vectorized", "lockstep"}
-    refused = [r for r in GOLDENS.values() if r["stats"]["path"]["refusals"]]
-    assert len(refused) == 2
-    assert all(
-        r["stats"]["path"]["refusals"] == ["vectorized:lender-domains"]
-        for r in refused
-    )
-    assert all(r["stats"]["leases_granted"] > 0 for r in refused)
+def test_goldens_pin_the_vectorized_path():
+    """Every recorded cell ran on the node-level driver, unrefused."""
+    paths = {
+        (rec["stats"]["path"]["driver"], tuple(rec["stats"]["path"]["refusals"]))
+        for rec in GOLDENS.values()
+    }
+    assert paths == {("vectorized", ())}

@@ -1,9 +1,8 @@
 """Mode auto-selection negative paths: when vectorization must refuse.
 
 A collective with an active fault schedule, a currently failed node,
-outstanding remote-memory leases, a data plane, or a plan that needs
-lender-backed buffers cannot be simulated at node level without
-changing behaviour — the path decision must refuse, fall back to
+or a data plane cannot be simulated at node level without changing
+behaviour — the path decision must refuse, fall back to
 per-rank coroutines and record ``"vectorized:<reason>"`` in
 ``CollectiveStats.path``.  And the fallback itself must be *exactly* the
 run a plain per-rank engine would have produced.
@@ -112,36 +111,6 @@ class TestRefusalReasons:
         stats = run_vectorized_collective(engine, patterns(), "write")
         assert stats.path == PathDecision("vectorized")
 
-    def test_active_lease(self):
-        stack = make_stack(n_ranks=N_RANKS, with_data=False)
-        engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, vec_config())
-        ledger = stack.cluster.memory_ledger
-        lease = ledger.grant(
-            lender_node=2, borrower_rank=0, nbytes=4096, now=0.0, term=1e9
-        )
-        assert lease is not None
-        stats = run_vectorized_collective(engine, patterns(), "write")
-        assert stats.path == refused("active-leases")
-        ledger.release(lease, now=float(stack.env.now))
-
-    def test_lender_domains(self):
-        """A hybrid plan that needs borrowed buffers refuses post-plan."""
-        stack = make_stack(n_ranks=N_RANKS, with_data=False)
-        rich = 2
-        for node in stack.cluster.nodes:
-            node.memory.set_available(10**9 if node.node_id == rich else 6000)
-        config = vec_config(
-            placement_policy="hybrid",
-            adaptive_buffer=False,
-            cb_buffer_size=8 * 1024,
-            msg_ind=4 * 1024,
-            msg_group=1 << 30,
-        )
-        engine = MemoryConsciousCollectiveIO(stack.comm, stack.pfs, config)
-        stats = run_vectorized_collective(engine, patterns(), "write")
-        assert stats.path == refused("lender-domains")
-        assert stats.leases_granted > 0  # the fallback really borrowed
-
 
 class TestFallbackFidelity:
     """The refused run must equal a pure per-rank run of the scenario."""
@@ -168,42 +137,6 @@ class TestFallbackFidelity:
         want, want_stack = scenario("per-rank")
         assert_stats_equivalent(want, got)
         # bit-identical timing too: the fallback IS the per-rank path
-        assert float(got_stack.env.now).hex() == float(want_stack.env.now).hex()
-        assert got.elapsed == want.elapsed
-
-    def test_lender_domain_fallback_matches_per_rank(self):
-        def scenario(mode):
-            stack = make_stack(n_ranks=N_RANKS, with_data=False)
-            for node in stack.cluster.nodes:
-                node.memory.set_available(
-                    10**9 if node.node_id == 2 else 6000
-                )
-            engine = MemoryConsciousCollectiveIO(
-                stack.comm,
-                stack.pfs,
-                vec_config(
-                    placement_policy="hybrid",
-                    adaptive_buffer=False,
-                    cb_buffer_size=8 * 1024,
-                    msg_ind=4 * 1024,
-                    msg_group=1 << 30,
-                    execution_mode=mode,
-                ),
-            )
-            if mode == "vectorized":
-                run_vectorized_collective(engine, patterns(), "write")
-            else:
-                pats = patterns()
-
-                def main(ctx):
-                    yield from engine.write(ctx, pats[ctx.rank])
-
-                stack.run_spmd(main)
-            return engine.history[-1], stack
-
-        got, got_stack = scenario("vectorized")
-        want, want_stack = scenario("per-rank")
-        assert_stats_equivalent(want, got)
         assert float(got_stack.env.now).hex() == float(want_stack.env.now).hex()
         assert got.elapsed == want.elapsed
 

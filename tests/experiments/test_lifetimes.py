@@ -25,14 +25,7 @@ import pytest
 
 from repro.cluster import KIB, Cluster
 from repro.core import MemoryConsciousCollectiveIO, TwoPhaseCollectiveIO
-from repro.experiments import (
-    borrow,
-    figure6,
-    figure8,
-    pipeline,
-    resilience,
-    scale_sweep,
-)
+from repro.experiments import figure6, figure8, pipeline, resilience, scale_sweep
 from repro.experiments.harness import run_memory_sweep
 from repro.mpi import SimComm
 from repro.pfs import ParallelFileSystem, SparseFile
@@ -142,19 +135,6 @@ def test_pipeline_cell(births, mode, tenants):
     _run_cell_without_collector(lambda: pipeline._pipeline_cell(cell), births)
     # env, cluster, pfs, datastore, and one comm + engine per tenant
     assert len(births) == 4 + 2 * tenants
-
-
-@pytest.mark.parametrize("fault", borrow.FAULTS)
-def test_borrow_cell(births, fault):
-    # mid-collective: the fault-free cell takes ~0.037 simulated seconds
-    fault_at = None if fault == "none" else 0.015
-    _run_cell_without_collector(
-        lambda: borrow._run_cell(
-            "hybrid", "skewed", fault, 12, 3, 8 * KIB, 0, fault_at=fault_at
-        ),
-        births,
-    )
-    assert len(births) == 6
 
 
 @pytest.mark.parametrize("strategy", ["two-phase", "mcio"])

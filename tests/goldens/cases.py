@@ -136,8 +136,8 @@ def make_engine(
     """The strategy under test, configured for `case`.
 
     `mcio_overrides` patches extra :class:`MCIOConfig` knobs on top of
-    the case's pinned configuration (e.g. ``{"placement_policy": "hybrid"}``) so
-    opt-in features can be replayed against the recorded goldens.
+    the case's pinned configuration (e.g. ``{"execution_mode": "vectorized"}``)
+    so opt-in features can be replayed against the recorded goldens.
     """
     if strategy == "two-phase":
         return TwoPhaseCollectiveIO(

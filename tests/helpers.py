@@ -106,12 +106,6 @@ EQUIVALENT_FIELDS = (
     "io_retries",
     "io_abandons",
     "failovers",
-    "leases_granted",
-    "leases_renewed",
-    "leases_revoked",
-    "leases_expired",
-    "borrow_bytes",
-    "borrow_fallbacks",
 )
 
 

@@ -21,20 +21,12 @@ class TestFinalize:
         c.record_rounds(3)
         c.record_failover()
         c.record_failover(2)
-        c.record_lease("granted")
-        c.record_lease("renewed")
-        c.record_lease("released")
-        c.record_borrow_bytes(64)
-        c.record_borrow_fallback()
         c.path = PathDecision("lockstep", ("vectorized:fault-schedule",))
         stats = c.finalize()
         assert c.total_bytes == stats.total_bytes == 1024
         assert c.rounds_total == stats.rounds_total == 3
         assert c.failovers == stats.failovers == 3
-        assert (stats.leases_granted, stats.leases_renewed) == (1, 1)
-        assert (stats.leases_revoked, stats.leases_expired) == (0, 0)
-        assert stats.borrow_bytes == 64
-        assert stats.borrow_fallbacks == 1
+        assert stats.degraded_tier is None
         assert stats.path is c.path
         assert stats.execution_mode == "per-rank"
         assert "vectorized_refusal" not in stats.extra
@@ -81,11 +73,6 @@ class TestFinalize:
         for value in (stats.total_bytes, stats.shuffle_inter_node_bytes):
             assert value == 2**60 + 1
             assert type(value) is int
-
-    def test_unknown_lease_event_rejected(self):
-        c = _collector()
-        with pytest.raises(AttributeError):
-            c.record_lease("borrowed")
 
     def test_registry_parameter_rejected(self):
         with pytest.raises(TypeError):

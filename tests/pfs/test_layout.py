@@ -23,7 +23,7 @@ def per_stripe_load(lay, ext):
 
 
 class TestBasics:
-    def test_stripe_and_server_of(self):
+    def test_stripe_k_lands_on_server_k_mod_n(self):
         """Stripe ``k`` lives on server ``k mod n``."""
         lay = StripeLayout(stripe_size=100, n_servers=4)
         assert lay.extent_load(Extent(0, 1)) == [(0, 1)]
@@ -38,7 +38,7 @@ class TestBasics:
             StripeLayout(100, 0)
 
 
-class TestSplitExtent:
+class TestExtentLoad:
     def test_within_one_stripe(self):
         lay = StripeLayout(100, 4)
         assert lay.extent_load(Extent(120, 50)) == [(1, 50)]
@@ -66,7 +66,7 @@ class TestPerServerBytes:
         lay = StripeLayout(100, 4)
         assert lay.extent_load(Extent(210, 30)) == [(2, 30)]
 
-    def test_servers_touched(self):
+    def test_touched_servers_ascend(self):
         lay = StripeLayout(100, 4)
         assert [s for s, _ in lay.extent_load(Extent(0, 250))] == [0, 1, 2]
 
@@ -76,7 +76,7 @@ class TestPerServerBytes:
         offset=st.integers(0, 1000),
         length=st.integers(0, 2000),
     )
-    def test_per_server_bytes_matches_bruteforce(self, stripe, n, offset, length):
+    def test_extent_load_matches_per_byte_walk(self, stripe, n, offset, length):
         lay = StripeLayout(stripe, n)
         truth = [0] * n
         for b in range(offset, offset + length):
@@ -91,7 +91,7 @@ class TestPerServerBytes:
         offset=st.integers(0, 5000),
         length=st.integers(0, 5000),
     )
-    def test_extent_load_is_per_server_bytes_without_zeros(
+    def test_extent_load_matches_per_stripe_walk_without_zeros(
         self, stripe, n, offset, length
     ):
         """Every touched server once, ascending, no zero entries, plain

@@ -1,9 +1,9 @@
 """Differential harness: per-rank reference vs node-level vectorized driver.
 
-The equivalence contract (DESIGN.md §11): for fault-free, lease-free,
-metadata-only collectives the vectorized driver must reproduce every
-deterministic accounting field of the per-rank reference — bytes,
-rounds, aggregator placements, shuffle locality split, tiers, groups —
+The equivalence contract (DESIGN.md §11): for fault-free, metadata-only
+collectives the vectorized driver must reproduce every deterministic
+accounting field of the per-rank reference — bytes, rounds, aggregator
+placements, shuffle locality split, groups —
 and must feed the byte-conservation auditor an identical
 attempt/extent/shuffle record.  Only ``elapsed`` (pinned separately by
 the vectorized goldens) and the execution-mode fields themselves may
